@@ -313,9 +313,13 @@ def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
     if isinstance(expr, Num):
         return GradedSeries.constant(expr.value, max_degree)
     if isinstance(expr, Gen):
+        degree = sum(expr.arg) if expr.kind == "s" else expr.arg
+        if degree > max_degree:
+            # The degree is then positive, valid for every generator, so the
+            # index checks below lose nothing by being skipped.
+            return GradedSeries(max_degree)
         if expr.kind == "s":
-            f = schur(expr.arg)
-            return GradedSeries.from_symfunc(f, max_degree)
+            return GradedSeries.from_symfunc(schur(expr.arg), max_degree)
         k = expr.arg
         try:
             f = {"p": p, "h": h, "e": e}[expr.kind](k)
@@ -463,6 +467,17 @@ def _cmd_list_checks(args) -> int:
     return 0
 
 
+def _max_degree(text: str) -> int:
+    """argparse type for --max-degree: a nonnegative integer, else exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symlie",
@@ -471,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p_):
-        p_.add_argument("--max-degree", type=int, default=8)
+        p_.add_argument("--max-degree", type=_max_degree, default=8)
         p_.add_argument("--basis", choices=("p", "s", "h", "e"), default="p")
         p_.add_argument("--json", action="store_true")
 
@@ -495,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--check")
-    p_verify.add_argument("--max-degree", type=int, default=8)
+    p_verify.add_argument("--max-degree", type=_max_degree, default=8)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
 

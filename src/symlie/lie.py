@@ -95,35 +95,45 @@ def hk_alt_series(parity: str, max_degree: int) -> GradedSeries:
 
 
 def _jacobi_trudi_skew(outer: Partition, inner: Partition) -> SymFunc:
-    # det(h_{outer_i - inner_j - i + j}) over permutations; h_0 = 1, h_{<0} = 0
+    # det(h_{outer_i - inner_j - i + j}) over permutations; h_0 = 1, h_{<0} = 0.
+    # A product of h's only merges its indices, so the determinant is summed
+    # on integer coefficients keyed by the h-monomial h_lam, and each distinct
+    # h_lam is expanded in the p basis once.
     rows = len(outer)
     inner = tuple(inner) + (0,) * (rows - len(inner))
-    total = SymFunc.zero()
+    coeffs: Dict[Partition, int] = {}
     for sigma in _permutations(range(rows)):
-        inversions = sum(
-            1 for i in range(rows) for j in range(i + 1, rows) if sigma[i] > sigma[j]
-        )
-        sign = -1 if inversions % 2 else 1
-        prod = SymFunc.constant(sign)
-        ok = True
+        parts = []
         for i in range(rows):
             d = outer[i] - inner[sigma[i]] - i + sigma[i]
             if d < 0:
-                ok = False
                 break
             if d > 0:
-                prod = prod * h(d)
-        if ok:
+                parts.append(d)
+        else:
+            inversions = sum(
+                1 for i in range(rows) for j in range(i + 1, rows) if sigma[i] > sigma[j]
+            )
+            lam = tuple(sorted(parts, reverse=True))
+            coeffs[lam] = coeffs.get(lam, 0) + (-1 if inversions % 2 else 1)
+    total = SymFunc.zero()
+    for lam, coeff in coeffs.items():
+        if coeff:
+            prod = SymFunc.constant(coeff)
+            for part in lam:
+                prod = prod * h(part)
             total = total + prod
     return total
 
 
+@lru_cache(maxsize=None)
 def staircase_skew(n: int, method: str = "foulkes") -> SymFunc:
     """The skew Schur function of the staircase ribbon, homogeneous of degree 2n-3.
 
     method='foulkes': sum over partitions of 2n-3 with all odd parts of
     (-1)^{(|lam| - len(lam))/2} * (alternating count of len(lam)) * p_lam / z_lam.
-    method='jacobi_trudi': the determinant construction, as a cross-check.
+    method='jacobi_trudi': the determinant construction, as a cross-check;
+    it never uses the Euler numbers.  Results are memoized per (n, method).
     """
     if n < 2:
         raise ValueError("staircase_skew requires n >= 2")

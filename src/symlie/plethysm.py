@@ -37,6 +37,30 @@ def scale_series(g: GradedSeries, k: int) -> GradedSeries:
     return out
 
 
+def _power(
+    lam: Partition,
+    g: GradedSeries,
+    powers: Dict[Partition, GradedSeries],
+    scaled: Dict[int, GradedSeries],
+) -> GradedSeries:
+    """prod_i p_{lam_i}[g], memoized in powers; scaled caches p_k[g] by k.
+
+    A module-level function rather than a closure: a closure that calls
+    itself is a reference cycle, which would keep every partial product
+    alive until the cyclic garbage collector ran.
+    """
+    cached = powers.get(lam)
+    if cached is None:
+        # Peeling the smallest part keeps the prefix a partition, so partial
+        # products are shared across the whole first argument.
+        k = lam[-1]
+        if k not in scaled:
+            scaled[k] = scale_series(g, k)
+        cached = _power(lam[:-1], g, powers, scaled) * scaled[k]
+        powers[lam] = cached
+    return cached
+
+
 def pleth(f: Union[SymFunc, GradedSeries], g: GradedSeries) -> GradedSeries:
     """f[g] truncated at the minimum bound; g must have zero constant term."""
     if g.components[0]:
@@ -56,25 +80,12 @@ def pleth(f: Union[SymFunc, GradedSeries], g: GradedSeries) -> GradedSeries:
 
     scaled: Dict[int, GradedSeries] = {}
     powers: Dict[Partition, GradedSeries] = {(): GradedSeries.constant(1, n)}
-
-    def power(lam: Partition) -> GradedSeries:
-        # Peeling the smallest part keeps the prefix a partition, so partial
-        # products are shared across the whole first argument.
-        cached = powers.get(lam)
-        if cached is None:
-            k = lam[-1]
-            if k not in scaled:
-                scaled[k] = scale_series(g, k)
-            cached = power(lam[:-1]) * scaled[k]
-            powers[lam] = cached
-        return cached
-
     out = GradedSeries(n)
     for lam, coeff in items:
         if sum(lam) > n:
             # each p_j[g] has valuation >= j, so this term cannot contribute
             continue
-        out = out + power(lam) * coeff
+        out = out + _power(lam, g, powers, scaled) * coeff
     return out
 
 

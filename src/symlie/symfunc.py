@@ -154,11 +154,6 @@ def p(k: int) -> SymFunc:
     return SymFunc({(k,): 1})
 
 
-def p_of(lam) -> SymFunc:
-    """The product p_lam for a partition lam."""
-    return SymFunc({tuple(lam): 1})
-
-
 @lru_cache(maxsize=None)
 def h(n: int) -> SymFunc:
     """Complete homogeneous h_n = sum_{lam |- n} p_lam / z_lam; h(0) = 1."""

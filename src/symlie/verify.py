@@ -67,6 +67,8 @@ class CheckReport:
         }
         if self.first_failure_degree is not None:
             record["first_failure_degree"] = self.first_failure_degree
+        if self.mismatch is not None:
+            record["mismatch"] = {"lhs": self.mismatch[0], "rhs": self.mismatch[1]}
         return record
 
 

@@ -1,9 +1,10 @@
 """Shared test utilities: independent counting oracles and seeded generators."""
 
 from fractions import Fraction
+from itertools import permutations
 from random import Random
 
-from symlie import GradedSeries, SymFunc
+from symlie import GradedSeries, SymFunc, h
 from symlie.partitions import partitions_of
 
 
@@ -69,3 +70,26 @@ def valid_inverse_candidate(rng: Random, max_degree: int) -> GradedSeries:
 
 def prefix_equal(a: GradedSeries, b: GradedSeries, through: int) -> bool:
     return all(a.components[d] == b.components[d] for d in range(through + 1))
+
+
+def jacobi_trudi_reference(outer, inner) -> SymFunc:
+    """The skew Schur function s_{outer/inner} as det(h_{outer_i - inner_j - i + j}),
+    a sum over permutations of products of p-basis SymFuncs (h_0 = 1,
+    h_{<0} = 0): the reference for the h-monomial determinant in symlie.lie."""
+    rows = len(outer)
+    inner = tuple(inner) + (0,) * (rows - len(inner))
+    total = SymFunc.zero()
+    for sigma in permutations(range(rows)):
+        inversions = sum(
+            1 for i in range(rows) for j in range(i + 1, rows) if sigma[i] > sigma[j]
+        )
+        prod = SymFunc.constant(-1 if inversions % 2 else 1)
+        for i in range(rows):
+            d = outer[i] - inner[sigma[i]] - i + sigma[i]
+            if d < 0:
+                break
+            if d > 0:
+                prod = prod * h(d)
+        else:
+            total = total + prod
+    return total

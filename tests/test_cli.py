@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import symlie.cli as cli
 from symlie.cli import (
     BinOp,
     EvalError,
@@ -18,6 +19,7 @@ from symlie.cli import (
 )
 from symlie.series import GradedSeries
 from symlie.symfunc import SymFunc, p
+from symlie.verify import run_check
 
 from helpers import prefix_equal
 
@@ -128,6 +130,20 @@ def test_evaluate_errors_carry_positions():
     with pytest.raises(EvalError) as info:
         evaluate(parse("Mystery"), 5)
     assert info.value.offset == 1
+
+
+def test_generator_above_bound_is_zero(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("built a generator above the bound")
+
+    for name in ("p", "h", "e", "schur"):
+        monkeypatch.setattr(cli, name, unbuilt)
+    series = evaluate(parse("h[60] + e[60] + p[60] + s[40,20]"), 2)
+    assert series == GradedSeries(2)
+    monkeypatch.undo()
+    assert evaluate(parse("h[2] + s[2,1]"), 2) == evaluate(parse("h[2]"), 2)
+    with pytest.raises(EvalError):
+        evaluate(parse("p[0]"), 0)
 
 
 def test_cli_expand_output(capsys):
@@ -250,3 +266,32 @@ def test_cli_usage_error(capsys):
     capsys.readouterr()
     assert main(["unknown-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "h[2]", "--max-degree", "-1"],
+        ["inverse", "E_odd/E_even", "--max-degree", "-1"],
+        ["verify", "--all", "--max-degree", "-1"],
+        ["verify", "--check", "thrall_h", "--max-degree", "-2"],
+        ["expand", "h[2]", "--max-degree", "two"],
+    ],
+)
+def test_cli_bad_max_degree_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert "--max-degree" in capsys.readouterr().err
+
+
+def test_cli_verify_json_carries_mismatch(capsys, monkeypatch):
+    def perturbed(name, max_degree):
+        return run_check(name, max_degree, perturb=(0, 0, 3, (3,), Fraction(1)))
+
+    monkeypatch.setattr(cli, "run_check", perturbed)
+    code = main(["verify", "--check", "thrall_h", "--max-degree", "6", "--json"])
+    (record,) = json.loads(capsys.readouterr().out)["results"]
+    assert code == 1
+    assert record["passed"] is False
+    assert record["first_failure_degree"] == 3
+    assert record["mismatch"]["lhs"].startswith("H[Lie]: ")
+    assert record["mismatch"]["rhs"] == "H[Lie]: p[1,1,1]"

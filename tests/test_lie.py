@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from math import factorial
 
@@ -5,6 +6,7 @@ import pytest
 
 from symlie.lie import (
     SERIES_REGISTRY,
+    _jacobi_trudi_skew,
     e_series,
     h_series,
     hk,
@@ -21,7 +23,7 @@ from symlie.partitions import staircase
 from symlie.series import series_div
 from symlie.symfunc import SymFunc, dimension, h, p, schur, schur_expand
 
-from helpers import prefix_equal
+from helpers import jacobi_trudi_reference, prefix_equal
 
 
 def test_lie_small_values():
@@ -122,6 +124,43 @@ def test_staircase_skew_small():
 def test_staircase_methods_agree():
     for n in range(2, 8):
         assert staircase_skew(n, "foulkes") == staircase_skew(n, "jacobi_trudi")
+
+
+def test_jacobi_trudi_matches_permutation_reference():
+    for n in range(2, 7):
+        outer, inner = staircase(n), staircase(max(n - 2, 1))
+        assert _jacobi_trudi_skew(outer, inner) == jacobi_trudi_reference(outer, inner)
+    skew = _jacobi_trudi_skew((4, 3, 1), (2, 1))
+    assert skew == jacobi_trudi_reference((4, 3, 1), (2, 1))
+    assert dimension(skew) == syt_count((4, 3, 1), (2, 1))
+    for lam in [(3, 2, 1), (4, 1), (2, 2), (5,), (1, 1, 1)]:
+        straight = _jacobi_trudi_skew(lam, ())
+        assert straight == jacobi_trudi_reference(lam, ())
+        assert straight == schur(lam)
+
+
+def test_staircase_determinant_is_independent_of_euler_numbers(monkeypatch):
+    # foulkes compares the Euler-number formula with the determinant, so the
+    # determinant must not use the Euler numbers or the formula itself.
+    def forbidden(*args):
+        raise AssertionError("the determinant used alternating_count")
+
+    # importlib: the package attribute symlie.lie is the function lie()
+    monkeypatch.setattr(importlib.import_module("symlie.lie"), "alternating_count", forbidden)
+    staircase_skew.cache_clear()
+    try:
+        for n in range(2, 7):
+            outer, inner = staircase(n), staircase(max(n - 2, 1))
+            assert staircase_skew(n, "jacobi_trudi") == jacobi_trudi_reference(outer, inner)
+    finally:
+        staircase_skew.cache_clear()
+
+
+def test_staircase_skew_is_memoized():
+    staircase_skew.cache_clear()
+    first = staircase_skew(6, "jacobi_trudi")
+    assert staircase_skew(6, "jacobi_trudi") is first
+    assert staircase_skew.cache_info().hits == 1
 
 
 def test_staircase_dimension_counts_alternating_permutations():

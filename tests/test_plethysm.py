@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from random import Random
 
@@ -224,3 +225,16 @@ def test_oracle_equivalence_small_sweep():
         for d in range(13):
             total = total + full.components[d]
         assert specialize(total, m) == monomial_pleth(f, g, m), (f, g)
+
+
+def test_pleth_frees_partial_products_without_the_cycle_collector():
+    # Partial products live only for one call; a reference cycle would keep
+    # them until a generation-2 collection.
+    f, g = h_series(8), lie_series("all", 8)
+    gc.collect()
+    gc.disable()
+    try:
+        pleth(f, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

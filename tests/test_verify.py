@@ -49,6 +49,15 @@ def test_check_report_record():
     }
 
 
+def test_check_report_record_carries_mismatch():
+    report = run_check("thrall_h", 6, perturb=(0, 0, 3, (3,), Fraction(1)))
+    record = report.as_record()
+    assert record["passed"] is False
+    assert record["first_failure_degree"] == 3
+    assert record["mismatch"] == {"lhs": report.mismatch[0], "rhs": report.mismatch[1]}
+    assert record["mismatch"]["lhs"] == "H[Lie]: p[1,1,1] + p[3]"
+
+
 def test_cap_clamps_degree():
     report = run_check("lie_oracle", 9)
     assert report.max_degree == 7

@@ -25,7 +25,6 @@ from .series import (
     parity_split,
     series_div,
     series_inverse,
-    series_mul,
     tan_series,
     tanh_series,
 )
@@ -33,13 +32,11 @@ from .symfunc import (
     Coefficient,
     HomogeneityError,
     SymFunc,
-    add,
     dimension,
     e,
     expand_in_basis,
     h,
     inner,
-    mul,
     omega,
     p,
     render,

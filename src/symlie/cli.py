@@ -15,7 +15,8 @@ only with explicit parentheses.
 
 Commands: expand, pleth, inverse, verify, list-checks.  Exit codes: 0 on
 success (verify: all requested checks passed), 1 on a failed check or
-evaluation error, 2 on usage or syntax errors.
+evaluation error, 2 on usage or syntax errors, including a --max-degree
+outside [0, MAX_DEGREE].
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
-from .lie import SERIES_REGISTRY
+from .lie import named_series
 from .partitions import check_partition
 from .plethysm import ConstantTermError, LeadingTermError, pleth, pleth_inverse
 from .series import (
@@ -69,20 +70,20 @@ class EvalError(ValueError):
 @dataclass(frozen=True)
 class Num:
     value: int
-    pos: int = 0
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Gen:
     kind: str  # 'p' | 'h' | 'e' | 's'
     arg: Union[int, tuple]
-    pos: int = 0
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Name:
     ident: str
-    pos: int = 0
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -90,21 +91,21 @@ class BinOp:
     op: str
     left: "Expr"
     right: "Expr"
-    pos: int = 0
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Pleth:
     outer: "Expr"
     inner: "Expr"
-    pos: int = 0
+    pos: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     arg: "Expr"
-    pos: int = 0
+    pos: int = field(default=0, compare=False)
 
 
 Expr = Union[Num, Gen, Name, BinOp, Pleth, Call]
@@ -123,6 +124,10 @@ _FUNCTIONS = {
 }
 
 _GENERATORS = ("p", "h", "e", "s")
+
+# Ceiling on --max-degree: a series allocates one slot per degree before any
+# work, so an absurd bound would exhaust memory instead of failing fast.
+MAX_DEGREE = 40
 
 
 # --- tokenizer / parser -----------------------------------------------------------
@@ -283,29 +288,6 @@ def render_expr(expr: Expr) -> str:
     raise TypeError(f"not an Expr: {expr!r}")
 
 
-def _expr_equal(a: Expr, b: Expr) -> bool:
-    # structural equality ignoring source positions
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Num):
-        return a.value == b.value
-    if isinstance(a, Gen):
-        return (a.kind, a.arg) == (b.kind, b.arg)
-    if isinstance(a, Name):
-        return a.ident == b.ident
-    if isinstance(a, Call):
-        return a.fn == b.fn and _expr_equal(a.arg, b.arg)
-    if isinstance(a, Pleth):
-        return _expr_equal(a.outer, b.outer) and _expr_equal(a.inner, b.inner)
-    if isinstance(a, BinOp):
-        return (
-            a.op == b.op
-            and _expr_equal(a.left, b.left)
-            and _expr_equal(a.right, b.right)
-        )
-    return False
-
-
 def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
     """Exact evaluation at the given truncation degree."""
     if max_degree < 0:
@@ -327,10 +309,10 @@ def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
             raise EvalError(expr.pos, str(exc)) from exc
         return GradedSeries.from_symfunc(f, max_degree)
     if isinstance(expr, Name):
-        entry = SERIES_REGISTRY.get(expr.ident)
-        if entry is None:
-            raise EvalError(expr.pos, f"unknown series {expr.ident!r}")
-        return entry.builder(max_degree)
+        try:
+            return named_series(expr.ident, max_degree)
+        except KeyError:
+            raise EvalError(expr.pos, f"unknown series {expr.ident!r}") from None
     if isinstance(expr, Call):
         arg = evaluate(expr.arg, max_degree)
         try:
@@ -468,13 +450,15 @@ def _cmd_list_checks(args) -> int:
 
 
 def _max_degree(text: str) -> int:
-    """argparse type for --max-degree: a nonnegative integer, else exit 2."""
+    """argparse type for --max-degree: an integer in [0, MAX_DEGREE], else exit 2."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    if value > MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEGREE}, got {value}")
     return value
 
 

@@ -168,7 +168,7 @@ def e_series(max_degree: int) -> GradedSeries:
 
 def jordan_series(max_degree: int) -> GradedSeries:
     """Characteristics of the free Jordan algebra: H[Lie_odd], with 1 in degree 0."""
-    return pleth(h_series(max_degree), lie_series("odd", max_degree))
+    return pleth(named_series("H", max_degree), named_series("Lie_odd", max_degree))
 
 
 class NamedSeries(NamedTuple):
@@ -180,20 +180,20 @@ def _registry() -> Dict[str, NamedSeries]:
     entries: Dict[str, Callable[[int], GradedSeries]] = {
         "H": h_series,
         "E": e_series,
-        "HE": lambda n: h_series(n) * e_series(n),
+        "HE": lambda n: named_series("H", n) * named_series("E", n),
         "Lie": lambda n: lie_series("all", n),
         "Lie_odd": lambda n: lie_series("odd", n),
         "Lie_even": lambda n: lie_series("even", n),
         "Lie_odd_alt": lambda n: lie_series("odd_alt", n),
         "Hk": hook_series,
-        "H_odd": lambda n: parity_split(h_series(n), "odd"),
-        "H_even": lambda n: parity_split(h_series(n), "even"),
-        "H_odd_alt": lambda n: parity_split(h_series(n), "odd", alternating=True),
-        "H_even_alt": lambda n: parity_split(h_series(n), "even", alternating=True),
-        "E_odd": lambda n: parity_split(e_series(n), "odd"),
-        "E_even": lambda n: parity_split(e_series(n), "even"),
-        "E_odd_alt": lambda n: parity_split(e_series(n), "odd", alternating=True),
-        "E_even_alt": lambda n: parity_split(e_series(n), "even", alternating=True),
+        "H_odd": lambda n: parity_split(named_series("H", n), "odd"),
+        "H_even": lambda n: parity_split(named_series("H", n), "even"),
+        "H_odd_alt": lambda n: parity_split(named_series("H", n), "odd", alternating=True),
+        "H_even_alt": lambda n: parity_split(named_series("H", n), "even", alternating=True),
+        "E_odd": lambda n: parity_split(named_series("E", n), "odd"),
+        "E_even": lambda n: parity_split(named_series("E", n), "even"),
+        "E_odd_alt": lambda n: parity_split(named_series("E", n), "odd", alternating=True),
+        "E_even_alt": lambda n: parity_split(named_series("E", n), "even", alternating=True),
         "Jordan": jordan_series,
     }
     return {name: NamedSeries(name, builder) for name, builder in entries.items()}
@@ -202,7 +202,13 @@ def _registry() -> Dict[str, NamedSeries]:
 SERIES_REGISTRY: Dict[str, NamedSeries] = _registry()
 
 
+@lru_cache(maxsize=None)
 def named_series(name: str, max_degree: int) -> GradedSeries:
+    """The registered series `name` truncated at max_degree.
+
+    Memoized per (name, max_degree): every caller in the process shares the
+    one result, so it must not be mutated.  An unknown name raises KeyError.
+    """
     entry = SERIES_REGISTRY.get(name)
     if entry is None:
         raise KeyError(f"unknown series {name!r}")

@@ -59,9 +59,6 @@ class GradedSeries:
                 out.components[d] = out.components[d] + SymFunc({lam: coeff})
         return out
 
-    def component(self, d: int) -> SymFunc:
-        return self.components[d]
-
     def constant_term(self) -> Fraction:
         return self.components[0].coefficient(())
 
@@ -137,10 +134,6 @@ class GradedSeries:
     def __repr__(self):
         parts = ", ".join(f"{d}: {part!r}" for d, part in enumerate(self.components) if part)
         return f"GradedSeries(N={self.max_degree}, {{{parts}}})"
-
-
-def series_mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    return f * g
 
 
 def series_inverse(f: GradedSeries) -> GradedSeries:

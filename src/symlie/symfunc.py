@@ -139,14 +139,6 @@ class SymFunc:
         return f"SymFunc({render(self)})"
 
 
-def add(f: SymFunc, g: SymFunc) -> SymFunc:
-    return f + g
-
-
-def mul(f: SymFunc, g: SymFunc) -> SymFunc:
-    return f * g
-
-
 def p(k: int) -> SymFunc:
     """The power sum p_k, k >= 1."""
     if k < 1:

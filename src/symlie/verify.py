@@ -11,20 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .lie import (
-    e_series,
-    h_series,
-    hk,
-    hk_alt_series,
-    hook_series,
-    jordan_series,
-    lie,
-    lie_series,
-    staircase_skew,
-)
+from .lie import hk, hk_alt_series, lie, named_series, staircase_skew
 from .oracle import (
     alternating_count,
     lie_character,
@@ -38,7 +29,6 @@ from .series import (
     arctan_series,
     arctanh_series,
     omega_series,
-    parity_split,
     series_div,
     series_inverse,
     tan_series,
@@ -124,28 +114,29 @@ def _one_minus_p2(n: int) -> GradedSeries:
     return GradedSeries(n, comps)
 
 
+@lru_cache(maxsize=None)
 def _quotient(n: int, alternating: bool = False) -> GradedSeries:
-    es = e_series(n)
-    return series_div(
-        parity_split(es, "odd", alternating), parity_split(es, "even", alternating)
-    )
+    # E_odd/E_even (or its alternating analogue); shared, so never mutated.
+    alt = "_alt" if alternating else ""
+    return series_div(named_series("E_odd" + alt, n), named_series("E_even" + alt, n))
 
 
 # --- check builders -------------------------------------------------------------
 
 
 def _thrall_h(n: int) -> List[Pair]:
-    return [("H[Lie]", pleth(h_series(n), lie_series("all", n)), _geometric_p1(n))]
+    lhs = pleth(named_series("H", n), named_series("Lie", n))
+    return [("H[Lie]", lhs, _geometric_p1(n))]
 
 
 def _thrall_e(n: int) -> List[Pair]:
     rhs = _one_minus_p2(n) * _geometric_p1(n)
-    return [("E[Lie]", pleth(e_series(n), lie_series("all", n)), rhs)]
+    return [("E[Lie]", pleth(named_series("E", n), named_series("Lie", n)), rhs)]
 
 
 def _main_inverse(n: int) -> List[Pair]:
     q = _quotient(n)
-    lo = lie_series("odd", n)
+    lo = named_series("Lie_odd", n)
     target = _p1_series(n)
     return [
         ("(E_odd/E_even)[Lie_odd]", pleth(q, lo), target),
@@ -154,8 +145,8 @@ def _main_inverse(n: int) -> List[Pair]:
 
 
 def _main_inverse_alt(n: int) -> List[Pair]:
-    q = _quotient(n, alternating=True)
-    lo = lie_series("odd_alt", n)
+    q = _quotient(n, True)
+    lo = named_series("Lie_odd_alt", n)
     target = _p1_series(n)
     return [
         ("(E_odd^alt/E_even^alt)[Lie_odd^alt]", pleth(q, lo), target),
@@ -164,24 +155,23 @@ def _main_inverse_alt(n: int) -> List[Pair]:
 
 
 def _arctanh_pleth(n: int) -> List[Pair]:
-    lhs = pleth(_odd_powersum(n), lie_series("odd", n))
+    lhs = pleth(_odd_powersum(n), named_series("Lie_odd", n))
     return [("sum p_k/k [Lie_odd]", lhs, _odd_p1_logs(n))]
 
 
 def _arctan_pleth_alt(n: int) -> List[Pair]:
-    lhs = pleth(_odd_powersum(n, alternating=True), lie_series("odd_alt", n))
+    lhs = pleth(_odd_powersum(n, alternating=True), named_series("Lie_odd_alt", n))
     return [("alternating sum [Lie_odd^alt]", lhs, _odd_p1_logs(n, alternating=True))]
 
 
 def _he_restate(n: int) -> List[Pair]:
-    he = h_series(n) * e_series(n)
-    lhs = pleth(he, lie_series("odd", n))
+    lhs = pleth(named_series("HE", n), named_series("Lie_odd", n))
     rhs = (GradedSeries.constant(1, n) + _p1_series(n)) * _geometric_p1(n)
     return [("(HE)[Lie_odd]", lhs, rhs)]
 
 
 def _hook_regular(n: int) -> List[Pair]:
-    lhs = pleth(hook_series(n), lie_series("odd", n))
+    lhs = pleth(named_series("Hk", n), named_series("Lie_odd", n))
     rhs = _geometric_p1(n) - 1
     return [("Hk[Lie_odd]", lhs, rhs)]
 
@@ -190,14 +180,14 @@ def _he_lie_even(n: int) -> List[Pair]:
     # The even-part identity forced by dividing the product rule
     # (HE)[Lie_odd] * (HE)[Lie_even] = (HE)[Lie] = (1-p_2)(1-p_1)^-2
     # by (HE)[Lie_odd] = (1+p_1)/(1-p_1).
-    he = h_series(n) * e_series(n)
-    even_part = pleth(he, lie_series("even", n))
-    odd_part = pleth(he, lie_series("odd", n))
-    full = pleth(he, lie_series("all", n))
+    he = named_series("HE", n)
+    even_part = pleth(he, named_series("Lie_even", n))
+    odd_part = pleth(he, named_series("Lie_odd", n))
+    full = pleth(he, named_series("Lie", n))
     geom = _geometric_p1(n)
     one = GradedSeries.constant(1, n)
     product_form = _one_minus_p2(n) * geom * geom
-    thrall_form = geom * pleth(e_series(n), lie_series("all", n))
+    thrall_form = geom * pleth(named_series("E", n), named_series("Lie", n))
     even_target = _one_minus_p2(n) * series_inverse(one - _p1_series(n) * _p1_series(n))
     return [
         ("(HE)[Lie_even] vs (1-p_2)(1-p_1^2)^-1", even_part, even_target),
@@ -210,7 +200,7 @@ def _he_lie_even(n: int) -> List[Pair]:
 def _hook_alt_even(n: int) -> List[Pair]:
     # sum_{m even >= 2} (-1)^{m/2} Hk_m, composed with Lie_odd^alt
     series = hk_alt_series("even", n) - 1
-    lhs = pleth(series, lie_series("odd_alt", n))
+    lhs = pleth(series, named_series("Lie_odd_alt", n))
     comps = {}
     for m in range(2, n + 1, 2):
         comps[m] = _p1_power(m) * ((-1) ** (m // 2))
@@ -218,7 +208,7 @@ def _hook_alt_even(n: int) -> List[Pair]:
 
 
 def _hook_alt_odd(n: int) -> List[Pair]:
-    lhs = pleth(hk_alt_series("odd", n), lie_series("odd_alt", n))
+    lhs = pleth(hk_alt_series("odd", n), named_series("Lie_odd_alt", n))
     comps = {}
     for m in range(1, n + 1, 2):
         comps[m] = _p1_power(m) * ((-1) ** ((m - 1) // 2))
@@ -310,7 +300,7 @@ def _tanh_form(n: int) -> List[Pair]:
 
 
 def _tan_form(n: int) -> List[Pair]:
-    q = _quotient(n, alternating=True)
+    q = _quotient(n, True)
     return [
         ("E_odd^alt/E_even^alt vs tan", q, tan_series(_odd_powersum(n, True))),
         ("E_odd^alt/E_even^alt vs tangent numbers", q, _tangent_sum(n, alternating=True)),
@@ -318,7 +308,7 @@ def _tan_form(n: int) -> List[Pair]:
 
 
 def _arctanh_sum(n: int) -> List[Pair]:
-    lo = lie_series("odd", n)
+    lo = named_series("Lie_odd", n)
     z = _odd_powersum(n)
     return [
         ("tanh(sum)[Lie_odd] = p_1", pleth(tanh_series(z), lo), _p1_series(n)),
@@ -327,7 +317,7 @@ def _arctanh_sum(n: int) -> List[Pair]:
 
 
 def _arctan_sum(n: int) -> List[Pair]:
-    lo = lie_series("odd_alt", n)
+    lo = named_series("Lie_odd_alt", n)
     w = _odd_powersum(n, alternating=True)
     return [
         ("tan(sum)[Lie_odd^alt] = p_1", pleth(tan_series(w), lo), _p1_series(n)),
@@ -339,9 +329,10 @@ _POSITIVITY_CAP = 8
 
 
 def _jordan(n: int) -> List[Pair]:
-    eta = jordan_series(n)
+    eta = named_series("Jordan", n)
     # product rule: H[Lie_odd] * H[Lie_even] = H[Lie] = 1/(1 - p_1)
-    rhs = series_div(_geometric_p1(n), pleth(h_series(n), lie_series("even", n)))
+    h_lie_even = pleth(named_series("H", n), named_series("Lie_even", n))
+    rhs = series_div(_geometric_p1(n), h_lie_even)
     bound = min(n, _POSITIVITY_CAP)
     offenders = GradedSeries(bound)
     for d in range(1, bound + 1):
@@ -358,13 +349,11 @@ def _jordan(n: int) -> List[Pair]:
 
 
 def _parity_props(n: int) -> List[Pair]:
-    hs, es = h_series(n), e_series(n)
-    h_odd, h_even = parity_split(hs, "odd"), parity_split(hs, "even")
-    e_odd, e_even = parity_split(es, "odd"), parity_split(es, "even")
+    es, he, k = named_series("E", n), named_series("HE", n), named_series("Hk", n)
+    h_odd, h_even = named_series("H_odd", n), named_series("H_even", n)
+    e_odd, e_even = named_series("E_odd", n), named_series("E_even", n)
     one = GradedSeries.constant(1, n)
-    he = hs * es
-    k = hook_series(n)
-    q = series_div(e_odd, e_even)
+    q = _quotient(n)
     return [
         ("H_odd E_even = H_even E_odd", h_odd * e_even, h_even * e_odd),
         ("H_even E_even = 1 + H_odd E_odd", h_even * e_even, one + h_odd * e_odd),
@@ -378,15 +367,12 @@ def _parity_props(n: int) -> List[Pair]:
 
 
 def _alt_parity_props(n: int) -> List[Pair]:
-    hs, es = h_series(n), e_series(n)
-    h_odd = parity_split(hs, "odd", alternating=True)
-    h_even = parity_split(hs, "even", alternating=True)
-    e_odd = parity_split(es, "odd", alternating=True)
-    e_even = parity_split(es, "even", alternating=True)
+    h_odd, h_even = named_series("H_odd_alt", n), named_series("H_even_alt", n)
+    e_odd, e_even = named_series("E_odd_alt", n), named_series("E_even_alt", n)
     one = GradedSeries.constant(1, n)
     x = hk_alt_series("even", n)
     y = hk_alt_series("odd", n)
-    q = series_div(e_odd, e_even)
+    q = _quotient(n, True)
     return [
         ("H_odd^alt E_even^alt = H_even^alt E_odd^alt", h_odd * e_even, h_even * e_odd),
         ("H_even^alt E_even^alt + H_odd^alt E_odd^alt = 1",

@@ -8,10 +8,10 @@ from symlie.cli import (
     BinOp,
     EvalError,
     Gen,
+    MAX_DEGREE,
     Name,
     ParseError,
     Pleth,
-    _expr_equal,
     evaluate,
     main,
     parse,
@@ -90,7 +90,15 @@ RENDER_CORPUS = [
 def test_render_parse_round_trip(source):
     tree = parse(source)
     rendered = render_expr(tree)
-    assert _expr_equal(parse(rendered), tree)
+    assert parse(rendered) == tree
+
+
+def test_equality_ignores_positions():
+    tree = parse("(E_odd/E_even) o s[2,1]")
+    shifted = parse("   ( E_odd / E_even )  o  s[2, 1]")
+    assert shifted.pos != tree.pos
+    assert shifted == tree
+    assert hash(shifted) == hash(tree)
 
 
 @pytest.mark.parametrize("source", RENDER_CORPUS)
@@ -276,11 +284,26 @@ def test_cli_usage_error(capsys):
         ["verify", "--all", "--max-degree", "-1"],
         ["verify", "--check", "thrall_h", "--max-degree", "-2"],
         ["expand", "h[2]", "--max-degree", "two"],
+        ["expand", "H", "--max-degree", str(MAX_DEGREE + 1)],
+        ["verify", "--all", "--max-degree", str(10**12)],
     ],
 )
-def test_cli_bad_max_degree_is_usage_error(capsys, argv):
+def test_cli_bad_max_degree_is_usage_error(capsys, monkeypatch, argv):
+    def unbuilt(*args):
+        raise AssertionError("built something for a rejected --max-degree")
+
+    for name in ("evaluate", "run_all", "run_check"):
+        monkeypatch.setattr(cli, name, unbuilt)
     assert main(argv) == 2
     assert "--max-degree" in capsys.readouterr().err
+
+
+def test_cli_max_degree_at_ceiling(capsys):
+    # The ceiling bounds the truncation, not a generator's degree.
+    assert main(["expand", "h[40]", "--max-degree", "2"]) == 0
+    assert main(["expand", "p[1]", "--max-degree", str(MAX_DEGREE)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"deg {MAX_DEGREE}: 0"
 
 
 def test_cli_verify_json_carries_mismatch(capsys, monkeypatch):

@@ -22,6 +22,7 @@ from symlie.oracle import alternating_count, syt_count
 from symlie.partitions import staircase
 from symlie.series import series_div
 from symlie.symfunc import SymFunc, dimension, h, p, schur, schur_expand
+from symlie.verify import run_check
 
 from helpers import jacobi_trudi_reference, prefix_equal
 
@@ -209,3 +210,10 @@ def test_prefix_stability():
         small = named_series(name, 5)
         large = named_series(name, 8)
         assert prefix_equal(small, large, 5), name
+    # Results are shared per (name, degree); a check that perturbs its
+    # memoized E_odd^alt/E_even^alt side must leave the shared series intact.
+    assert named_series("HE", 6) is named_series("HE", 6)
+    e_odd_alt = list(named_series("E_odd_alt", 8).components)
+    assert not run_check("carlitz", 8, perturb=(0, 0, 3, (3,), Fraction(1))).passed
+    assert run_check("carlitz", 8).passed
+    assert named_series("E_odd_alt", 8).components == e_odd_alt

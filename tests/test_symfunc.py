@@ -13,7 +13,6 @@ from symlie.symfunc import (
     expand_in_basis,
     h,
     inner,
-    mul,
     omega,
     p,
     render,
@@ -85,7 +84,6 @@ def test_ring_axioms():
         assert (f * g) * k == f * (g * k)
         assert f * (g + k) == f * g + f * k
         assert f * g == g * f
-        assert mul(f, g) == f * g
 
 
 def test_character_hand_values():

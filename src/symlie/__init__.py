@@ -47,6 +47,7 @@ from .symfunc import (
 from .lie import (
     NamedSeries,
     SERIES_REGISTRY,
+    compose_named,
     e_series,
     h_series,
     hk,

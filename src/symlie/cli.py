@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
-from .lie import named_series
+from .lie import SERIES_REGISTRY, compose_named, named_series
 from .partitions import check_partition
 from .plethysm import ConstantTermError, LeadingTermError, pleth, pleth_inverse
 from .series import (
@@ -288,6 +288,12 @@ def render_expr(expr: Expr) -> str:
     raise TypeError(f"not an Expr: {expr!r}")
 
 
+def _registered(node: Name) -> str:
+    if node.ident not in SERIES_REGISTRY:
+        raise EvalError(node.pos, f"unknown series {node.ident!r}")
+    return node.ident
+
+
 def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
     """Exact evaluation at the given truncation degree."""
     if max_degree < 0:
@@ -309,10 +315,7 @@ def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
             raise EvalError(expr.pos, str(exc)) from exc
         return GradedSeries.from_symfunc(f, max_degree)
     if isinstance(expr, Name):
-        try:
-            return named_series(expr.ident, max_degree)
-        except KeyError:
-            raise EvalError(expr.pos, f"unknown series {expr.ident!r}") from None
+        return named_series(_registered(expr), max_degree)
     if isinstance(expr, Call):
         arg = evaluate(expr.arg, max_degree)
         try:
@@ -320,10 +323,13 @@ def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
         except NonUnitConstantError as exc:
             raise EvalError(expr.pos, str(exc)) from exc
     if isinstance(expr, Pleth):
-        outer = evaluate(expr.outer, max_degree)
+        # A bare name is never built as a series: H, E and HE compose
+        # through the plethystic exponential in lie.compose_named.
+        name = _registered(expr.outer) if isinstance(expr.outer, Name) else None
+        outer = None if name else evaluate(expr.outer, max_degree)
         inner = evaluate(expr.inner, max_degree)
         try:
-            return pleth(outer, inner)
+            return compose_named(name, inner) if name else pleth(outer, inner)
         except ConstantTermError as exc:
             raise EvalError(expr.pos, str(exc)) from exc
     if isinstance(expr, BinOp):

@@ -17,8 +17,8 @@ from typing import Callable, Dict, NamedTuple
 from .oracle import alternating_count
 from .partitions import Partition, mobius, partitions_of, staircase, z_of
 from .plethysm import pleth
-from .series import GradedSeries, parity_split
-from .symfunc import SymFunc, e, h, schur
+from .series import GradedSeries, exp_series, parity_split
+from .symfunc import SymFunc, e, h, p, schur
 
 
 @lru_cache(maxsize=None)
@@ -77,10 +77,14 @@ def hook_series(max_degree: int) -> GradedSeries:
     return out
 
 
+@lru_cache(maxsize=None)
 def hk_alt_series(parity: str, max_degree: int) -> GradedSeries:
     """Alternating hook sums at t = 1:
     even: sum_{n even >= 0} (-1)^{n/2} Hk_n  (with Hk_0 = 1),
-    odd:  sum_{n odd  >= 1} (-1)^{(n-1)/2} Hk_n."""
+    odd:  sum_{n odd  >= 1} (-1)^{(n-1)/2} Hk_n.
+
+    Memoized per (parity, max_degree): the result is shared, so it must not
+    be mutated."""
     if parity not in ("odd", "even"):
         raise ValueError("parity must be 'odd' or 'even'")
     out = GradedSeries(max_degree)
@@ -168,7 +172,7 @@ def e_series(max_degree: int) -> GradedSeries:
 
 def jordan_series(max_degree: int) -> GradedSeries:
     """Characteristics of the free Jordan algebra: H[Lie_odd], with 1 in degree 0."""
-    return pleth(named_series("H", max_degree), named_series("Lie_odd", max_degree))
+    return compose_named("H", named_series("Lie_odd", max_degree))
 
 
 class NamedSeries(NamedTuple):
@@ -213,3 +217,28 @@ def named_series(name: str, max_degree: int) -> GradedSeries:
     if entry is None:
         raise KeyError(f"unknown series {name!r}")
     return entry.builder(max_degree)
+
+
+# H, E and HE are plethystic exponentials exp(sum_k c_k p_k): H = exp(sum p_k/k),
+# E = exp(sum (-1)^{k-1} p_k/k), and their product keeps only odd k, doubled.
+_LOG_COEFFS: Dict[str, Callable[[int], Fraction]] = {
+    "H": lambda k: Fraction(1, k),
+    "E": lambda k: Fraction((-1) ** (k - 1), k),
+    "HE": lambda k: Fraction(2, k) if k % 2 else Fraction(0),
+}
+
+
+def compose_named(name: str, g: GradedSeries) -> GradedSeries:
+    """The registered series `name` plethysm g, truncated at g's bound.
+
+    For H, E and HE this is exp(sum_k c_k p_k[g]): n scaled copies of g and
+    one exponential, instead of a product of scaled copies per partition.
+    Every other name takes the generic pleth, which stays the reference.
+    g must have zero constant term (ConstantTermError otherwise).
+    """
+    n = g.max_degree
+    coeff = _LOG_COEFFS.get(name)
+    if coeff is None:
+        return pleth(named_series(name, n), g)
+    log = GradedSeries(n, {k: p(k) * coeff(k) for k in range(1, n + 1)})
+    return exp_series(pleth(log, g))

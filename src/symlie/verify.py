@@ -9,13 +9,14 @@ factorial-cost; run_check clamps the requested degree to the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .lie import hk, hk_alt_series, lie, named_series, staircase_skew
+from .lie import compose_named, hk, hk_alt_series, lie, named_series, staircase_skew
 from .oracle import (
     alternating_count,
     lie_character,
@@ -47,12 +48,18 @@ class CheckReport:
     passed: bool
     first_failure_degree: Optional[int] = None
     mismatch: Optional[Tuple[str, str]] = None
+    # The degree asked for, before the cap; max_degree is the one compared.
+    requested_degree: Optional[int] = None
+    # Wall time of building and comparing the pairs; not part of the result.
+    elapsed_ms: Optional[float] = field(default=None, compare=False)
 
     def as_record(self) -> dict:
         record = {
             "check_name": self.check_name,
             "paper_anchor": self.paper_anchor,
             "max_degree": self.max_degree,
+            "requested_degree": self.requested_degree,
+            "elapsed_ms": self.elapsed_ms,
             "passed": self.passed,
         }
         if self.first_failure_degree is not None:
@@ -69,6 +76,10 @@ class Check:
     builder: Callable[[int], List[Pair]]
     cap: Optional[int] = None
 
+    def degree(self, max_degree: int) -> int:
+        """The degree the check runs at: max_degree clamped to the cap."""
+        return max_degree if self.cap is None else min(max_degree, self.cap)
+
 
 # --- small series builders ----------------------------------------------------
 
@@ -77,8 +88,9 @@ def _p1_series(n: int) -> GradedSeries:
     return GradedSeries(n, {1: p(1)})
 
 
+@lru_cache(maxsize=None)
 def _geometric_p1(n: int) -> GradedSeries:
-    # 1/(1 - p_1) = sum p_1^m
+    # 1/(1 - p_1) = sum p_1^m; shared, so never mutated.
     return series_inverse(GradedSeries.constant(1, n) - _p1_series(n))
 
 
@@ -125,13 +137,13 @@ def _quotient(n: int, alternating: bool = False) -> GradedSeries:
 
 
 def _thrall_h(n: int) -> List[Pair]:
-    lhs = pleth(named_series("H", n), named_series("Lie", n))
+    lhs = compose_named("H", named_series("Lie", n))
     return [("H[Lie]", lhs, _geometric_p1(n))]
 
 
 def _thrall_e(n: int) -> List[Pair]:
     rhs = _one_minus_p2(n) * _geometric_p1(n)
-    return [("E[Lie]", pleth(named_series("E", n), named_series("Lie", n)), rhs)]
+    return [("E[Lie]", compose_named("E", named_series("Lie", n)), rhs)]
 
 
 def _main_inverse(n: int) -> List[Pair]:
@@ -165,7 +177,7 @@ def _arctan_pleth_alt(n: int) -> List[Pair]:
 
 
 def _he_restate(n: int) -> List[Pair]:
-    lhs = pleth(named_series("HE", n), named_series("Lie_odd", n))
+    lhs = compose_named("HE", named_series("Lie_odd", n))
     rhs = (GradedSeries.constant(1, n) + _p1_series(n)) * _geometric_p1(n)
     return [("(HE)[Lie_odd]", lhs, rhs)]
 
@@ -180,14 +192,13 @@ def _he_lie_even(n: int) -> List[Pair]:
     # The even-part identity forced by dividing the product rule
     # (HE)[Lie_odd] * (HE)[Lie_even] = (HE)[Lie] = (1-p_2)(1-p_1)^-2
     # by (HE)[Lie_odd] = (1+p_1)/(1-p_1).
-    he = named_series("HE", n)
-    even_part = pleth(he, named_series("Lie_even", n))
-    odd_part = pleth(he, named_series("Lie_odd", n))
-    full = pleth(he, named_series("Lie", n))
+    even_part = compose_named("HE", named_series("Lie_even", n))
+    odd_part = compose_named("HE", named_series("Lie_odd", n))
+    full = compose_named("HE", named_series("Lie", n))
     geom = _geometric_p1(n)
     one = GradedSeries.constant(1, n)
     product_form = _one_minus_p2(n) * geom * geom
-    thrall_form = geom * pleth(named_series("E", n), named_series("Lie", n))
+    thrall_form = geom * compose_named("E", named_series("Lie", n))
     even_target = _one_minus_p2(n) * series_inverse(one - _p1_series(n) * _p1_series(n))
     return [
         ("(HE)[Lie_even] vs (1-p_2)(1-p_1^2)^-1", even_part, even_target),
@@ -331,7 +342,7 @@ _POSITIVITY_CAP = 8
 def _jordan(n: int) -> List[Pair]:
     eta = named_series("Jordan", n)
     # product rule: H[Lie_odd] * H[Lie_even] = H[Lie] = 1/(1 - p_1)
-    h_lie_even = pleth(named_series("H", n), named_series("Lie_even", n))
+    h_lie_even = compose_named("H", named_series("Lie_even", n))
     rhs = series_div(_geometric_p1(n), h_lie_even)
     bound = min(n, _POSITIVITY_CAP)
     offenders = GradedSeries(bound)
@@ -506,8 +517,7 @@ def build_pairs(name: str, max_degree: int) -> List[Pair]:
     check = _BY_NAME.get(name)
     if check is None:
         raise KeyError(f"unknown check {name!r}")
-    n = min(max_degree, check.cap) if check.cap is not None else max_degree
-    return check.builder(n)
+    return check.builder(check.degree(max_degree))
 
 
 def run_check(
@@ -521,11 +531,10 @@ def run_check(
     (pair_index, side, degree, partition, delta): delta * p_partition is
     added to that side before comparison.
     """
-    check = _BY_NAME.get(name)
-    if check is None:
-        raise KeyError(f"unknown check {name!r}")
-    n = min(max_degree, check.cap) if check.cap is not None else max_degree
-    pairs = check.builder(n)
+    start = time.perf_counter()
+    pairs = build_pairs(name, max_degree)
+    check = _BY_NAME[name]
+    n = check.degree(max_degree)
     if perturb is not None:
         pair_index, side, degree, lam, delta = perturb
         label, lhs, rhs = pairs[pair_index]
@@ -561,6 +570,8 @@ def run_check(
         passed=first_failure is None,
         first_failure_degree=first_failure,
         mismatch=mismatch,
+        requested_degree=max_degree,
+        elapsed_ms=(time.perf_counter() - start) * 1000,
     )
 
 

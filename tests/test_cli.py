@@ -230,6 +230,30 @@ def test_cli_eval_error_exit_code(capsys):
     assert "constant term" in captured.err
 
 
+@pytest.mark.parametrize(
+    "outer, inner", [("H", "Lie"), ("E", "Lie_odd"), ("HE", "Lie_odd")]
+)
+def test_cli_bare_name_composes_like_the_generic_plethysm(capsys, outer, inner):
+    # "(H+0)" is not a bare name, so it is built as a series and composed
+    # with the generic pleth.
+    outputs = []
+    for source in (f"{outer} o {inner}", f"({outer}+0) o {inner}"):
+        assert main(["expand", source, "--max-degree", "10", "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_pleth_bare_name_keeps_constant_term_error(capsys):
+    errors = []
+    for outer in ("H", "(H+0)"):
+        assert main(["pleth", outer, "1+p[1]", "--max-degree", "4"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: error at offset 0: "
+        "plethysm into a series with nonzero constant term is undefined\n"
+    )
+
+
 def test_cli_verify_single_check(capsys):
     code = main(["verify", "--check", "main_inverse", "--max-degree", "7"])
     out = capsys.readouterr().out

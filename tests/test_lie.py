@@ -1,12 +1,16 @@
 import importlib
 from fractions import Fraction
 from math import factorial
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlie.lie import (
     SERIES_REGISTRY,
     _jacobi_trudi_skew,
+    compose_named,
     e_series,
     h_series,
     hk,
@@ -18,13 +22,21 @@ from symlie.lie import (
     named_series,
     staircase_skew,
 )
-from symlie.oracle import alternating_count, syt_count
+from symlie.oracle import (
+    alternating_count,
+    monomial_pleth_collected,
+    specialize_collected,
+    syt_count,
+)
 from symlie.partitions import staircase
-from symlie.series import series_div
-from symlie.symfunc import SymFunc, dimension, h, p, schur, schur_expand
+from symlie.plethysm import ConstantTermError, pleth
+from symlie.series import GradedSeries, series_div
+from symlie.symfunc import SymFunc, dimension, e, h, p, schur, schur_expand
 from symlie.verify import run_check
 
-from helpers import jacobi_trudi_reference, prefix_equal
+from helpers import jacobi_trudi_reference, prefix_equal, random_series
+
+EXPONENTIAL_NAMES = ("H", "E", "HE")
 
 
 def test_lie_small_values():
@@ -185,6 +197,73 @@ def test_jordan_schur_positive():
     for d in range(9):
         for coeff in schur_expand(j.components[d]).values():
             assert coeff.denominator == 1 and coeff >= 0
+
+
+@pytest.mark.parametrize("inner", ["Lie", "Lie_odd", "Lie_even", "Lie_odd_alt"])
+@pytest.mark.parametrize("name", EXPONENTIAL_NAMES)
+def test_compose_named_matches_generic_pleth(name, inner):
+    g = named_series(inner, 12)
+    assert compose_named(name, g) == pleth(named_series(name, 12), g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(EXPONENTIAL_NAMES),
+    degree=st.integers(min_value=0, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_compose_named_matches_generic_pleth_on_random_series(name, degree, seed):
+    g = random_series(Random(seed), degree)
+    assert compose_named(name, g) == pleth(named_series(name, degree), g)
+
+
+@pytest.mark.parametrize("g", [h(2), e(2), schur((2, 1))], ids=["h2", "e2", "s21"])
+@pytest.mark.parametrize("name", EXPONENTIAL_NAMES)
+def test_compose_named_matches_alphabet_oracle(name, g):
+    # g is homogeneous of degree dg, so the degree-k*dg part of F[g] is F_k[g]
+    # and the whole truncation is F_{<=3}[g] in 5 variables.
+    dg, m = g.degree(), 5
+    composed = compose_named(name, GradedSeries.from_symfunc(g, 3 * dg))
+    f = sum(named_series(name, 3).components, SymFunc.zero())
+    total = sum(composed.components, SymFunc.zero())
+    assert specialize_collected(total, m) == monomial_pleth_collected(f, g, m)
+
+
+def test_compose_named_takes_generic_path_outside_the_table(monkeypatch):
+    g = named_series("Lie_odd", 8)
+    expected = pleth(named_series("Hk", 8), g)
+
+    def unused(*args):
+        raise AssertionError("exponential path taken for Hk")
+
+    lie_module = importlib.import_module("symlie.lie")
+    monkeypatch.setattr(lie_module, "exp_series", unused)
+    assert compose_named("Hk", g) == expected
+    with pytest.raises(KeyError):
+        compose_named("Mystery", g)
+    monkeypatch.undo()
+
+    def unbuilt(*args):
+        raise AssertionError("built the outer series")
+
+    # H, E and HE never build their own series
+    monkeypatch.setattr(lie_module, "named_series", unbuilt)
+    for name in EXPONENTIAL_NAMES:
+        compose_named(name, g)
+
+
+@pytest.mark.parametrize("name", EXPONENTIAL_NAMES + ("Hk", "Lie_odd"))
+def test_compose_named_rejects_constant_term(name):
+    g = GradedSeries(6, {0: SymFunc.constant(1), 1: p(1)})
+    with pytest.raises(ConstantTermError):
+        compose_named(name, g)
+    with pytest.raises(ConstantTermError):
+        pleth(named_series(name, 6), g)
+
+
+def test_hk_alt_series_is_memoized():
+    assert hk_alt_series("odd", 7) is hk_alt_series("odd", 7)
+    assert hk_alt_series("even", 7) is not hk_alt_series("even", 6)
 
 
 def test_registry_names():

@@ -41,10 +41,13 @@ def test_run_check_passes():
 
 def test_check_report_record():
     record = run_check("he_restate", 6).as_record()
+    elapsed = record.pop("elapsed_ms")
+    assert isinstance(elapsed, float) and elapsed >= 0
     assert record == {
         "check_name": "he_restate",
         "paper_anchor": "(HE)[Lie_odd] = (1 + p_1)/(1 - p_1)",
         "max_degree": 6,
+        "requested_degree": 6,
         "passed": True,
     }
 
@@ -58,10 +61,21 @@ def test_check_report_record_carries_mismatch():
     assert record["mismatch"]["lhs"] == "H[Lie]: p[1,1,1] + p[3]"
 
 
+def test_perturbing_a_shared_side_leaves_it_intact():
+    # the rhs of thrall_h is the memoized 1/(1 - p_1), which six checks share
+    assert not run_check("thrall_h", 6, perturb=(0, 1, 2, (2,), Fraction(1))).passed
+    assert run_check("thrall_h", 6).passed
+    assert run_check("hook_regular", 6).passed
+
+
 def test_cap_clamps_degree():
     report = run_check("lie_oracle", 9)
     assert report.max_degree == 7
+    assert report.requested_degree == 9
     assert report.passed
+    record = report.as_record()
+    assert (record["requested_degree"], record["max_degree"]) == (9, 7)
+    assert record["elapsed_ms"] == report.elapsed_ms > 0
 
 
 def test_run_all_degree_zero_vacuous():
@@ -74,6 +88,7 @@ def test_run_all_small_degree_passes_and_is_deterministic():
     first = run_all(5)
     second = run_all(5)
     assert all(report.passed for report in first)
+    # elapsed_ms differs between runs and is left out of the comparison
     assert first == second
     assert [report.check_name for report in first] == ALL_NAMES
 

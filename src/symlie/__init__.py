@@ -62,7 +62,6 @@ from .lie import (
 from .oracle import (
     alternating_count,
     lie_character,
-    monomial_pleth,
     monomial_pleth_collected,
     specialize,
     specialize_collected,

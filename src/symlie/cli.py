@@ -16,7 +16,8 @@ only with explicit parentheses.
 Commands: expand, pleth, inverse, verify, list-checks.  Exit codes: 0 on
 success (verify: all requested checks passed), 1 on a failed check or
 evaluation error, 2 on usage or syntax errors, including a --max-degree
-outside [0, MAX_DEGREE].
+outside [0, MAX_DEGREE] and an expression nested more than MAX_EXPR_DEPTH
+levels deep.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from .lie import SERIES_REGISTRY, compose_named, named_series
 from .partitions import check_partition
@@ -129,6 +130,12 @@ _GENERATORS = ("p", "h", "e", "s")
 # work, so an absurd bound would exhaust memory instead of failing fast.
 MAX_DEGREE = 40
 
+# Ceiling on how deeply an expression nests.  Each parenthesis, function
+# call, 'o' and binary operator is one level, and parsing and evaluation
+# recurse once per level, so deeper input would overflow the interpreter's
+# stack instead of failing as a syntax error.
+MAX_EXPR_DEPTH = 100
+
 
 # --- tokenizer / parser -----------------------------------------------------------
 
@@ -171,9 +178,13 @@ def _tokenize(source: str) -> List[_Token]:
 
 
 class _Parser:
+    """Recursive descent.  expr, term, factor and atom return the node and
+    its height in levels; self.depth counts the levels open around it."""
+
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -189,57 +200,77 @@ class _Parser:
             raise ParseError(token.pos, {kind})
         return self.advance()
 
+    def limit(self, token: _Token, height: int) -> int:
+        """Reject `token` if the level it closes or opens passes MAX_EXPR_DEPTH."""
+        if self.depth + height > MAX_EXPR_DEPTH:
+            raise ParseError(token.pos, {f"at most {MAX_EXPR_DEPTH} nested levels"})
+        return height
+
+    def nested(self, token: _Token, parse) -> Tuple[Expr, int]:
+        """Parse one level down, after checking that the level may open."""
+        self.limit(token, 1)
+        self.depth += 1
+        node, height = parse()
+        self.depth -= 1
+        return node, height + 1
+
     def parse(self) -> Expr:
-        expr = self.expr()
+        expr, _ = self.expr()
         tail = self.peek()
         if tail.kind != "end":
             raise ParseError(tail.pos, {"+", "-", "*", "/", "end of input"})
         return expr
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> Tuple[Expr, int]:
+        node, height = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            node = BinOp(op.kind, node, self.term(), op.pos)
-        return node
+            right, right_height = self.term()
+            height = self.limit(op, max(height, right_height) + 1)
+            node = BinOp(op.kind, node, right, op.pos)
+        return node, height
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> Tuple[Expr, int]:
+        node, height = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
-            node = BinOp(op.kind, node, self.factor(), op.pos)
-        return node
+            right, right_height = self.factor()
+            height = self.limit(op, max(height, right_height) + 1)
+            node = BinOp(op.kind, node, right, op.pos)
+        return node, height
 
-    def factor(self) -> Expr:
-        node = self.atom()
+    def factor(self) -> Tuple[Expr, int]:
+        node, height = self.atom()
         token = self.peek()
         if token.kind == "name" and token.text == "o":
             op = self.advance()
             # right-associative: f o g o h parses as f o (g o h)
-            return Pleth(node, self.factor(), op.pos)
-        return node
+            inner, inner_height = self.nested(op, self.factor)
+            height = self.limit(op, max(height + 1, inner_height))
+            return Pleth(node, inner, op.pos), height
+        return node, height
 
-    def atom(self) -> Expr:
+    def atom(self) -> Tuple[Expr, int]:
         token = self.peek()
         if token.kind == "int":
             self.advance()
-            return Num(int(token.text), token.pos)
+            return Num(int(token.text), token.pos), 0
         if token.kind == "(":
             self.advance()
-            node = self.expr()
+            node, height = self.nested(token, self.expr)
             self.expect(")")
-            return node
+            return node, height
         if token.kind == "name":
             self.advance()
             text = token.text
             if text in _GENERATORS and self.peek().kind == "[":
-                return self._generator(text, token.pos)
+                return self._generator(text, token.pos), 0
             if text in _FUNCTIONS and self.peek().kind == "(":
                 self.advance()
-                arg = self.expr()
+                arg, height = self.nested(token, self.expr)
                 self.expect(")")
-                return Call(text, arg, token.pos)
-            return Name(text, token.pos)
+                return Call(text, arg, token.pos), height
+            return Name(text, token.pos), 0
         raise ParseError(
             token.pos, {"integer", "generator", "name", "function", "("}
         )
@@ -270,7 +301,8 @@ def parse(source: str) -> Expr:
 
 
 def render_expr(expr: Expr) -> str:
-    """Fully parenthesized text form; reparses to an equal tree."""
+    """Fully parenthesized text form; reparses to an equal tree, as long as
+    the added parentheses keep it within MAX_EXPR_DEPTH."""
     if isinstance(expr, Num):
         return str(expr.value)
     if isinstance(expr, Gen):

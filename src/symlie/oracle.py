@@ -2,8 +2,13 @@
 
 Nothing in here goes through the plethysm substitution or the Moebius
 formula: plethysm is replayed on explicit monomial alphabets, the free Lie
-character comes from rewriting actual bracketings, and the Euler/tangent
-numbers are obtained by enumerating alternating permutations one at a time.
+character comes from the traces of permuted bracketings, and the
+Euler/tangent numbers come from counting alternating permutations built
+value by value.  That count shares the completions of each prefix, keyed
+by its set of values and its last value; it uses no Entringer or
+boustrophedon recurrence and no tan/sec series, which the tangent checks
+compare against.  The trace reads one word's coefficient per permuted
+bracket, without expanding the bracket into its 2^(n-1) words.
 
 Monomial polynomials are dicts mapping exponent vectors (one int per
 variable) to coefficients.  For the large oracle sweeps there are
@@ -76,48 +81,6 @@ def specialize(f: SymFunc, m: int) -> MonomialPoly:
     return out
 
 
-def monomial_pleth(f: SymFunc, g: SymFunc, m: int) -> MonomialPoly:
-    """f evaluated on the alphabet of monomials of g (with multiplicities).
-
-    Each monomial of specialize(g, m) with coefficient c counts as c letters,
-    so p_k picks up sum_j c_j * (monomial_j)^k.  Requires the expansion of g
-    to have nonnegative integer coefficients.
-    """
-    alphabet = []
-    for exponents, coeff in specialize(g, m).items():
-        if coeff.denominator != 1 or coeff < 0:
-            raise ValueError(
-                "alphabet requires nonnegative integer monomial coefficients"
-            )
-        alphabet.append((exponents, int(coeff)))
-
-    def alphabet_power(k: int) -> MonomialPoly:
-        out: MonomialPoly = {}
-        for exponents, mult in alphabet:
-            key = tuple(x * k for x in exponents)
-            out[key] = out.get(key, 0) + Fraction(mult)
-        return out
-
-    result: MonomialPoly = {}
-    cache: Dict[Partition, MonomialPoly] = {(): {(0,) * m: Fraction(1)}}
-
-    def product(lam: Partition) -> MonomialPoly:
-        cached = cache.get(lam)
-        if cached is None:
-            cached = _poly_mul(product(lam[:-1]), alphabet_power(lam[-1]))
-            cache[lam] = cached
-        return cached
-
-    for lam, coeff in f.terms.items():
-        for exponents, value in product(lam).items():
-            new = result.get(exponents, 0) + coeff * value
-            if new:
-                result[exponents] = new
-            else:
-                del result[exponents]
-    return result
-
-
 # --- orbit-collected symmetric polynomials --------------------------------------
 #
 # A symmetric polynomial in m variables is stored as {sorted exponent vector
@@ -166,12 +129,13 @@ def _placements(nu: Partition, m: int) -> Tuple[ExponentVector, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _collected_mul_term(
     mu: Partition, nu: Partition, m: int
-) -> Dict[Partition, Fraction]:
-    """m_mu * m_nu in m variables, as {gamma: integer multiplicity}."""
+) -> Tuple[Tuple[Partition, Fraction], ...]:
+    """m_mu * m_nu in m variables, as (gamma, multiplicity) pairs; shared."""
     if len(mu) > m or len(nu) > m:
-        return {}
+        return ()
     padded = list(mu) + [0] * (m - len(mu))
     hits: Dict[Partition, int] = {}
     for beta in _placements(nu, m):
@@ -181,10 +145,10 @@ def _collected_mul_term(
         gamma = tuple(summed)
         hits[gamma] = hits.get(gamma, 0) + 1
     mu_count = _perm_count(mu, m)
-    out: Dict[Partition, Fraction] = {}
-    for gamma, cnt in hits.items():
-        out[gamma] = Fraction(mu_count * cnt, _perm_count(gamma, m))
-    return out
+    return tuple(
+        (gamma, Fraction(mu_count * cnt, _perm_count(gamma, m)))
+        for gamma, cnt in hits.items()
+    )
 
 
 def collected_mul(a: CollectedPoly, b: CollectedPoly, m: int) -> CollectedPoly:
@@ -196,21 +160,12 @@ def collected_mul(a: CollectedPoly, b: CollectedPoly, m: int) -> CollectedPoly:
                 big, small = mu, nu
             else:
                 big, small = nu, mu
-            for gamma, mult in _collected_mul_term(big, small, m).items():
+            for gamma, mult in _collected_mul_term(big, small, m):
                 new = out.get(gamma, 0) + ca * cb * mult
                 if new:
                     out[gamma] = new
                 else:
                     del out[gamma]
-    return out
-
-
-def collected_expand(a: CollectedPoly, m: int) -> MonomialPoly:
-    """Inflate a collected polynomial back to the full monomial dict."""
-    out: MonomialPoly = {}
-    for lam, coeff in a.items():
-        for vec in _placements(lam, m):
-            out[vec] = coeff
     return out
 
 
@@ -263,10 +218,12 @@ def _alphabet_product_collected(g: SymFunc, m: int, lam: Partition) -> tuple:
 
 
 def monomial_pleth_collected(f: SymFunc, g: SymFunc, m: int) -> CollectedPoly:
-    """Same polynomial as monomial_pleth(f, g, m), in collected form.
+    """f evaluated on the alphabet of monomials of g, in collected form.
 
-    Per-alphabet power products are cached module-wide, so sweeping many f
-    against one g costs one set of products."""
+    Each monomial of g(x_1, ..., x_m) with coefficient c counts as c
+    letters, so p_k picks up sum_j c_j * (monomial_j)^k; the coefficients
+    must be nonnegative integers.  Per-alphabet power products are cached
+    module-wide, so sweeping many f against one g costs one set of products."""
     result: CollectedPoly = {}
     for lam, coeff in f.terms.items():
         for gamma, value in _alphabet_product_collected(g, m, lam):
@@ -281,18 +238,28 @@ def monomial_pleth_collected(f: SymFunc, g: SymFunc, m: int) -> CollectedPoly:
 # --- free Lie algebra character --------------------------------------------------
 
 
-def _left_normed_expansion(letters: Tuple[int, ...]) -> Dict[Tuple[int, ...], int]:
-    """Associative expansion of the left-normed bracket [[..[l1,l2],..],lk]."""
-    words = {letters[:1]: 1}
+def _bracket_coefficient(letters: Tuple[int, ...], word: Tuple[int, ...]) -> int:
+    """Coefficient of word in the associative expansion of the left-normed
+    bracket [[..[l1,l2],..],lk] of distinct letters, word a rearrangement.
+
+    The expansion puts each new letter at the right end (+) or the left end
+    (-) of every word so far, so the words that reach `word` keep l1..li on
+    a contiguous interval of it.  Each letter must extend that interval by
+    one on the right or on the left, which fixes a single path: the
+    coefficient is 0 or +-1."""
+    position = {x: i for i, x in enumerate(word)}
+    left = right = position[letters[0]]
+    sign = 1
     for x in letters[1:]:
-        new: Dict[Tuple[int, ...], int] = {}
-        for word, coeff in words.items():
-            right = word + (x,)
-            new[right] = new.get(right, 0) + coeff
-            left = (x,) + word
-            new[left] = new.get(left, 0) - coeff
-        words = new
-    return words
+        i = position[x]
+        if i == right + 1:
+            right = i
+        elif i == left - 1:
+            left = i
+            sign = -sign
+        else:
+            return 0
+    return sign
 
 
 def _cycle_type_permutation(lam: Partition) -> Dict[int, int]:
@@ -326,8 +293,9 @@ def lie_character(n: int) -> SymFunc:
     of {2..n}.  The expansion of such a bracket contains exactly one word
     starting with 1, namely (1, s(2), ..., s(n)) with coefficient 1, so the
     diagonal matrix entry of a permuted bracket is read off as that word's
-    coefficient.  Traces over one representative per cycle type give the
-    character; the result must equal the Moebius-formula construction.
+    coefficient (_bracket_coefficient, without expanding the bracket).
+    Traces over one representative per cycle type give the character; the
+    result must equal the Moebius-formula construction.
     """
     if not 1 <= n <= 7:
         raise ValueError("lie_character supports 1 <= n <= 7")
@@ -338,7 +306,7 @@ def lie_character(n: int) -> SymFunc:
         trace = 0
         for letters in basis:
             moved = tuple(perm[x] for x in letters)
-            trace += _left_normed_expansion(moved).get(letters, 0)
+            trace += _bracket_coefficient(moved, letters)
         if trace:
             terms[lam] = Fraction(trace, z_of(lam))
     return SymFunc(terms)
@@ -347,13 +315,36 @@ def lie_character(n: int) -> SymFunc:
 # --- enumeration oracles ----------------------------------------------------------
 
 
+def _alternating_completions(n: int, used: int, last: int, memo: dict) -> int:
+    # Completions of a down-up prefix of {1..n} that holds the values in the
+    # bitmask `used` and ends with `last`; the prefix length fixes whether
+    # the next step goes down (even positions) or up.
+    key = (used, last)
+    count = memo.get(key)
+    if count is None:
+        position = used.bit_count() + 1
+        if position > n:
+            return 1
+        descending = position % 2 == 0
+        count = 0
+        for value in range(1, n + 1):
+            bit = 1 << value
+            if not used & bit and descending == (value < last):
+                count += _alternating_completions(n, used | bit, value, memo)
+        memo[key] = count
+    return count
+
+
 @lru_cache(maxsize=None)
 def alternating_count(n: int) -> int:
-    """Number of down-up alternating permutations of {1..n}, by backtracking.
+    """Number of down-up alternating permutations of {1..n}, by counting them.
 
-    Every alternating permutation is built value by value (prefixes that
-    break the pattern are abandoned immediately), so this enumerates the
-    objects themselves rather than using any closed formula.
+    The permutations are built value by value, and a prefix that breaks the
+    pattern is abandoned at once.  Two prefixes with the same set of values
+    and the same last value have the same completions, so those are counted
+    once per (set, last value), about n * 2^n states.  This counts the
+    objects themselves: no Entringer or boustrophedon recurrence and no
+    tan/sec series, which the tangent checks compare against.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -361,26 +352,11 @@ def alternating_count(n: int) -> int:
         raise ValueError("enumeration capped at n = 12")
     if n <= 1:
         return 1
-
-    values = list(range(1, n + 1))
-    count = 0
-
-    def extend(position: int, prev: int, used: int):
-        nonlocal count
-        if position > n:
-            count += 1
-            return
-        descending = position % 2 == 0
-        for value in values:
-            bit = 1 << value
-            if used & bit:
-                continue
-            if descending == (value < prev):
-                extend(position + 1, value, used | bit)
-
-    for first in values:
-        extend(2, first, 1 << first)
-    return count
+    memo: dict = {}
+    return sum(
+        _alternating_completions(n, 1 << first, first, memo)
+        for first in range(1, n + 1)
+    )
 
 
 def syt_count(outer, inner=()) -> int:

@@ -428,11 +428,12 @@ def _pleth_oracle(n: int) -> List[Pair]:
     pairs: List[Pair] = []
     for g_label, g in gs:
         dg = g.degree()
-        g_series = GradedSeries(_SWEEP_M, {dg: g})
         for f_label, f in fs:
             degree = f.degree() * dg
             if degree > n:
                 continue
+            # The engine side only reads this degree, so it stops there.
+            g_series = GradedSeries(degree, {dg: g})
             engine = specialize_collected(
                 pleth(f, g_series).components[degree], _SWEEP_M
             )

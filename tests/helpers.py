@@ -5,7 +5,13 @@ from itertools import permutations
 from random import Random
 
 from symlie import GradedSeries, SymFunc, h
-from symlie.partitions import partitions_of
+from symlie.oracle import (
+    _cycle_type_permutation,
+    _placements,
+    lie_bracket_basis,
+    specialize,
+)
+from symlie.partitions import partitions_of, z_of
 
 
 def pentagonal_count(n: int) -> int:
@@ -93,3 +99,99 @@ def jacobi_trudi_reference(outer, inner) -> SymFunc:
         else:
             total = total + prod
     return total
+
+
+# --- references for the oracles in symlie.oracle ---------------------------------
+
+
+def poly_mul(a, b):
+    """Product of two monomial dicts, term by term, independent of symlie."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def monomial_pleth(f: SymFunc, g: SymFunc, m: int) -> dict:
+    """f evaluated on the alphabet of monomials of g(x_1..x_m), in full monomial
+    form: each monomial with coefficient c counts as c letters.  The reference
+    for symlie.oracle.monomial_pleth_collected."""
+    alphabet = []
+    for exponents, coeff in specialize(g, m).items():
+        if coeff.denominator != 1 or coeff < 0:
+            raise ValueError("alphabet requires nonnegative integer monomial coefficients")
+        alphabet.append((exponents, int(coeff)))
+    result = {}
+    for lam, coeff in f.terms.items():
+        product = {(0,) * m: Fraction(1)}
+        for k in lam:
+            power = {}
+            for exponents, mult in alphabet:
+                key = tuple(x * k for x in exponents)
+                power[key] = power.get(key, 0) + mult
+            product = poly_mul(product, power)
+        for exponents, value in product.items():
+            result[exponents] = result.get(exponents, 0) + coeff * value
+    return {k: v for k, v in result.items() if v}
+
+
+def collected_expand(a: dict, m: int) -> dict:
+    """Inflate a collected (one coefficient per orbit) polynomial to the full
+    monomial dict."""
+    return {vec: coeff for lam, coeff in a.items() for vec in _placements(lam, m)}
+
+
+def alternating_count_reference(n: int) -> int:
+    """Down-up alternating permutations of {1..n}, by plain backtracking: each
+    one is built value by value and counted one at a time."""
+    if n <= 1:
+        return 1
+    count = 0
+
+    def extend(position: int, prev: int, used: int):
+        nonlocal count
+        if position > n:
+            count += 1
+            return
+        descending = position % 2 == 0
+        for value in range(1, n + 1):
+            bit = 1 << value
+            if not used & bit and descending == (value < prev):
+                extend(position + 1, value, used | bit)
+
+    for first in range(1, n + 1):
+        extend(2, first, 1 << first)
+    return count
+
+
+def left_normed_expansion(letters: tuple) -> dict:
+    """Associative expansion of the left-normed bracket [[..[l1,l2],..],lk]:
+    all 2^(k-1) words with their signs."""
+    words = {letters[:1]: 1}
+    for x in letters[1:]:
+        new = {}
+        for word, coeff in words.items():
+            right = word + (x,)
+            new[right] = new.get(right, 0) + coeff
+            left = (x,) + word
+            new[left] = new.get(left, 0) - coeff
+        words = new
+    return words
+
+
+def lie_character_reference(n: int) -> SymFunc:
+    """The free Lie character by traces, reading each diagonal entry from the
+    full expansion of the permuted bracket."""
+    basis = lie_bracket_basis(n)
+    terms = {}
+    for lam in partitions_of(n):
+        perm = _cycle_type_permutation(lam)
+        trace = sum(
+            left_normed_expansion(tuple(perm[x] for x in letters)).get(letters, 0)
+            for letters in basis
+        )
+        if trace:
+            terms[lam] = Fraction(trace, z_of(lam))
+    return SymFunc(terms)

@@ -9,6 +9,7 @@ from symlie.cli import (
     EvalError,
     Gen,
     MAX_DEGREE,
+    MAX_EXPR_DEPTH,
     Name,
     ParseError,
     Pleth,
@@ -19,7 +20,7 @@ from symlie.cli import (
 )
 from symlie.series import GradedSeries
 from symlie.symfunc import SymFunc, p
-from symlie.verify import run_check
+from symlie.verify import CHECKS, run_check
 
 from helpers import prefix_equal
 
@@ -223,6 +224,43 @@ def test_cli_syntax_error_exit_code(capsys):
     assert "offset 7" in captured.err
 
 
+# Each builder nests an expression `levels` levels deep and names the token
+# that opens a level.
+_DEEP = {
+    "parentheses": (lambda levels: "(" * levels + "p[1]" + ")" * levels, "("),
+    "calls": (lambda levels: "exp(" * levels + "p[1]" + ")" * levels, "exp"),
+    "plethysms": (lambda levels: " o ".join(["p[1]"] * (levels + 1)), "o"),
+    "sums": (lambda levels: "+".join(["p[1]"] * (levels + 1)), "+"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_cli_deep_nesting_is_a_syntax_error(shape, capsys):
+    build, token = _DEEP[shape]
+    source = build(3000)
+    # the 1-based offset of the token that opens level MAX_EXPR_DEPTH + 1
+    index = -1
+    for _ in range(MAX_EXPR_DEPTH + 1):
+        index = source.index(token, index + 1)
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert info.value.offset == index + 1
+    assert main(["expand", source, "--max-degree", "3"]) == 2
+    assert f"offset {index + 1}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_cli_nesting_at_the_limit_is_accepted(shape, capsys):
+    source = _DEEP[shape][0](MAX_EXPR_DEPTH)
+    if shape == "calls":
+        # exp(p[1]) has constant term 1, which the next exp cannot take
+        source = source.replace("exp(", "tanh(")
+    tree = parse(source)
+    assert parse(source) == tree and hash(parse(source)) == hash(tree)
+    assert main(["expand", source, "--max-degree", "3", "--json"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_eval_error_exit_code(capsys):
     code = main(["expand", "H o E", "--max-degree", "3"])
     captured = capsys.readouterr()
@@ -283,6 +321,18 @@ def test_cli_verify_all_json(capsys):
     assert names[0] == "thrall_h"
     assert all(record["passed"] for record in payload["results"])
     assert all("first_failure_degree" not in record for record in payload["results"])
+
+
+def test_cli_verify_all_at_the_highest_cap(capsys):
+    code = main(["verify", "--all", "--max-degree", "12", "--json"])
+    records = json.loads(capsys.readouterr().out)["results"]
+    assert code == 0
+    assert len(records) == 23
+    caps = {check.name: check.cap for check in CHECKS}
+    for record in records:
+        cap = caps[record["check_name"]]
+        assert record["passed"], record["check_name"]
+        assert record["max_degree"] == (12 if cap is None else min(12, cap))
 
 
 def test_cli_list_checks(capsys):

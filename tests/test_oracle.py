@@ -1,15 +1,15 @@
+import importlib
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from random import Random
 
 import pytest
 
 from symlie.oracle import (
+    _bracket_coefficient,
     alternating_count,
-    collected_expand,
     collected_mul,
     lie_character,
-    monomial_pleth,
     monomial_pleth_collected,
     specialize,
     specialize_collected,
@@ -17,17 +17,35 @@ from symlie.oracle import (
 )
 from symlie.symfunc import SymFunc, e, h, p, schur
 
-from helpers import random_symfunc
+from helpers import (
+    alternating_count_reference,
+    collected_expand,
+    left_normed_expansion,
+    lie_character_reference,
+    monomial_pleth,
+    poly_mul,
+    random_symfunc,
+)
 
 
-def poly_mul(a, b):
-    # straightforward reference multiplication, independent of the module
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
+_MODULES = (
+    "symlie", "symlie.cli", "symlie.lie", "symlie.oracle", "symlie.partitions",
+    "symlie.plethysm", "symlie.series", "symlie.symfunc", "symlie.verify",
+)
+
+
+def _forbid(monkeypatch, module_name, attr):
+    """Make every symlie binding of module_name.attr raise while the test runs."""
+    original = getattr(importlib.import_module(module_name), attr)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"the oracle reached {module_name}.{attr}")
+
+    for name in _MODULES:
+        module = importlib.import_module(name)
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, forbidden)
 
 
 def test_specialize_examples():
@@ -138,8 +156,6 @@ def test_alternating_count_values():
 
 
 def test_alternating_count_brute_force_cross_check():
-    from itertools import permutations
-
     for n in range(2, 7):
         count = 0
         for sigma in permutations(range(1, n + 1)):
@@ -148,6 +164,37 @@ def test_alternating_count_brute_force_cross_check():
             ):
                 count += 1
         assert alternating_count(n) == count
+
+
+def test_alternating_count_matches_plain_backtracker():
+    for n in range(11):
+        assert alternating_count.__wrapped__(n) == alternating_count_reference(n)
+
+
+def test_alternating_count_uses_no_tangent_series(monkeypatch):
+    for attr in ("tan_series", "tanh_series", "_tan_like_coeffs"):
+        _forbid(monkeypatch, "symlie.series", attr)
+    assert alternating_count.__wrapped__(11) == 353792
+
+
+def test_bracket_coefficient_matches_full_expansion():
+    for n in range(1, 7):
+        words = list(permutations(range(1, n + 1)))
+        for letters in words:
+            expansion = left_normed_expansion(letters)
+            read = {word: _bracket_coefficient(letters, word) for word in words}
+            assert read == {word: expansion.get(word, 0) for word in words}
+
+
+def test_lie_character_matches_reference_trace():
+    for n in range(1, 8):
+        assert lie_character(n) == lie_character_reference(n)
+
+
+def test_lie_character_uses_no_moebius_formula(monkeypatch):
+    _forbid(monkeypatch, "symlie.partitions", "mobius")
+    _forbid(monkeypatch, "symlie.lie", "lie")
+    assert lie_character(7) == lie_character_reference(7)
 
 
 def test_syt_count_examples():

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from symlie.lie import e_series, h_series, lie_series
-from symlie.oracle import monomial_pleth, specialize
+from symlie.oracle import specialize
 from symlie.plethysm import (
     ConstantTermError,
     LeadingTermError,
@@ -17,6 +17,7 @@ from symlie.series import GradedSeries, parity_split, series_div, series_inverse
 from symlie.symfunc import SymFunc, e, h, omega, p, schur, schur_expand
 
 from helpers import (
+    monomial_pleth,
     random_homogeneous,
     random_series,
     random_symfunc,

@@ -112,6 +112,23 @@ def test_fault_injection_reports_perturbed_degree():
     assert report.first_failure_degree == 3
 
 
+@pytest.mark.parametrize(
+    "name, side, degree",
+    # the oracle side: the Euler-number formula for foulkes, else the rhs
+    [("foulkes", 0, 11), ("pleth_oracle", 1, 12), ("lie_oracle", 1, 7)],
+)
+def test_fault_injection_at_the_top_degree(name, side, degree):
+    pairs = build_pairs(name, 12)
+    index = next(
+        i for i, (_, lhs, rhs) in enumerate(pairs)
+        if min(lhs.max_degree, rhs.max_degree) >= degree
+    )
+    report = run_check(name, 12, perturb=(index, side, degree, (degree,), Fraction(1)))
+    assert not report.passed
+    assert report.first_failure_degree == degree
+    assert report.mismatch is not None
+
+
 def test_fault_injection_every_pair_of_one_check():
     pairs = build_pairs("parity_props", 5)
     for index in range(len(pairs)):

@@ -301,8 +301,11 @@ def parse(source: str) -> Expr:
 
 
 def render_expr(expr: Expr) -> str:
-    """Fully parenthesized text form; reparses to an equal tree, as long as
-    the added parentheses keep it within MAX_EXPR_DEPTH."""
+    """Text form with parentheses only where the grammar needs them: around
+    a compound outer side of `o`, a binary operator inside `o` or as the
+    right operand of `*` and `/`, `+` or `-` under `*` and `/`, and `+` or
+    `-` as the right operand of `+` and `-`.  Any tree that parse()
+    accepted renders to text that reparses to an equal tree."""
     if isinstance(expr, Num):
         return str(expr.value)
     if isinstance(expr, Gen):
@@ -314,10 +317,23 @@ def render_expr(expr: Expr) -> str:
     if isinstance(expr, Call):
         return f"{expr.fn}({render_expr(expr.arg)})"
     if isinstance(expr, Pleth):
-        return f"({render_expr(expr.outer)} o {render_expr(expr.inner)})"
+        outer = _grouped(expr.outer, isinstance(expr.outer, (Pleth, BinOp)))
+        return f"{outer} o {_grouped(expr.inner, isinstance(expr.inner, BinOp))}"
     if isinstance(expr, BinOp):
-        return f"({render_expr(expr.left)} {expr.op} {render_expr(expr.right)})"
+        additive = expr.op in "+-"
+        left = _grouped(expr.left, not additive and _is_additive(expr.left))
+        right_needs = _is_additive(expr.right) if additive else isinstance(expr.right, BinOp)
+        return f"{left} {expr.op} {_grouped(expr.right, right_needs)}"
     raise TypeError(f"not an Expr: {expr!r}")
+
+
+def _is_additive(expr: Expr) -> bool:
+    return isinstance(expr, BinOp) and expr.op in "+-"
+
+
+def _grouped(expr: Expr, parenthesize: bool) -> str:
+    text = render_expr(expr)
+    return f"({text})" if parenthesize else text
 
 
 def _registered(node: Name) -> str:

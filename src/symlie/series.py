@@ -13,9 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from numbers import Rational
 from typing import Callable, List
 
-from .symfunc import SymFunc, omega
+from .symfunc import SymFunc, _integer_form, _sum_of_products, omega
 
 
 class NonUnitConstantError(ValueError):
@@ -37,8 +38,8 @@ class GradedSeries:
             for d, part in items:
                 if d > max_degree:
                     continue
-                if isinstance(part, (int, Fraction)):
-                    part = SymFunc.constant(part) if d == 0 else SymFunc.zero()
+                if not isinstance(part, SymFunc):
+                    part = SymFunc.constant(part)
                 if part.degrees() - {d}:
                     raise ValueError(f"component {d} is not homogeneous of degree {d}")
                 comps[d] = part
@@ -84,8 +85,10 @@ class GradedSeries:
         return any(self.components)
 
     def __add__(self, other) -> "GradedSeries":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             other = GradedSeries.constant(other, self.max_degree)
+        elif not isinstance(other, GradedSeries):
+            return NotImplemented
         n = min(self.max_degree, other.max_degree)
         out = GradedSeries(n)
         out.components = [
@@ -99,36 +102,39 @@ class GradedSeries:
         return self.map_components(lambda part: -part)
 
     def __sub__(self, other) -> "GradedSeries":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             other = GradedSeries.constant(other, self.max_degree)
+        elif not isinstance(other, GradedSeries):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "GradedSeries":
+        if not isinstance(other, Rational):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "GradedSeries":
-        if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
+        if isinstance(other, Rational):
+            scalar = SymFunc.constant(other)
             return self.map_components(lambda part: part * scalar)
+        if not isinstance(other, GradedSeries):
+            return NotImplemented
         n = min(self.max_degree, other.max_degree)
+        fs = [_integer_form(part) for part in self.components[: n + 1]]
+        gs = [_integer_form(part) for part in other.components[: n + 1]]
         out = GradedSeries(n)
-        for d in range(n + 1):
-            acc = SymFunc.zero()
-            for a in range(d + 1):
-                fa = self.components[a]
-                gb = other.components[d - a]
-                if fa and gb:
-                    acc = acc + fa * gb
-            out.components[d] = acc
+        out.components = [_convolution(fs, gs, d) for d in range(n + 1)]
         return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GradedSeries":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             if not other:
                 raise ZeroDivisionError("division by zero")
             return self * (Fraction(1) / Fraction(other))
+        if not isinstance(other, GradedSeries):
+            return NotImplemented
         return series_div(self, other)
 
     def __repr__(self):
@@ -136,9 +142,16 @@ class GradedSeries:
         return f"GradedSeries(N={self.max_degree}, {{{parts}}})"
 
 
+def _convolution(fs, gs, d: int, start: int = 0, scale: Fraction = Fraction(1)) -> SymFunc:
+    """scale * sum_{start <= a <= d} f_a g_{d-a} over integer forms (None for 0)."""
+    return _sum_of_products(
+        ((fs[a], gs[d - a]) for a in range(start, d + 1) if fs[a] and gs[d - a]), scale
+    )
+
+
 def series_inverse(f: GradedSeries) -> GradedSeries:
     """Multiplicative inverse of a series with invertible (nonzero rational)
-    constant term; the constant is divided out first so 1/c leads."""
+    constant term: r_0 = 1/c and r_d = -(1/c) sum_{j=1..d} f_j r_{d-j}."""
     c0 = f.components[0]
     if c0.terms and set(c0.terms) != {()}:
         raise NonUnitConstantError("constant component is not a scalar")
@@ -149,14 +162,11 @@ def series_inverse(f: GradedSeries) -> GradedSeries:
     inv_c = Fraction(1) / c
     out = GradedSeries(n)
     out.components[0] = SymFunc.constant(inv_c)
+    fs = [_integer_form(part) for part in f.components]
+    rs = [_integer_form(out.components[0])]
     for d in range(1, n + 1):
-        acc = SymFunc.zero()
-        for j in range(1, d + 1):
-            fj = f.components[j]
-            rk = out.components[d - j]
-            if fj and rk:
-                acc = acc + fj * rk
-        out.components[d] = acc * (-inv_c)
+        out.components[d] = _convolution(fs, rs, d, start=1, scale=-inv_c)
+        rs.append(_integer_form(out.components[d]))
     return out
 
 
@@ -188,16 +198,16 @@ def omega_series(f: GradedSeries) -> GradedSeries:
 def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
     """sum_{m>=1} c_m g^m truncated at g's bound; g must have zero constant term.
 
-    coeffs is a sequence or callable giving the exact rational c_m (m >= 1).
+    coeffs is a sequence or callable giving the exact rational c_m (m >= 1);
+    a float raises TypeError.
     """
     if g.components[0]:
         raise NonUnitConstantError("composition requires zero constant term")
     n = g.max_degree
-    if callable(coeffs):
-        cs = [Fraction(coeffs(m)) for m in range(1, n + 1)]
-    else:
-        cs = [Fraction(c) for c in list(coeffs)[:n]]
-        cs += [Fraction(0)] * (n - len(cs))
+    cs = [coeffs(m) for m in range(1, n + 1)] if callable(coeffs) else list(coeffs)[:n]
+    if not all(isinstance(c, Rational) for c in cs):
+        raise TypeError("Taylor coefficients must be exact rationals")
+    cs += [0] * (n - len(cs))
     out = GradedSeries(n)
     power = GradedSeries.constant(1, n)
     for m in range(1, n + 1):

@@ -4,15 +4,23 @@ Everything is stored in the power-sum basis: a SymFunc is a sparse map
 partition -> Fraction meaning sum_lam c_lam * p_lam.  The constructors
 h(), e() and schur() expand into this basis, so the involution omega, the
 Hall inner product and plethysm all act monomial-by-monomial.  Coefficients
-are exact Fractions throughout; any rounding would be a correctness bug.
+are exact rationals throughout (only numbers.Rational values are accepted;
+any rounding would be a correctness bug).
+
+Coefficients are stored as Fractions but multiplied as integers: a product
+writes each factor as integer numerators over one common denominator (the
+lcm of its term denominators), sums the integer products, and builds each
+output Fraction once.  _sum_of_products is that one kernel; SymFunc.__mul__,
+GradedSeries.__mul__ and series_inverse all go through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Dict, List, Tuple
+from math import factorial, lcm
+from numbers import Rational
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .partitions import Partition, format_partition, partitions_of, z_of
 
@@ -23,8 +31,47 @@ class HomogeneityError(ValueError):
     """Raised when an operation requiring homogeneous input gets a mixed one."""
 
 
-def _merge_parts(a: Partition, b: Partition) -> Partition:
-    return tuple(sorted(a + b, reverse=True))
+# (terms as (partition, integer numerator) pairs, common denominator)
+IntegerForm = Tuple[List[Tuple[Partition, int]], int]
+
+
+def _integer_form(f: "SymFunc") -> Optional[IntegerForm]:
+    """f as integer numerators over the lcm of its denominators; None for 0."""
+    if not f.terms:
+        return None
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return [(lam, c.numerator * (den // c.denominator)) for lam, c in f.terms.items()], den
+
+
+def _sum_of_products(
+    pairs: Iterable[Tuple[IntegerForm, IntegerForm]], scale: Fraction = Fraction(1)
+) -> "SymFunc":
+    """scale * sum of x*y over the pairs, accumulated on integers over the
+    lcm of the pair denominators; each output Fraction is built once."""
+    pairs = list(pairs)
+    den = lcm(*(xd * yd for (_, xd), (_, yd) in pairs))
+    acc: Dict[Partition, int] = {}
+    for (xs, xd), (ys, yd) in pairs:
+        k = den // (xd * yd)
+        if len(xs) == 1 and not xs[0][0]:
+            xs, ys = ys, xs
+        if len(ys) == 1 and not ys[0][0]:
+            # a constant factor, put second, leaves the partitions as they are
+            yk = ys[0][1] * k
+            for lam, x in xs:
+                acc[lam] = acc.get(lam, 0) + x * yk
+            continue
+        for lam, x in xs:
+            xk = x * k
+            for mu, y in ys:
+                # p_lam * p_mu = p_(lam merged with mu)
+                key = tuple(sorted(lam + mu, reverse=True))
+                acc[key] = acc.get(key, 0) + xk * y
+    num = scale.numerator
+    den *= scale.denominator
+    result = SymFunc.__new__(SymFunc)
+    result.terms = {key: Fraction(v * num, den) for key, v in acc.items() if v}
+    return result
 
 
 class SymFunc:
@@ -32,6 +79,8 @@ class SymFunc:
 
     terms maps partitions to nonzero Fractions; the empty partition carries
     the constant term.  Instances are treated as immutable values.
+    Coefficients must be numbers.Rational (int, Fraction); anything else,
+    a float included, raises TypeError.
     """
 
     __slots__ = ("terms",)
@@ -40,6 +89,8 @@ class SymFunc:
         clean: Dict[Partition, Fraction] = {}
         if terms:
             for lam, coeff in terms.items():
+                if not isinstance(coeff, Rational):
+                    raise TypeError(f"coefficient {coeff!r} is not an exact rational")
                 coeff = Fraction(coeff)
                 if coeff:
                     clean[tuple(lam)] = coeff
@@ -51,7 +102,7 @@ class SymFunc:
 
     @staticmethod
     def constant(c) -> "SymFunc":
-        return SymFunc({(): Fraction(c)})
+        return SymFunc({(): c})
 
     def coefficient(self, lam) -> Fraction:
         return self.terms.get(tuple(lam), Fraction(0))
@@ -76,7 +127,7 @@ class SymFunc:
     def __eq__(self, other) -> bool:
         if isinstance(other, SymFunc):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self == SymFunc.constant(other)
         return NotImplemented
 
@@ -84,8 +135,10 @@ class SymFunc:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "SymFunc":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             other = SymFunc.constant(other)
+        elif not isinstance(other, SymFunc):
+            return NotImplemented
         out = dict(self.terms)
         for lam, coeff in other.terms.items():
             new = out.get(lam, 0) + coeff
@@ -105,33 +158,24 @@ class SymFunc:
         return result
 
     def __sub__(self, other) -> "SymFunc":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             other = SymFunc.constant(other)
+        elif not isinstance(other, SymFunc):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "SymFunc":
+        if not isinstance(other, Rational):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "SymFunc":
-        if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            if not scalar:
-                return SymFunc.zero()
-            result = SymFunc.__new__(SymFunc)
-            result.terms = {lam: c * scalar for lam, c in self.terms.items()}
-            return result
-        out: Dict[Partition, Fraction] = {}
-        for lam, a in self.terms.items():
-            for mu, b in other.terms.items():
-                key = _merge_parts(lam, mu)
-                new = out.get(key, 0) + a * b
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        result = SymFunc.__new__(SymFunc)
-        result.terms = out
-        return result
+        if isinstance(other, Rational):
+            other = SymFunc.constant(other)
+        elif not isinstance(other, SymFunc):
+            return NotImplemented
+        x, y = _integer_form(self), _integer_form(other)
+        return _sum_of_products([(x, y)] if x and y else [])
 
     __rmul__ = __mul__
 

@@ -52,6 +52,10 @@ class CheckReport:
     requested_degree: Optional[int] = None
     # Wall time of building and comparing the pairs; not part of the result.
     elapsed_ms: Optional[float] = field(default=None, compare=False)
+    # Stored terms over both sides of every pair, and the largest bit length
+    # of a coefficient denominator among them; counted outside elapsed_ms.
+    terms: Optional[int] = None
+    max_den_bits: Optional[int] = None
 
     def as_record(self) -> dict:
         record = {
@@ -60,6 +64,8 @@ class CheckReport:
             "max_degree": self.max_degree,
             "requested_degree": self.requested_degree,
             "elapsed_ms": self.elapsed_ms,
+            "terms": self.terms,
+            "max_den_bits": self.max_den_bits,
             "passed": self.passed,
         }
         if self.first_failure_degree is not None:
@@ -564,6 +570,8 @@ def run_check(
                 break
         if first_failure is not None:
             break
+    elapsed_ms = (time.perf_counter() - start) * 1000
+    parts = [part for _, lhs, rhs in pairs for side in (lhs, rhs) for part in side.components]
     return CheckReport(
         check_name=name,
         paper_anchor=check.anchor,
@@ -572,7 +580,12 @@ def run_check(
         first_failure_degree=first_failure,
         mismatch=mismatch,
         requested_degree=max_degree,
-        elapsed_ms=(time.perf_counter() - start) * 1000,
+        elapsed_ms=elapsed_ms,
+        terms=sum(len(part.terms) for part in parts),
+        max_den_bits=max(
+            (c.denominator.bit_length() for part in parts for c in part.terms.values()),
+            default=0,
+        ),
     )
 
 

@@ -78,6 +78,57 @@ def prefix_equal(a: GradedSeries, b: GradedSeries, through: int) -> bool:
     return all(a.components[d] == b.components[d] for d in range(through + 1))
 
 
+# --- references for the integer multiplication kernel in symlie.symfunc ----------
+
+
+def symfunc_mul_reference(f: SymFunc, g: SymFunc) -> SymFunc:
+    """f * g summed term by term in Fractions: p_lam * p_mu = p_(lam merged
+    with mu).  The reference for SymFunc.__mul__."""
+    out = {}
+    for lam, a in f.terms.items():
+        for mu, b in g.terms.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            new = out.get(key, 0) + a * b
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return SymFunc(out)
+
+
+def symfunc_scale_reference(f: SymFunc, c) -> SymFunc:
+    """c * f, one Fraction product per term."""
+    return SymFunc({lam: a * c for lam, a in f.terms.items()})
+
+
+def series_mul_reference(f: GradedSeries, g: GradedSeries) -> GradedSeries:
+    """The Cauchy product degree by degree, one SymFunc product per pair:
+    the reference for GradedSeries.__mul__."""
+    n = min(f.max_degree, g.max_degree)
+    out = GradedSeries(n)
+    for d in range(n + 1):
+        acc = SymFunc.zero()
+        for a in range(d + 1):
+            acc = acc + symfunc_mul_reference(f.components[a], g.components[d - a])
+        out.components[d] = acc
+    return out
+
+
+def series_inverse_reference(f: GradedSeries) -> GradedSeries:
+    """r_0 = 1/c and r_d = -(1/c) sum_{j=1..d} f_j r_{d-j}, in Fractions: the
+    reference for symlie.series.series_inverse (constant term must be a
+    nonzero scalar)."""
+    inv_c = Fraction(1) / f.constant_term()
+    out = GradedSeries(f.max_degree)
+    out.components[0] = SymFunc.constant(inv_c)
+    for d in range(1, f.max_degree + 1):
+        acc = SymFunc.zero()
+        for j in range(1, d + 1):
+            acc = acc + symfunc_mul_reference(f.components[j], out.components[d - j])
+        out.components[d] = symfunc_scale_reference(acc, -inv_c)
+    return out
+
+
 def jacobi_trudi_reference(outer, inner) -> SymFunc:
     """The skew Schur function s_{outer/inner} as det(h_{outer_i - inner_j - i + j}),
     a sum over permutations of products of p-basis SymFuncs (h_0 = 1,

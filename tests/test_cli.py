@@ -87,11 +87,37 @@ RENDER_CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("source", RENDER_CORPUS)
+@pytest.mark.parametrize(
+    "source",
+    RENDER_CORPUS
+    + [
+        " o ".join(["p[1]"] * 100),
+        "(p[1] o p[2]) o (p[3] + 1) o h[2] * 3",
+        "p[1] - (p[2] - p[3]) * (h[2] / (e[2] * 2)) o p[1]",
+        "(1 + p[1]) * (2 - p[2] - (p[3] + p[4])) / (p[1] * p[2])",
+        "exp((p[1] + p[2]) o p[1]) - (p[1] - (p[2] + p[3]))",
+    ],
+)
 def test_render_parse_round_trip(source):
     tree = parse(source)
     rendered = render_expr(tree)
     assert parse(rendered) == tree
+
+
+@pytest.mark.parametrize(
+    "source, rendered",
+    [
+        ("((p[1] + p[2])) * p[3]", "(p[1] + p[2]) * p[3]"),
+        ("(p[1] * p[2]) / (p[3] * p[4])", "p[1] * p[2] / (p[3] * p[4])"),
+        ("(p[1] - p[2]) - (p[3] - p[4])", "p[1] - p[2] - (p[3] - p[4])"),
+        ("p[1] + (p[2] * p[3])", "p[1] + p[2] * p[3]"),
+        ("(p[1] o p[2]) o (p[3] o p[4])", "(p[1] o p[2]) o p[3] o p[4]"),
+        ("(H + 0) o (Lie * 2)", "(H + 0) o (Lie * 2)"),
+        ("(H o Lie) * 2", "H o Lie * 2"),
+    ],
+)
+def test_render_adds_only_needed_parentheses(source, rendered):
+    assert render_expr(parse(source)) == rendered
 
 
 def test_equality_ignores_positions():

@@ -1,0 +1,186 @@
+"""The integer multiplication kernel, pinned exactly to the Fraction loops it
+replaced (tests/helpers.py), plus the ring axioms and a plethystic round trip
+on random sparse elements with mixed denominators."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symlie.partitions import partitions_of, z_of
+from symlie.plethysm import pleth, pleth_inverse
+from symlie.series import GradedSeries, compose_scalar, series_inverse
+from symlie.symfunc import SymFunc, h, p
+
+from helpers import (
+    series_inverse_reference,
+    series_mul_reference,
+    symfunc_mul_reference,
+    symfunc_scale_reference,
+)
+
+# small primes, and z_lam large enough to push the common denominator past 64 bits
+DENOMINATORS = (1, 2, 3, 7, z_of((1,) * 9), z_of((3, 2, 2, 1, 1)), z_of((4, 4, 2, 2)))
+
+coefficients = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from(DENOMINATORS)
+)
+
+
+@st.composite
+def homogeneous(draw, degree: int, max_terms: int = 4) -> SymFunc:
+    pool = partitions_of(degree)
+    indices = st.integers(min_value=0, max_value=len(pool) - 1)
+    return SymFunc(
+        draw(st.dictionaries(indices.map(pool.__getitem__), coefficients, max_size=max_terms))
+    )
+
+
+@st.composite
+def symfuncs(draw, max_degree: int = 6) -> SymFunc:
+    """A sparse, possibly inhomogeneous element (zero and constants included)."""
+    degrees = draw(st.lists(st.integers(min_value=0, max_value=max_degree), max_size=3))
+    total = SymFunc.zero()
+    for d in degrees:
+        total = total + draw(homogeneous(d, max_terms=3))
+    return total
+
+
+@st.composite
+def series(draw, max_degree: int = 7, constant=None) -> GradedSeries:
+    """A random series with a drawn bound; constant, if given, fixes the
+    degree-0 term."""
+    n = draw(st.integers(min_value=0, max_value=max_degree))
+    out = GradedSeries(n)
+    for d in range(n + 1):
+        if draw(st.booleans()):
+            out.components[d] = draw(homogeneous(d, max_terms=3))
+    if constant is not None:
+        out.components[0] = SymFunc.constant(constant)
+    return out
+
+
+nonzero_constants = coefficients.filter(bool)
+
+
+@settings(max_examples=120, deadline=None)
+@given(f=symfuncs(), g=symfuncs())
+def test_symfunc_mul_matches_reference(f, g):
+    assert (f * g).terms == symfunc_mul_reference(f, g).terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=symfuncs(), c=coefficients | st.integers(min_value=-5, max_value=5))
+def test_symfunc_scalar_mul_matches_reference(f, c):
+    assert (f * c).terms == (c * f).terms == symfunc_scale_reference(f, c).terms
+
+
+def test_symfunc_mul_cancellation():
+    # the cross terms p_2 p_1 cancel, and a zero or constant operand is exact
+    f, g = p(1) + p(2), p(1) - p(2)
+    product = f * g
+    assert product.terms == {(1, 1): 1, (2, 2): -1}
+    assert product.terms == symfunc_mul_reference(f, g).terms
+    assert (f * SymFunc.zero()).terms == {}
+    assert (SymFunc.constant(Fraction(2, 7)) * f).terms == {(1,): Fraction(2, 7), (2,): Fraction(2, 7)}
+    assert (f * 0).terms == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=series(), g=series())
+def test_series_mul_matches_reference(f, g):
+    product = f * g
+    assert product.max_degree == min(f.max_degree, g.max_degree)
+    assert product == series_mul_reference(f, g)
+    assert f * f == series_mul_reference(f, f)
+
+
+@settings(max_examples=50, deadline=None)
+@given(x=series(constant=0))
+def test_series_mul_cancels_whole_components(x):
+    # (1 + x)(1 - x) = 1 - x^2: every odd-in-x contribution cancels exactly
+    one = GradedSeries.constant(1, x.max_degree)
+    product = (one + x) * (one - x)
+    assert product == series_mul_reference(one + x, one - x)
+    assert product == one - series_mul_reference(x, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), c=nonzero_constants)
+def test_series_inverse_matches_reference(data, c):
+    f = data.draw(series(constant=c))
+    inverse = series_inverse(f)
+    assert inverse == series_inverse_reference(f)
+    assert f * inverse == GradedSeries.constant(1, f.max_degree)
+
+
+def test_series_inverse_of_a_constant_only_series():
+    f = GradedSeries.constant(Fraction(-3, 7), 5)
+    assert series_inverse(f) == series_inverse_reference(f) == GradedSeries.constant(Fraction(-7, 3), 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=symfuncs(4), g=symfuncs(4), k=symfuncs(4))
+def test_symfunc_ring_axioms(f, g, k):
+    assert f * g == g * f
+    assert (f * g) * k == f * (g * k)
+    assert f * (g + k) == f * g + f * k
+    assert (f - g) * k == f * k - g * k
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=series(5), g=series(5), k=series(5))
+def test_series_ring_axioms(f, g, k):
+    assert f * g == g * f
+    assert (f * g) * k == f * (g * k)
+    assert f * (g + k) == f * g + f * k
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_pleth_inverse_round_trip(data):
+    f = data.draw(series(6, constant=0).filter(lambda f: f.max_degree >= 1))
+    f.components[1] = p(1)
+    assert pleth(f, pleth_inverse(f)) == GradedSeries(f.max_degree, {1: p(1)})
+
+
+def test_graded_series_rejects_nonzero_scalar_above_degree_zero():
+    with pytest.raises(ValueError, match="component 2 is not homogeneous of degree 2"):
+        GradedSeries(3, {2: 5})
+    with pytest.raises(ValueError, match="component 1 is not homogeneous"):
+        GradedSeries(3, [1, Fraction(1, 2)])
+    assert GradedSeries(3, {2: 0}) == GradedSeries(3)
+    assert GradedSeries(3, {0: 5}) == GradedSeries.constant(5, 3)
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        SymFunc({(1,): 0.1})
+    with pytest.raises(TypeError):
+        SymFunc({(1,): "1/2"})
+    with pytest.raises(TypeError):
+        SymFunc.constant(0.5)
+    with pytest.raises(TypeError):
+        GradedSeries(2, {0: 0.5})
+    with pytest.raises(TypeError):
+        compose_scalar([0.1], GradedSeries(2, {1: p(1)}))
+    with pytest.raises(TypeError):
+        compose_scalar(lambda m: 1.0 / m, GradedSeries(2, {1: p(1)}))
+    for operate in (
+        lambda: p(1) * 1.5,
+        lambda: 1.5 * p(1),
+        lambda: p(1) + 0.5,
+        lambda: 0.5 + p(1),
+        lambda: p(1) - 0.5,
+        lambda: 0.5 - p(1),
+        lambda: GradedSeries.constant(1, 3) * 1.5,
+        lambda: GradedSeries.constant(1, 3) + 0.5,
+        lambda: GradedSeries.constant(1, 3) - 0.5,
+        lambda: GradedSeries.constant(1, 3) / 0.5,
+    ):
+        with pytest.raises(TypeError):
+            operate()
+    # exact rationals of every kind still work
+    assert p(1) * True == p(1)
+    assert (h(2) * Fraction(2)).terms == {(1, 1): 1, (2,): 1}

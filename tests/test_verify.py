@@ -39,8 +39,21 @@ def test_run_check_passes():
     assert report.mismatch is None
 
 
+RECORD_KEYS = {
+    "check_name",
+    "paper_anchor",
+    "max_degree",
+    "requested_degree",
+    "elapsed_ms",
+    "terms",
+    "max_den_bits",
+    "passed",
+}
+
+
 def test_check_report_record():
     record = run_check("he_restate", 6).as_record()
+    assert set(record) == RECORD_KEYS
     elapsed = record.pop("elapsed_ms")
     assert isinstance(elapsed, float) and elapsed >= 0
     assert record == {
@@ -48,6 +61,8 @@ def test_check_report_record():
         "paper_anchor": "(HE)[Lie_odd] = (1 + p_1)/(1 - p_1)",
         "max_degree": 6,
         "requested_degree": 6,
+        "terms": 14,
+        "max_den_bits": 1,
         "passed": True,
     }
 
@@ -55,10 +70,26 @@ def test_check_report_record():
 def test_check_report_record_carries_mismatch():
     report = run_check("thrall_h", 6, perturb=(0, 0, 3, (3,), Fraction(1)))
     record = report.as_record()
+    assert set(record) == RECORD_KEYS | {"first_failure_degree", "mismatch"}
     assert record["passed"] is False
     assert record["first_failure_degree"] == 3
     assert record["mismatch"] == {"lhs": report.mismatch[0], "rhs": report.mismatch[1]}
     assert record["mismatch"]["lhs"] == "H[Lie]: p[1,1,1] + p[3]"
+
+
+def test_check_report_counts_terms_and_denominators():
+    # p_(4,3) is absent from both sides, so the perturbation adds one term,
+    # with a 41-bit denominator
+    plain = run_check("main_inverse", 7)
+    bumped = run_check("main_inverse", 7, perturb=(0, 0, 7, (4, 3), Fraction(1, 2**40)))
+    pairs = build_pairs("main_inverse", 7)
+    parts = [part for _, lhs, rhs in pairs for side in (lhs, rhs) for part in side.components]
+    assert plain.terms == sum(len(part.terms) for part in parts)
+    assert plain.max_den_bits == max(
+        c.denominator.bit_length() for part in parts for c in part.terms.values()
+    )
+    assert bumped.terms == plain.terms + 1
+    assert bumped.max_den_bits == max(plain.max_den_bits, 41)
 
 
 def test_perturbing_a_shared_side_leaves_it_intact():

@@ -1,13 +1,20 @@
 """symlie: an exact engine for symmetric functions in the power-sum basis,
 with plethysm, plethystic inversion, the Lie characteristics, and a registry
-of machine-checked identities."""
+of machine-checked identities.
+
+The package keeps 22 memo tables (functools.lru_cache with no size limit:
+named_series, schur, h, e, lie, staircase_skew, the oracles' orbit
+products, ...).  They are unbounded for library callers, since every
+distinct argument stays cached for the life of the process; call
+cache_clear() on the functions a long sweep drives.  Through the CLI they
+are bounded, because it runs one command per process and refuses a
+--max-degree above symlie.cli.MAX_DEGREE = 40.
+"""
 
 from .partitions import (
     Partition,
-    conjugate,
     format_partition,
     mobius,
-    parse_partition,
     partitions_of,
     staircase,
     z_of,
@@ -42,7 +49,6 @@ from .symfunc import (
     render,
     schur,
     schur_expand,
-    to_records,
 )
 from .lie import (
     NamedSeries,
@@ -63,7 +69,6 @@ from .oracle import (
     alternating_count,
     lie_character,
     monomial_pleth_collected,
-    specialize,
     specialize_collected,
     syt_count,
 )

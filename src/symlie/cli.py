@@ -156,9 +156,9 @@ def _tokenize(source: str) -> List[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", source[i:j], i + 1))
             i = j
@@ -175,6 +175,16 @@ def _tokenize(source: str) -> List[_Token]:
             raise ParseError(i + 1, {"valid token"})
     tokens.append(_Token("end", "", n + 1))
     return tokens
+
+
+def _integer(token: _Token) -> int:
+    """The value of an 'int' token; int() refuses a literal longer than the
+    interpreter's digit limit, which is a syntax error at the token."""
+    try:
+        return int(token.text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(token.pos, {f"integer of at most {limit} digits"}) from None
 
 
 class _Parser:
@@ -253,8 +263,7 @@ class _Parser:
     def atom(self) -> Tuple[Expr, int]:
         token = self.peek()
         if token.kind == "int":
-            self.advance()
-            return Num(int(token.text), token.pos), 0
+            return Num(_integer(self.advance()), token.pos), 0
         if token.kind == "(":
             self.advance()
             node, height = self.nested(token, self.expr)
@@ -280,17 +289,17 @@ class _Parser:
         if kind == "s":
             parts = []
             if self.peek().kind == "int":
-                parts.append(int(self.advance().text))
+                parts.append(_integer(self.advance()))
                 while self.peek().kind == ",":
                     self.advance()
-                    parts.append(int(self.expect("int").text))
+                    parts.append(_integer(self.expect("int")))
             self.expect("]")
             try:
                 lam = check_partition(parts)
             except ValueError as exc:
                 raise EvalError(pos, str(exc)) from exc
             return Gen("s", lam, pos)
-        value = int(self.expect("int").text)
+        value = _integer(self.expect("int"))
         self.expect("]")
         return Gen(kind, value, pos)
 
@@ -431,26 +440,23 @@ def _series_json(command: str, series: GradedSeries, basis: str) -> dict:
 # --- commands ---------------------------------------------------------------------
 
 
-def _cmd_expand(args) -> int:
-    series = evaluate(parse(args.expr), args.max_degree)
+def _print_series(args, series: GradedSeries) -> int:
     if args.json:
-        print(json.dumps(_series_json("expand", series, args.basis)))
+        print(json.dumps(_series_json(args.command, series, args.basis)))
     else:
         for line in _series_lines(series, args.basis):
             print(line)
     return 0
+
+
+def _cmd_expand(args) -> int:
+    return _print_series(args, evaluate(parse(args.expr), args.max_degree))
 
 
 def _cmd_pleth(args) -> int:
     outer = parse(args.outer)
     inner = parse(args.inner)
-    series = evaluate(Pleth(outer, inner), args.max_degree)
-    if args.json:
-        print(json.dumps(_series_json("pleth", series, args.basis)))
-    else:
-        for line in _series_lines(series, args.basis):
-            print(line)
-    return 0
+    return _print_series(args, evaluate(Pleth(outer, inner), args.max_degree))
 
 
 def _cmd_inverse(args) -> int:
@@ -460,12 +466,7 @@ def _cmd_inverse(args) -> int:
     except LeadingTermError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(_series_json("inverse", inverse, args.basis)))
-    else:
-        for line in _series_lines(inverse, args.basis):
-            print(line)
-    return 0
+    return _print_series(args, inverse)
 
 
 def _cmd_verify(args) -> int:

@@ -10,7 +10,7 @@ staircase expansion pulls them from the alternating-permutation enumerator.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations as _permutations
 from typing import Callable, Dict, NamedTuple
 
@@ -36,26 +36,19 @@ def lie(n: int) -> SymFunc:
     return SymFunc(terms)
 
 
+# variant -> (parity, alternating) for parity_split; "all" keeps every degree
+_LIE_VARIANTS = {"all": None, "odd": ("odd", False), "even": ("even", False),
+                 "odd_alt": ("odd", True)}
+
+
 def lie_series(variant: str, max_degree: int) -> GradedSeries:
     """odd = sum Lie_{2k+1}; even = sum_{k>=1} Lie_{2k};
     odd_alt = sum (-1)^k Lie_{2k+1}; all = odd + even."""
-    out = GradedSeries(max_degree)
-    for n in range(1, max_degree + 1):
-        if variant == "all":
-            out.components[n] = lie(n)
-        elif variant == "odd":
-            if n % 2 == 1:
-                out.components[n] = lie(n)
-        elif variant == "even":
-            if n % 2 == 0:
-                out.components[n] = lie(n)
-        elif variant == "odd_alt":
-            if n % 2 == 1:
-                sign = (-1) ** ((n - 1) // 2)
-                out.components[n] = lie(n) * sign
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    return out
+    if variant not in _LIE_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    full = GradedSeries(max_degree, {n: lie(n) for n in range(1, max_degree + 1)})
+    split = _LIE_VARIANTS[variant]
+    return full if split is None else parity_split(full, *split)
 
 
 @lru_cache(maxsize=None)
@@ -85,17 +78,7 @@ def hk_alt_series(parity: str, max_degree: int) -> GradedSeries:
 
     Memoized per (parity, max_degree): the result is shared, so it must not
     be mutated."""
-    if parity not in ("odd", "even"):
-        raise ValueError("parity must be 'odd' or 'even'")
-    out = GradedSeries(max_degree)
-    if parity == "even":
-        out.components[0] = SymFunc.constant(1)
-        for n in range(2, max_degree + 1, 2):
-            out.components[n] = hk(n) * ((-1) ** (n // 2))
-    else:
-        for n in range(1, max_degree + 1, 2):
-            out.components[n] = hk(n) * ((-1) ** ((n - 1) // 2))
-    return out
+    return parity_split(named_series("Hk", max_degree) + 1, parity, alternating=True)
 
 
 def _jacobi_trudi_skew(outer: Partition, inner: Partition) -> SymFunc:
@@ -180,6 +163,10 @@ class NamedSeries(NamedTuple):
     builder: Callable[[int], GradedSeries]
 
 
+def _parity_variant(base: str, parity: str, alternating: bool, n: int) -> GradedSeries:
+    return parity_split(named_series(base, n), parity, alternating)
+
+
 def _registry() -> Dict[str, NamedSeries]:
     entries: Dict[str, Callable[[int], GradedSeries]] = {
         "H": h_series,
@@ -190,16 +177,14 @@ def _registry() -> Dict[str, NamedSeries]:
         "Lie_even": lambda n: lie_series("even", n),
         "Lie_odd_alt": lambda n: lie_series("odd_alt", n),
         "Hk": hook_series,
-        "H_odd": lambda n: parity_split(named_series("H", n), "odd"),
-        "H_even": lambda n: parity_split(named_series("H", n), "even"),
-        "H_odd_alt": lambda n: parity_split(named_series("H", n), "odd", alternating=True),
-        "H_even_alt": lambda n: parity_split(named_series("H", n), "even", alternating=True),
-        "E_odd": lambda n: parity_split(named_series("E", n), "odd"),
-        "E_even": lambda n: parity_split(named_series("E", n), "even"),
-        "E_odd_alt": lambda n: parity_split(named_series("E", n), "odd", alternating=True),
-        "E_even_alt": lambda n: parity_split(named_series("E", n), "even", alternating=True),
-        "Jordan": jordan_series,
     }
+    for base in ("H", "E"):
+        for suffix, alternating in (("", False), ("_alt", True)):
+            for parity in ("odd", "even"):
+                entries[f"{base}_{parity}{suffix}"] = partial(
+                    _parity_variant, base, parity, alternating
+                )
+    entries["Jordan"] = jordan_series
     return {name: NamedSeries(name, builder) for name, builder in entries.items()}
 
 

@@ -9,12 +9,6 @@ by its set of values and its last value; it uses no Entringer or
 boustrophedon recurrence and no tan/sec series, which the tangent checks
 compare against.  The trace reads one word's coefficient per permuted
 bracket, without expanding the bracket into its 2^(n-1) words.
-
-Monomial polynomials are dicts mapping exponent vectors (one int per
-variable) to coefficients.  For the large oracle sweeps there are
-_collected variants that return one coefficient per sorted exponent vector
-(i.e. per orbit of the variable permutations), which is the same symmetric
-polynomial stored without the exponential blowup.
 """
 
 from __future__ import annotations
@@ -29,56 +23,6 @@ from .partitions import Partition, partitions_of, z_of
 from .symfunc import SymFunc
 
 ExponentVector = Tuple[int, ...]
-MonomialPoly = Dict[ExponentVector, Fraction]
-
-
-# --- plain monomial expansion ---------------------------------------------------
-
-
-def _poly_mul(a: MonomialPoly, b: MonomialPoly) -> MonomialPoly:
-    out: MonomialPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            new = out.get(key, 0) + ca * cb
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-    return out
-
-
-def _power_sum_poly(k: int, m: int) -> MonomialPoly:
-    out: MonomialPoly = {}
-    for i in range(m):
-        exponents = [0] * m
-        exponents[i] = k
-        out[tuple(exponents)] = Fraction(1)
-    return out
-
-
-def specialize(f: SymFunc, m: int) -> MonomialPoly:
-    """The polynomial f(x_1, ..., x_m, 0, 0, ...): p_k maps to x_1^k + ... + x_m^k."""
-    if m < 1:
-        raise ValueError("need at least one variable")
-    out: MonomialPoly = {}
-    cache: Dict[Partition, MonomialPoly] = {(): {(0,) * m: Fraction(1)}}
-
-    def product(lam: Partition) -> MonomialPoly:
-        cached = cache.get(lam)
-        if cached is None:
-            cached = _poly_mul(product(lam[:-1]), _power_sum_poly(lam[-1], m))
-            cache[lam] = cached
-        return cached
-
-    for lam, coeff in f.terms.items():
-        for exponents, value in product(lam).items():
-            new = out.get(exponents, 0) + coeff * value
-            if new:
-                out[exponents] = new
-            else:
-                del out[exponents]
-    return out
 
 
 # --- orbit-collected symmetric polynomials --------------------------------------
@@ -179,7 +123,8 @@ def _p_product_collected(lam: Partition, m: int) -> tuple:
 
 
 def specialize_collected(f: SymFunc, m: int) -> CollectedPoly:
-    """Same polynomial as specialize(f, m), in collected form."""
+    """f(x_1, ..., x_m, 0, 0, ...) in collected form: p_k maps to
+    x_1^k + ... + x_m^k."""
     if m < 1:
         raise ValueError("need at least one variable")
     out: CollectedPoly = {}

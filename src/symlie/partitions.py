@@ -46,17 +46,6 @@ def partitions_of(n: int) -> Tuple[Partition, ...]:
     return tuple(_gen_partitions(n, n))
 
 
-def conjugate(lam: Partition) -> Partition:
-    """Transpose of the Young diagram."""
-    if not lam:
-        return ()
-    cols = [0] * lam[0]
-    for part in lam:
-        for i in range(part):
-            cols[i] += 1
-    return tuple(cols)
-
-
 def multiplicities(lam: Partition) -> dict:
     """Map part value -> number of occurrences."""
     mults: dict = {}
@@ -103,14 +92,3 @@ def staircase(n: int) -> Partition:
 def format_partition(lam: Partition) -> str:
     """Text form, e.g. [3,2,1]; the empty partition prints as []."""
     return "[" + ",".join(str(part) for part in lam) + "]"
-
-
-def parse_partition(text: str) -> Partition:
-    """Inverse of format_partition."""
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"expected [..] partition, got {text!r}")
-    inner = body[1:-1].strip()
-    if not inner:
-        return ()
-    return check_partition(int(piece) for piece in inner.split(","))

@@ -132,6 +132,9 @@ class SymFunc:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its rational (zero included), so it hashes like it
+        if set(self.terms) <= {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "SymFunc":
@@ -401,15 +404,3 @@ def render(f: SymFunc, symbol: str = "p", terms: Dict[Partition, Fraction] = Non
         else:
             pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(pieces)
-
-
-def to_records(f: SymFunc) -> List[dict]:
-    """Structured form: [{partition, numerator, denominator}, ...], stable order."""
-    return [
-        {
-            "partition": list(lam),
-            "numerator": f.terms[lam].numerator,
-            "denominator": f.terms[lam].denominator,
-        }
-        for lam in sorted(f.terms, key=_term_sort_key)
-    ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -30,6 +30,7 @@ from .series import (
     arctan_series,
     arctanh_series,
     omega_series,
+    parity_split,
     series_div,
     series_inverse,
     tan_series,
@@ -100,29 +101,16 @@ def _geometric_p1(n: int) -> GradedSeries:
     return series_inverse(GradedSeries.constant(1, n) - _p1_series(n))
 
 
-def _p1_power(m: int) -> SymFunc:
-    return SymFunc({(1,) * m: 1}) if m else SymFunc.constant(1)
-
-
 def _odd_powersum(n: int, alternating: bool = False) -> GradedSeries:
     # sum_k (+-1)^k p_{2k+1} / (2k+1)
-    comps = {}
-    for k in range(0, (n + 1) // 2 + 1):
-        d = 2 * k + 1
-        if d > n:
-            break
-        sign = (-1) ** k if alternating else 1
-        comps[d] = p(d) * Fraction(sign, d)
-    return GradedSeries(n, comps)
+    logs = GradedSeries(n, {k: p(k) * Fraction(1, k) for k in range(1, n + 1)})
+    return parity_split(logs, "odd", alternating)
 
 
 def _odd_p1_logs(n: int, alternating: bool = False) -> GradedSeries:
-    # sum_{m odd} (+-1)^{(m-1)/2} p_1^m / m
-    comps = {}
-    for m in range(1, n + 1, 2):
-        sign = (-1) ** ((m - 1) // 2) if alternating else 1
-        comps[m] = _p1_power(m) * Fraction(sign, m)
-    return GradedSeries(n, comps)
+    # sum_{m odd} (+-1)^{(m-1)/2} p_1^m / m, with p_1^m written out by hand
+    logs = GradedSeries(n, {m: SymFunc({(1,) * m: Fraction(1, m)}) for m in range(1, n + 1)})
+    return parity_split(logs, "odd", alternating)
 
 
 def _one_minus_p2(n: int) -> GradedSeries:
@@ -139,6 +127,10 @@ def _quotient(n: int, alternating: bool = False) -> GradedSeries:
     return series_div(named_series("E_odd" + alt, n), named_series("E_even" + alt, n))
 
 
+def _lie_odd(n: int, alternating: bool) -> GradedSeries:
+    return named_series("Lie_odd_alt" if alternating else "Lie_odd", n)
+
+
 # --- check builders -------------------------------------------------------------
 
 
@@ -152,34 +144,21 @@ def _thrall_e(n: int) -> List[Pair]:
     return [("E[Lie]", compose_named("E", named_series("Lie", n)), rhs)]
 
 
-def _main_inverse(n: int) -> List[Pair]:
-    q = _quotient(n)
-    lo = named_series("Lie_odd", n)
+def _main_inverse(n: int, alternating: bool = False) -> List[Pair]:
+    a = "^alt" if alternating else ""
+    q = _quotient(n, alternating)
+    lo = _lie_odd(n, alternating)
     target = _p1_series(n)
     return [
-        ("(E_odd/E_even)[Lie_odd]", pleth(q, lo), target),
-        ("Lie_odd[E_odd/E_even]", pleth(lo, q), target),
+        (f"(E_odd{a}/E_even{a})[Lie_odd{a}]", pleth(q, lo), target),
+        (f"Lie_odd{a}[E_odd{a}/E_even{a}]", pleth(lo, q), target),
     ]
 
 
-def _main_inverse_alt(n: int) -> List[Pair]:
-    q = _quotient(n, True)
-    lo = named_series("Lie_odd_alt", n)
-    target = _p1_series(n)
-    return [
-        ("(E_odd^alt/E_even^alt)[Lie_odd^alt]", pleth(q, lo), target),
-        ("Lie_odd^alt[E_odd^alt/E_even^alt]", pleth(lo, q), target),
-    ]
-
-
-def _arctanh_pleth(n: int) -> List[Pair]:
-    lhs = pleth(_odd_powersum(n), named_series("Lie_odd", n))
-    return [("sum p_k/k [Lie_odd]", lhs, _odd_p1_logs(n))]
-
-
-def _arctan_pleth_alt(n: int) -> List[Pair]:
-    lhs = pleth(_odd_powersum(n, alternating=True), named_series("Lie_odd_alt", n))
-    return [("alternating sum [Lie_odd^alt]", lhs, _odd_p1_logs(n, alternating=True))]
+def _arctanh_pleth(n: int, alternating: bool = False) -> List[Pair]:
+    label = "alternating sum [Lie_odd^alt]" if alternating else "sum p_k/k [Lie_odd]"
+    lhs = pleth(_odd_powersum(n, alternating), _lie_odd(n, alternating))
+    return [(label, lhs, _odd_p1_logs(n, alternating))]
 
 
 def _he_restate(n: int) -> List[Pair]:
@@ -214,34 +193,21 @@ def _he_lie_even(n: int) -> List[Pair]:
     ]
 
 
-def _hook_alt_even(n: int) -> List[Pair]:
-    # sum_{m even >= 2} (-1)^{m/2} Hk_m, composed with Lie_odd^alt
-    series = hk_alt_series("even", n) - 1
-    lhs = pleth(series, named_series("Lie_odd_alt", n))
-    comps = {}
-    for m in range(2, n + 1, 2):
-        comps[m] = _p1_power(m) * ((-1) ** (m // 2))
-    return [("even alternating hooks [Lie_odd^alt]", lhs, GradedSeries(n, comps))]
+def _hook_alt(parity: str, n: int) -> List[Pair]:
+    # sum_{m in parity} (+-1)^{floor(m/2)} Hk_m, composed with Lie_odd^alt
+    hooks = parity_split(named_series("Hk", n), parity, alternating=True)
+    lhs = pleth(hooks, named_series("Lie_odd_alt", n))
+    rhs = parity_split(_geometric_p1(n) - 1, parity, alternating=True)
+    return [(f"{parity} alternating hooks [Lie_odd^alt]", lhs, rhs)]
 
 
-def _hook_alt_odd(n: int) -> List[Pair]:
-    lhs = pleth(hk_alt_series("odd", n), named_series("Lie_odd_alt", n))
-    comps = {}
-    for m in range(1, n + 1, 2):
-        comps[m] = _p1_power(m) * ((-1) ** ((m - 1) // 2))
-    return [("odd alternating hooks [Lie_odd^alt]", lhs, GradedSeries(n, comps))]
-
-
-def _staircase_sum(n: int, signed: bool) -> GradedSeries:
+def _staircase_sum(n: int, signed: bool = False, method: str = "jacobi_trudi") -> GradedSeries:
     comps = {}
     for stair in range(2, (n + 3) // 2 + 1):
-        d = 2 * stair - 3
-        if d > n:
-            continue
-        term = staircase_skew(stair, "jacobi_trudi")
+        term = staircase_skew(stair, method)
         if signed:
             term = term * ((-1) ** stair)
-        comps[d] = term
+        comps[2 * stair - 3] = term
     return GradedSeries(n, comps)
 
 
@@ -252,17 +218,9 @@ def _carlitz(n: int) -> List[Pair]:
 
 
 def _foulkes(n: int) -> List[Pair]:
-    lhs_comps = {}
-    rhs_comps = {}
-    for stair in range(2, (n + 3) // 2 + 1):
-        d = 2 * stair - 3
-        if d > n:
-            continue
-        lhs_comps[d] = staircase_skew(stair, "foulkes")
-        rhs_comps[d] = staircase_skew(stair, "jacobi_trudi")
     return [
         ("staircase: Euler-number formula vs determinant",
-         GradedSeries(n, lhs_comps), GradedSeries(n, rhs_comps))
+         _staircase_sum(n, method="foulkes"), _staircase_sum(n))
     ]
 
 
@@ -308,37 +266,27 @@ def _tangent_sum(n: int, alternating: bool) -> GradedSeries:
     return out
 
 
-def _tanh_form(n: int) -> List[Pair]:
-    q = _quotient(n)
+def _tanh_form(n: int, alternating: bool = False) -> List[Pair]:
+    a = "^alt" if alternating else ""
+    trig, fn = ("tan", tan_series) if alternating else ("tanh", tanh_series)
+    q = _quotient(n, alternating)
     return [
-        ("E_odd/E_even vs tanh", q, tanh_series(_odd_powersum(n))),
-        ("E_odd/E_even vs tangent numbers", q, _tangent_sum(n, alternating=False)),
+        (f"E_odd{a}/E_even{a} vs {trig}", q, fn(_odd_powersum(n, alternating))),
+        (f"E_odd{a}/E_even{a} vs tangent numbers", q, _tangent_sum(n, alternating)),
     ]
 
 
-def _tan_form(n: int) -> List[Pair]:
-    q = _quotient(n, True)
+def _arctanh_sum(n: int, alternating: bool = False) -> List[Pair]:
+    a = "^alt" if alternating else ""
+    trig, fn, arc = (
+        ("tan", tan_series, arctan_series) if alternating
+        else ("tanh", tanh_series, arctanh_series)
+    )
+    lo = _lie_odd(n, alternating)
+    z = _odd_powersum(n, alternating)
     return [
-        ("E_odd^alt/E_even^alt vs tan", q, tan_series(_odd_powersum(n, True))),
-        ("E_odd^alt/E_even^alt vs tangent numbers", q, _tangent_sum(n, alternating=True)),
-    ]
-
-
-def _arctanh_sum(n: int) -> List[Pair]:
-    lo = named_series("Lie_odd", n)
-    z = _odd_powersum(n)
-    return [
-        ("tanh(sum)[Lie_odd] = p_1", pleth(tanh_series(z), lo), _p1_series(n)),
-        ("sum[Lie_odd] = arctanh p_1", pleth(z, lo), arctanh_series(_p1_series(n))),
-    ]
-
-
-def _arctan_sum(n: int) -> List[Pair]:
-    lo = named_series("Lie_odd_alt", n)
-    w = _odd_powersum(n, alternating=True)
-    return [
-        ("tan(sum)[Lie_odd^alt] = p_1", pleth(tan_series(w), lo), _p1_series(n)),
-        ("sum[Lie_odd^alt] = arctan p_1", pleth(w, lo), arctan_series(_p1_series(n))),
+        (f"{trig}(sum)[Lie_odd{a}] = p_1", pleth(fn(z), lo), _p1_series(n)),
+        (f"sum[Lie_odd{a}] = arc{trig} p_1", pleth(z, lo), arc(_p1_series(n))),
     ]
 
 
@@ -462,12 +410,12 @@ CHECKS: List[Check] = [
           "(E_odd/E_even)[Lie_odd] = p_1 = Lie_odd[E_odd/E_even]", _main_inverse),
     Check("main_inverse_alt",
           "(E_odd^alt/E_even^alt)[Lie_odd^alt] = p_1 = Lie_odd^alt[...]",
-          _main_inverse_alt),
+          partial(_main_inverse, alternating=True)),
     Check("arctanh_pleth",
           "sum_{k odd} (p_k/k)[Lie_odd] = sum_{m odd} p_1^m/m", _arctanh_pleth),
     Check("arctan_pleth_alt",
           "sum_{k odd} (-1)^{(k-1)/2} (p_k/k)[Lie_odd^alt] = "
-          "sum_{m odd} (-1)^{(m-1)/2} p_1^m/m", _arctan_pleth_alt),
+          "sum_{m odd} (-1)^{(m-1)/2} p_1^m/m", partial(_arctanh_pleth, alternating=True)),
     Check("he_restate", "(HE)[Lie_odd] = (1 + p_1)/(1 - p_1)", _he_restate),
     Check("hook_regular", "Hk[Lie_odd] at degree n = p_1^n", _hook_regular),
     Check("he_lie_even",
@@ -475,10 +423,10 @@ CHECKS: List[Check] = [
           _he_lie_even),
     Check("hook_alt_even",
           "sum_{m even} (-1)^{m/2} Hk_m[Lie_odd^alt] at degree 2n = (-1)^n p_1^{2n}",
-          _hook_alt_even),
+          partial(_hook_alt, "even")),
     Check("hook_alt_odd",
           "sum_{m odd} (-1)^{(m-1)/2} Hk_m[Lie_odd^alt] at degree 2n+1 = "
-          "(-1)^n p_1^{2n+1}", _hook_alt_odd),
+          "(-1)^n p_1^{2n+1}", partial(_hook_alt, "odd")),
     Check("carlitz",
           "E_odd^alt/E_even^alt = s_(1) + sum_{n>=3} s_{delta_n/delta_{n-2}}",
           _carlitz, cap=12),
@@ -493,8 +441,9 @@ CHECKS: List[Check] = [
           _tanh_form, cap=12),
     Check("tan_form",
           "E_odd^alt/E_even^alt = tan(sum (-1)^k p_{2k+1}/(2k+1)) = "
-          "tangent-number series", _tan_form, cap=12),
-    Check("arctan_sum", "(sum_j arctan x_j)[Lie_odd^alt] = arctan p_1", _arctan_sum),
+          "tangent-number series", partial(_tanh_form, alternating=True), cap=12),
+    Check("arctan_sum", "(sum_j arctan x_j)[Lie_odd^alt] = arctan p_1",
+          partial(_arctanh_sum, alternating=True)),
     Check("arctanh_sum", "(sum_j arctanh x_j)[Lie_odd] = arctanh p_1", _arctanh_sum),
     Check("jordan",
           "sum_n eta_n = H[Lie_odd], with nonnegative integral Schur expansion",
@@ -536,7 +485,8 @@ def run_check(
 
     perturb, used by the fault-injection tests, is
     (pair_index, side, degree, partition, delta): delta * p_partition is
-    added to that side before comparison.
+    added to that side before comparison.  The degree must lie within the
+    side's bound and be the size of the partition (ValueError otherwise).
     """
     start = time.perf_counter()
     pairs = build_pairs(name, max_degree)
@@ -546,10 +496,12 @@ def run_check(
         pair_index, side, degree, lam, delta = perturb
         label, lhs, rhs = pairs[pair_index]
         target = lhs if side == 0 else rhs
-        if degree > target.max_degree:
+        if not 0 <= degree <= target.max_degree:
             raise ValueError(
-                f"perturbation degree {degree} exceeds pair bound {target.max_degree}"
+                f"perturbation degree {degree} is outside [0, {target.max_degree}]"
             )
+        if sum(lam) != degree:
+            raise ValueError(f"perturbation partition {lam!r} does not have size {degree}")
         bumped = target.components[degree] + SymFunc({tuple(lam): delta})
         patched = GradedSeries(target.max_degree)
         patched.components = list(target.components)

@@ -1,15 +1,17 @@
-"""Shared test utilities: independent counting oracles and seeded generators."""
+"""Shared test utilities: independent counting oracles, seeded generators and
+hypothesis strategies."""
 
 from fractions import Fraction
 from itertools import permutations
 from random import Random
+
+from hypothesis import strategies as st
 
 from symlie import GradedSeries, SymFunc, h
 from symlie.oracle import (
     _cycle_type_permutation,
     _placements,
     lie_bracket_basis,
-    specialize,
 )
 from symlie.partitions import partitions_of, z_of
 
@@ -34,6 +36,49 @@ def pentagonal_count(n: int) -> int:
             k += 1
         counts.append(total)
     return counts[n]
+
+
+# --- hypothesis strategies --------------------------------------------------------
+
+# small primes, and z_lam large enough to push the common denominator past 64 bits
+DENOMINATORS = (1, 2, 3, 7, z_of((1,) * 9), z_of((3, 2, 2, 1, 1)), z_of((4, 4, 2, 2)))
+
+coefficients = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from(DENOMINATORS)
+)
+
+
+@st.composite
+def homogeneous(draw, degree: int, max_terms: int = 4) -> SymFunc:
+    pool = partitions_of(degree)
+    indices = st.integers(min_value=0, max_value=len(pool) - 1)
+    return SymFunc(
+        draw(st.dictionaries(indices.map(pool.__getitem__), coefficients, max_size=max_terms))
+    )
+
+
+@st.composite
+def symfuncs(draw, max_degree: int = 6) -> SymFunc:
+    """A sparse, possibly inhomogeneous element (zero and constants included)."""
+    degrees = draw(st.lists(st.integers(min_value=0, max_value=max_degree), max_size=3))
+    total = SymFunc.zero()
+    for d in degrees:
+        total = total + draw(homogeneous(d, max_terms=3))
+    return total
+
+
+@st.composite
+def series(draw, max_degree: int = 7, constant=None) -> GradedSeries:
+    """A random series with a drawn bound; constant, if given, fixes the
+    degree-0 term."""
+    n = draw(st.integers(min_value=0, max_value=max_degree))
+    out = GradedSeries(n)
+    for d in range(n + 1):
+        if draw(st.booleans()):
+            out.components[d] = draw(homogeneous(d, max_terms=3))
+    if constant is not None:
+        out.components[0] = SymFunc.constant(constant)
+    return out
 
 
 def random_symfunc(rng: Random, max_degree: int, terms: int = 4) -> SymFunc:
@@ -162,6 +207,25 @@ def poly_mul(a, b):
         for eb, cb in b.items():
             key = tuple(x + y for x, y in zip(ea, eb))
             out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def specialize(f: SymFunc, m: int) -> dict:
+    """The polynomial f(x_1, ..., x_m, 0, 0, ...) in full monomial form:
+    p_k maps to x_1^k + ... + x_m^k.  The reference for
+    symlie.oracle.specialize_collected and for monomial_pleth."""
+    if m < 1:
+        raise ValueError("need at least one variable")
+    out = {}
+    for lam, coeff in f.terms.items():
+        product = {(0,) * m: Fraction(1)}
+        for k in lam:
+            power_sum = {
+                tuple(k if j == i else 0 for j in range(m)): Fraction(1) for i in range(m)
+            }
+            product = poly_mul(product, power_sum)
+        for exponents, value in product.items():
+            out[exponents] = out.get(exponents, 0) + coeff * value
     return {k: v for k, v in out.items() if v}
 
 

@@ -250,6 +250,21 @@ def test_cli_syntax_error_exit_code(capsys):
     assert "offset 7" in captured.err
 
 
+@pytest.mark.parametrize(
+    "source, offset",
+    # one literal longer than int()'s digit limit as a number, as a p/h/e
+    # index and as a part of s[...]
+    [("9" * 5000, 1), ("p[" + "9" * 5000 + "]", 3), ("s[2," + "9" * 5000 + "]", 5)],
+    ids=["number", "index", "schur_part"],
+)
+def test_cli_oversized_integer_is_a_syntax_error(source, offset, capsys):
+    with pytest.raises(ParseError) as raised:
+        parse(source)
+    assert raised.value.offset == offset
+    assert main(["expand", source, "--max-degree", "2"]) == 2
+    assert f"offset {offset}" in capsys.readouterr().err
+
+
 # Each builder nests an expression `levels` levels deep and names the token
 # that opens a level.
 _DEEP = {

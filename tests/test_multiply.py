@@ -8,58 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symlie.partitions import partitions_of, z_of
 from symlie.plethysm import pleth, pleth_inverse
 from symlie.series import GradedSeries, compose_scalar, series_inverse
 from symlie.symfunc import SymFunc, h, p
 
 from helpers import (
+    coefficients,
+    series,
     series_inverse_reference,
     series_mul_reference,
     symfunc_mul_reference,
     symfunc_scale_reference,
+    symfuncs,
 )
-
-# small primes, and z_lam large enough to push the common denominator past 64 bits
-DENOMINATORS = (1, 2, 3, 7, z_of((1,) * 9), z_of((3, 2, 2, 1, 1)), z_of((4, 4, 2, 2)))
-
-coefficients = st.builds(
-    Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from(DENOMINATORS)
-)
-
-
-@st.composite
-def homogeneous(draw, degree: int, max_terms: int = 4) -> SymFunc:
-    pool = partitions_of(degree)
-    indices = st.integers(min_value=0, max_value=len(pool) - 1)
-    return SymFunc(
-        draw(st.dictionaries(indices.map(pool.__getitem__), coefficients, max_size=max_terms))
-    )
-
-
-@st.composite
-def symfuncs(draw, max_degree: int = 6) -> SymFunc:
-    """A sparse, possibly inhomogeneous element (zero and constants included)."""
-    degrees = draw(st.lists(st.integers(min_value=0, max_value=max_degree), max_size=3))
-    total = SymFunc.zero()
-    for d in degrees:
-        total = total + draw(homogeneous(d, max_terms=3))
-    return total
-
-
-@st.composite
-def series(draw, max_degree: int = 7, constant=None) -> GradedSeries:
-    """A random series with a drawn bound; constant, if given, fixes the
-    degree-0 term."""
-    n = draw(st.integers(min_value=0, max_value=max_degree))
-    out = GradedSeries(n)
-    for d in range(n + 1):
-        if draw(st.booleans()):
-            out.components[d] = draw(homogeneous(d, max_terms=3))
-    if constant is not None:
-        out.components[0] = SymFunc.constant(constant)
-    return out
-
 
 nonzero_constants = coefficients.filter(bool)
 

@@ -11,7 +11,6 @@ from symlie.oracle import (
     collected_mul,
     lie_character,
     monomial_pleth_collected,
-    specialize,
     specialize_collected,
     syt_count,
 )
@@ -25,6 +24,7 @@ from helpers import (
     monomial_pleth,
     poly_mul,
     random_symfunc,
+    specialize,
 )
 
 

@@ -4,10 +4,7 @@ import pytest
 
 from symlie.partitions import (
     check_partition,
-    conjugate,
-    format_partition,
     mobius,
-    parse_partition,
     partitions_of,
     staircase,
     z_of,
@@ -38,19 +35,6 @@ def test_partitions_unique():
         parts = partitions_of(n)
         assert len(set(parts)) == len(parts)
         assert all(sum(lam) == n for lam in parts)
-
-
-def test_conjugate_examples():
-    assert conjugate((3, 1)) == (2, 1, 1)
-    assert conjugate(()) == ()
-    for n in range(1, 8):
-        assert conjugate((n,)) == (1,) * n
-
-
-def test_conjugate_involution():
-    for n in range(13):
-        for lam in partitions_of(n):
-            assert conjugate(conjugate(lam)) == lam
 
 
 def test_z_of_examples():
@@ -87,13 +71,6 @@ def test_staircase():
     assert staircase(4) == (3, 2, 1)
     with pytest.raises(ValueError):
         staircase(0)
-
-
-def test_partition_text_roundtrip():
-    assert format_partition((3, 2, 1)) == "[3,2,1]"
-    assert format_partition(()) == "[]"
-    for lam in partitions_of(6):
-        assert parse_partition(format_partition(lam)) == lam
 
 
 def test_check_partition_rejects_bad_input():

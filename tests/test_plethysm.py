@@ -5,7 +5,6 @@ from random import Random
 import pytest
 
 from symlie.lie import e_series, h_series, lie_series
-from symlie.oracle import specialize
 from symlie.plethysm import (
     ConstantTermError,
     LeadingTermError,
@@ -21,6 +20,7 @@ from helpers import (
     random_homogeneous,
     random_series,
     random_symfunc,
+    specialize,
     valid_inverse_candidate,
 )
 

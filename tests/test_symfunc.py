@@ -18,7 +18,6 @@ from symlie.symfunc import (
     render,
     schur,
     schur_expand,
-    to_records,
 )
 
 from helpers import pentagonal_count, random_symfunc
@@ -184,8 +183,9 @@ def test_render_format():
     assert render(p(1) - 3 * p(2)) == "p[1] - 3*p[2]"
 
 
-def test_to_records():
-    assert to_records(e(2)) == [
-        {"partition": [1, 1], "numerator": 1, "denominator": 2},
-        {"partition": [2], "numerator": -1, "denominator": 2},
-    ]
+@pytest.mark.parametrize("c", [0, 1, -3, half])
+def test_constant_hashes_like_its_rational(c):
+    f = SymFunc.constant(c)
+    assert f == c
+    assert hash(f) == hash(c)
+    assert len({f, c}) == 1

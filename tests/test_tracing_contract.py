@@ -1,0 +1,40 @@
+"""The benchmark's tracer binds names inside symlie (benchmarks/tracing.py).
+A refactor that renames or inlines one of them would make `--trace 1` count
+nothing without failing, so this runs the tracer on one check.  It runs in a
+subprocess, since installing the tracer patches symlie's modules for good."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import symlie
+from tracing import Tracer
+
+tracer = Tracer(0)
+tracer.install()
+from symlie import verify
+
+report = verify.run_check("hook_alt_odd", 5)
+assert report.passed, report
+metrics = tracer.metrics()
+assert metrics["lie.series_builds"] >= 1, metrics["lie.series_builds"]
+assert metrics["verify.check"].get("hook_alt_odd", 0) > 0, metrics["verify.check"]
+print("ok")
+"""
+
+
+def test_tracer_counts_a_traced_check():
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "benchmarks")])
+    result = subprocess.run(
+        [sys.executable, "-c", SCRIPT],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"

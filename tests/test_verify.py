@@ -171,3 +171,15 @@ def test_fault_injection_every_pair_of_one_check():
 def test_perturbation_degree_out_of_range():
     with pytest.raises(ValueError):
         run_check("pleth_oracle", 2, perturb=(0, 0, 9, (9,), Fraction(1)))
+
+
+def test_perturbation_negative_degree_is_rejected():
+    # index -1 would otherwise perturb the top degree
+    with pytest.raises(ValueError, match="outside"):
+        run_check("thrall_h", 6, perturb=(0, 0, -1, (3,), Fraction(1)))
+
+
+def test_perturbation_partition_must_have_the_degree_as_size():
+    # p[5] in the degree-2 component would break the pair's homogeneity
+    with pytest.raises(ValueError, match="size 2"):
+        run_check("thrall_h", 6, perturb=(0, 0, 2, (5,), Fraction(1)))

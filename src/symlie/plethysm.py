@@ -5,15 +5,19 @@ i.e. a partition-scaling map that leaves coefficients alone.  Plethysm
 extends to arbitrary first arguments as a ring map: for f = sum c_lam p_lam,
 f[g] = sum c_lam prod_i p_{lam_i}[g].  The second argument must have zero
 constant term, otherwise the substitution would produce infinite sums.
+
+pleth_inverse solves f[g] = p_1 in one pass, growing the partial products
+prod_i p_{lam_i}[g] by one degree per step as g is solved.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from fractions import Fraction
+from typing import Dict, List, Optional, Union
 
 from .partitions import Partition
 from .series import GradedSeries
-from .symfunc import SymFunc
+from .symfunc import IntegerForm, SymFunc, _integer_form, _sum_of_products
 
 
 class ConstantTermError(ValueError):
@@ -89,12 +93,25 @@ def pleth(f: Union[SymFunc, GradedSeries], g: GradedSeries) -> GradedSeries:
     return out
 
 
+def _scaled_form(form: Optional[IntegerForm], k: int) -> Optional[IntegerForm]:
+    """p_k[x] for x in integer form: every part multiplied by k."""
+    if form is None:
+        return None
+    terms, den = form
+    return [(tuple(j * k for j in lam), c) for lam, c in terms], den
+
+
 def pleth_inverse(f: GradedSeries) -> GradedSeries:
     """The unique g with g_1 = p_1 and f[g] = p_1 up to the truncation bound.
 
-    Solved degree by degree: with g known below degree n, the degree-n part
-    of f[g] equals g_n plus terms involving only lower components, so g_n is
-    forced to be minus that remainder.
+    Write f = p_1 + F, so that f[g] = g + F[g] and g_d = -(degree d of F[g]).
+    Every term p_lam of F has degree >= 2, so that degree-d part reads only
+    g_1 .. g_{d-1}.  The partial products P_lam = prod_i p_{lam_i}[g] of every
+    prefix of F's terms are kept as components in integer form and grown by
+    one degree per step: P_lam[d] = sum_j P_lam'[d - k*j] * p_k[g_j], with k
+    the last part of lam and lam' = lam[:-1].  Only P_(1)[d] = g_d reads g_d,
+    and it is filled in once g_d is solved, so the whole solve costs about
+    one plethysm.
     """
     n = f.max_degree
     p1 = SymFunc({(1,): 1})
@@ -103,9 +120,43 @@ def pleth_inverse(f: GradedSeries) -> GradedSeries:
     if n >= 1 and f.components[1] != p1:
         raise LeadingTermError("composition inverse requires degree-1 part p_1 exactly")
     out = GradedSeries(n)
-    if n >= 1:
-        out.components[1] = p1
-    for d in range(2, n + 1):
-        remainder = pleth(f.truncate(d), out.truncate(d))
-        out.components[d] = -remainder.components[d]
+    if n < 1:
+        return out
+    out.components[1] = p1
+    items = [
+        (lam, _integer_form(SymFunc.constant(c)))
+        for part in f.components[2:]
+        for lam, c in part.terms.items()
+    ]
+    # products[lam][m] is the degree-m component of P_lam (None for 0)
+    products: Dict[Partition, List[Optional[IntegerForm]]] = {
+        (): [_integer_form(SymFunc.constant(1))] + [None] * n,
+        (1,): [None] * (n + 1),
+    }
+    for lam, _ in items:
+        while lam not in products:
+            products[lam] = [None] * (n + 1)
+            lam = lam[:-1]
+    g = products[(1,)]
+    # scaled[k][j] is p_k[g_j], for every last part k of a prefix
+    scaled = {lam[-1]: [None] * (n + 1) for lam in products if lam}
+    scaled[1] = g
+    growing = [(lam[-1], sum(lam[:-1]), products[lam[:-1]], scaled[lam[-1]], row)
+               for lam, row in products.items() if lam not in ((), (1,))]
+    for d in range(1, n + 1):
+        if d > 1:
+            for k, low, prefix, column, row in growing:
+                pairs = [(prefix[d - k * j], column[j])
+                         for j in range(1, (d - low) // k + 1)
+                         if prefix[d - k * j] and column[j]]
+                if pairs:
+                    row[d] = _integer_form(_sum_of_products(pairs))
+            out.components[d] = _sum_of_products(
+                ((products[lam][d], c) for lam, c in items if products[lam][d]),
+                Fraction(-1),
+            )
+        g[d] = _integer_form(out.components[d])
+        for k, column in scaled.items():
+            if 1 < k and k * d <= n:
+                column[d] = _scaled_form(g[d], k)
     return out

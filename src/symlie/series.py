@@ -53,12 +53,14 @@ class GradedSeries:
     @staticmethod
     def from_symfunc(f: SymFunc, max_degree: int) -> "GradedSeries":
         """Split an (in)homogeneous SymFunc by degree; degrees above the bound drop."""
-        out = GradedSeries(max_degree)
+        by_degree: dict = {}
         for lam, coeff in f.terms.items():
             d = sum(lam)
             if d <= max_degree:
-                out.components[d] = out.components[d] + SymFunc({lam: coeff})
-        return out
+                by_degree.setdefault(d, {})[lam] = coeff
+        return GradedSeries(
+            max_degree, {d: SymFunc(terms) for d, terms in by_degree.items()}
+        )
 
     def constant_term(self) -> Fraction:
         return self.components[0].coefficient(())
@@ -208,14 +210,22 @@ def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
     if not all(isinstance(c, Rational) for c in cs):
         raise TypeError("Taylor coefficients must be exact rationals")
     cs += [0] * (n - len(cs))
-    out = GradedSeries(n)
-    power = GradedSeries.constant(1, n)
+    gs = [_integer_form(part) for part in g.components]
+    power = [_integer_form(SymFunc.constant(1))] + [None] * n
+    # per degree d, the pairs ((g^m)_d, c_m) summed into the result
+    terms: List[list] = [[] for _ in range(n + 1)]
     for m in range(1, n + 1):
-        power = power * g
-        if not power:
+        # g has valuation >= 1, so g^m starts in degree m
+        power = [None] * m + [_integer_form(_convolution(power, gs, d)) for d in range(m, n + 1)]
+        if not any(power):
             break
-        if cs[m - 1]:
-            out = out + power * cs[m - 1]
+        scalar = _integer_form(SymFunc.constant(cs[m - 1]))
+        if scalar:
+            for d in range(m, n + 1):
+                if power[d]:
+                    terms[d].append((power[d], scalar))
+    out = GradedSeries(n)
+    out.components = [_sum_of_products(pairs) for pairs in terms]
     return out
 
 

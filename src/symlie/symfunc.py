@@ -12,13 +12,18 @@ writes each factor as integer numerators over one common denominator (the
 lcm of its term denominators), sums the integer products, and builds each
 output Fraction once.  _sum_of_products is that one kernel; SymFunc.__mul__,
 GradedSeries.__mul__ and series_inverse all go through it.
+
+expand_in_basis reaches the h and e bases by back-substitution: h_lam has
+only terms p_rho with rho at or after lam in partitions_of order, so one
+walk down that order reads off every coefficient, and only the products
+h_lam with a nonzero coefficient are ever built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from numbers import Rational
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -314,42 +319,40 @@ def dimension(f: SymFunc) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _basis_elements(basis: str, d: int) -> Tuple[Tuple[Partition, SymFunc], ...]:
-    build = h if basis == "h" else e
-    out = []
+def _h_product(lam: Partition) -> SymFunc:
+    """h_lam = prod_i h_{lam_i}, built from its memoized prefix lam[:-1]."""
+    if len(lam) <= 1:
+        return h(sum(lam))
+    return _h_product(lam[:-1]) * h(lam[-1])
+
+
+def _solve_in_h(f: SymFunc, d: int) -> Dict[Partition, Fraction]:
+    """Coefficients of the degree-d SymFunc f on the products h_lam.
+
+    h_lam has only terms p_rho with rho refining lam, and refinement implies
+    dominance, so every rho comes at or after lam in partitions_of order; the
+    coefficient of p_lam itself is prod_i 1/lam_i.  Walking partitions_of(d)
+    in order, the coefficient a_lam is therefore prod_i lam_i times the
+    coefficient of p_lam left in the residual, from which a_lam * h_lam is
+    then subtracted.
+    """
+    residual = dict(f.terms)
+    coords: Dict[Partition, Fraction] = {}
     for lam in partitions_of(d):
-        prod = SymFunc.constant(1)
-        for part in lam:
-            prod = prod * build(part)
-        out.append((lam, prod))
-    return tuple(out)
-
-
-def _solve_in_basis(f: SymFunc, basis: str, d: int) -> Dict[Partition, Fraction]:
-    # Gaussian elimination over Fractions: express the degree-d part of f on
-    # the products h_lam (resp. e_lam).  The matrix is square, one row and
-    # column per partition of d.
-    elements = _basis_elements(basis, d)
-    keys = list(partitions_of(d))
-    matrix = [[vec.terms.get(mu, Fraction(0)) for _, vec in elements] for mu in keys]
-    rhs = [f.terms.get(mu, Fraction(0)) for mu in keys]
-    size = len(keys)
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if matrix[r][col])
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / matrix[col][col]
-        matrix[col] = [v * inv for v in matrix[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(size):
-            if r != col and matrix[r][col]:
-                factor = matrix[r][col]
-                matrix[r] = [v - factor * w for v, w in zip(matrix[r], matrix[col])]
-                rhs[r] = rhs[r] - factor * rhs[col]
-    coords = {}
-    for idx, (lam, _) in enumerate(elements):
-        if rhs[idx]:
-            coords[lam] = rhs[idx]
+        if not residual:
+            break
+        c = residual.pop(lam, None)
+        if c is None:
+            continue
+        a = c * prod(lam)
+        coords[lam] = a
+        for rho, b in _h_product(lam).terms.items():
+            if rho != lam:
+                new = residual.get(rho, 0) - a * b
+                if new:
+                    residual[rho] = new
+                else:
+                    del residual[rho]
     return coords
 
 
@@ -366,9 +369,8 @@ def expand_in_basis(f: SymFunc, basis: str) -> Dict[Partition, Fraction]:
         if basis == "s":
             out.update(schur_expand(part))
         elif basis in ("h", "e"):
-            g = omega(part) if basis == "e" else part
-            for lam, c in _solve_in_basis(g, "h", d).items():
-                out[lam] = c
+            # omega(e_lam) = h_lam, so f on e_lam is omega(f) on h_lam
+            out.update(_solve_in_h(omega(part) if basis == "e" else part, d))
         else:
             raise ValueError(f"unknown basis {basis!r}")
     return out

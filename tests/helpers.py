@@ -14,6 +14,7 @@ from symlie.oracle import (
     lie_bracket_basis,
 )
 from symlie.partitions import partitions_of, z_of
+from symlie.plethysm import pleth
 
 
 def pentagonal_count(n: int) -> int:
@@ -174,6 +175,18 @@ def series_inverse_reference(f: GradedSeries) -> GradedSeries:
     return out
 
 
+def compose_scalar_reference(cs, g: GradedSeries) -> GradedSeries:
+    """sum_m cs[m-1] g^m, one series product per power: the reference for
+    symlie.series.compose_scalar (g must have zero constant term)."""
+    n = g.max_degree
+    out = GradedSeries(n)
+    power = GradedSeries.constant(1, n)
+    for c in cs[:n]:
+        power = series_mul_reference(power, g)
+        out = out + power * c
+    return out
+
+
 def jacobi_trudi_reference(outer, inner) -> SymFunc:
     """The skew Schur function s_{outer/inner} as det(h_{outer_i - inner_j - i + j}),
     a sum over permutations of products of p-basis SymFuncs (h_0 = 1,
@@ -310,3 +323,51 @@ def lie_character_reference(n: int) -> SymFunc:
         if trace:
             terms[lam] = Fraction(trace, z_of(lam))
     return SymFunc(terms)
+
+
+# --- references for the triangular solvers in symlie.symfunc and symlie.plethysm --
+
+
+def solve_in_h_reference(f: SymFunc, d: int) -> dict:
+    """Coefficients of the degree-d SymFunc f on the products h_lam, by dense
+    Gaussian elimination over Fractions on the square matrix with one row
+    and column per partition of d: the reference for expand_in_basis with
+    basis "h" (and, through omega, "e")."""
+    elements = []
+    for lam in partitions_of(d):
+        prod = SymFunc.constant(1)
+        for part in lam:
+            prod = prod * h(part)
+        elements.append((lam, prod))
+    keys = list(partitions_of(d))
+    matrix = [[vec.terms.get(mu, Fraction(0)) for _, vec in elements] for mu in keys]
+    rhs = [f.terms.get(mu, Fraction(0)) for mu in keys]
+    size = len(keys)
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if matrix[r][col])
+        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        inv = 1 / matrix[col][col]
+        matrix[col] = [v * inv for v in matrix[col]]
+        rhs[col] = rhs[col] * inv
+        for r in range(size):
+            if r != col and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [v - factor * w for v, w in zip(matrix[r], matrix[col])]
+                rhs[r] = rhs[r] - factor * rhs[col]
+    return {lam: rhs[idx] for idx, (lam, _) in enumerate(elements) if rhs[idx]}
+
+
+def pleth_inverse_reference(f: GradedSeries) -> GradedSeries:
+    """The composition inverse degree by degree, one full pleth per degree:
+    with g known below degree d, g_d is minus the degree-d part of
+    f[g truncated at d].  The reference for symlie.plethysm.pleth_inverse
+    (f must have zero constant term and degree-1 part p_1)."""
+    n = f.max_degree
+    out = GradedSeries(n)
+    if n >= 1:
+        out.components[1] = SymFunc({(1,): 1})
+    for d in range(2, n + 1):
+        remainder = pleth(f.truncate(d), out.truncate(d))
+        out.components[d] = -remainder.components[d]
+    return out

@@ -200,6 +200,15 @@ def test_cli_expand_schur_basis(capsys):
     assert out.splitlines()[3] == "deg 3: s[2,1] + s[3]"
 
 
+def test_cli_expand_sparse_input_in_h_basis(capsys):
+    # h[24] alone has 1575 p-terms; solving it in the h basis takes one step
+    code = main(["expand", "h[24]", "--max-degree", "24", "--basis", "h"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[24] == "deg 24: h[24]"
+    assert out[:24] == [f"deg {d}: 0" for d in range(24)]
+
+
 def test_cli_expand_json(capsys):
     code = main(["expand", "e[2]", "--max-degree", "2", "--json"])
     payload = json.loads(capsys.readouterr().out)

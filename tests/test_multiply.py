@@ -14,6 +14,7 @@ from symlie.symfunc import SymFunc, h, p
 
 from helpers import (
     coefficients,
+    compose_scalar_reference,
     series,
     series_inverse_reference,
     series_mul_reference,
@@ -104,6 +105,21 @@ def test_pleth_inverse_round_trip(data):
     f = data.draw(series(6, constant=0).filter(lambda f: f.max_degree >= 1))
     f.components[1] = p(1)
     assert pleth(f, pleth_inverse(f)) == GradedSeries(f.max_degree, {1: p(1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cs=st.lists(coefficients | st.integers(min_value=-3, max_value=3), max_size=8))
+def test_compose_scalar_matches_reference(data, cs):
+    g = data.draw(series(6, constant=0))
+    assert compose_scalar(cs, g) == compose_scalar_reference(cs, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=symfuncs(8), n=st.integers(min_value=0, max_value=6))
+def test_from_symfunc_splits_by_degree(f, n):
+    # inhomogeneous input, with terms above the bound that must drop
+    expected = GradedSeries(n, {d: f.homogeneous_part(d) for d in range(n + 1)})
+    assert GradedSeries.from_symfunc(f, n) == expected
 
 
 def test_graded_series_rejects_nonzero_scalar_above_degree_zero():

@@ -239,3 +239,14 @@ def test_pleth_frees_partial_products_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_pleth_inverse_frees_partial_products_without_the_cycle_collector():
+    f = h_series(8) - 1
+    gc.collect()
+    gc.disable()
+    try:
+        pleth_inverse(f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

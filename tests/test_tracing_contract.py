@@ -1,7 +1,8 @@
 """The benchmark's tracer binds names inside symlie (benchmarks/tracing.py).
 A refactor that renames or inlines one of them would make `--trace 1` count
-nothing without failing, so this runs the tracer on one check.  It runs in a
-subprocess, since installing the tracer patches symlie's modules for good."""
+nothing without failing, so this runs the tracer on one check and on one
+`symlie inverse` command.  It runs in a subprocess, since installing the
+tracer patches symlie's modules for good."""
 
 import os
 import subprocess
@@ -23,6 +24,13 @@ assert report.passed, report
 metrics = tracer.metrics()
 assert metrics["lie.series_builds"] >= 1, metrics["lie.series_builds"]
 assert metrics["verify.check"].get("hook_alt_odd", 0) > 0, metrics["verify.check"]
+
+from symlie import cli
+
+assert cli.main(["inverse", "H-1", "--max-degree", "5", "--basis", "e"]) == 0
+metrics = tracer.metrics()
+assert metrics["plethysm.pleth_inverse.calls"] == 1, metrics["plethysm.pleth_inverse.calls"]
+assert metrics["symfunc.expand_in_basis.s"] > 0, metrics["symfunc.expand_in_basis.s"]
 print("ok")
 """
 
@@ -37,4 +45,4 @@ def test_tracer_counts_a_traced_check():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"
+    assert result.stdout.splitlines()[-1] == "ok"

@@ -456,7 +456,8 @@ def _cmd_expand(args) -> int:
 def _cmd_pleth(args) -> int:
     outer = parse(args.outer)
     inner = parse(args.inner)
-    return _print_series(args, evaluate(Pleth(outer, inner), args.max_degree))
+    # the node stands for the whole command, so its errors point at offset 1
+    return _print_series(args, evaluate(Pleth(outer, inner, 1), args.max_degree))
 
 
 def _cmd_inverse(args) -> int:

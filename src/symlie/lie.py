@@ -18,7 +18,7 @@ from .oracle import alternating_count
 from .partitions import Partition, mobius, partitions_of, staircase, z_of
 from .plethysm import pleth
 from .series import GradedSeries, exp_series, parity_split
-from .symfunc import SymFunc, e, h, p, schur
+from .symfunc import SymFunc, _h_product, e, h, p, schur
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +85,7 @@ def _jacobi_trudi_skew(outer: Partition, inner: Partition) -> SymFunc:
     # det(h_{outer_i - inner_j - i + j}) over permutations; h_0 = 1, h_{<0} = 0.
     # A product of h's only merges its indices, so the determinant is summed
     # on integer coefficients keyed by the h-monomial h_lam, and each distinct
-    # h_lam is expanded in the p basis once.
+    # h_lam is taken once from the memoized symfunc._h_product.
     rows = len(outer)
     inner = tuple(inner) + (0,) * (rows - len(inner))
     coeffs: Dict[Partition, int] = {}
@@ -103,14 +103,7 @@ def _jacobi_trudi_skew(outer: Partition, inner: Partition) -> SymFunc:
             )
             lam = tuple(sorted(parts, reverse=True))
             coeffs[lam] = coeffs.get(lam, 0) + (-1 if inversions % 2 else 1)
-    total = SymFunc.zero()
-    for lam, coeff in coeffs.items():
-        if coeff:
-            prod = SymFunc.constant(coeff)
-            for part in lam:
-                prod = prod * h(part)
-            total = total + prod
-    return total
+    return sum((_h_product(lam) * c for lam, c in coeffs.items() if c), SymFunc.zero())
 
 
 @lru_cache(maxsize=None)

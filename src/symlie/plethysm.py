@@ -6,18 +6,19 @@ extends to arbitrary first arguments as a ring map: for f = sum c_lam p_lam,
 f[g] = sum c_lam prod_i p_{lam_i}[g].  The second argument must have zero
 constant term, otherwise the substitution would produce infinite sums.
 
-pleth_inverse solves f[g] = p_1 in one pass, growing the partial products
-prod_i p_{lam_i}[g] by one degree per step as g is solved.
+Both pleth and pleth_inverse go through series._plethysm, which keeps the
+partial products prod_i p_{lam_i}[g] of every prefix of f's terms in one
+integer-form table and grows each by one degree per step.  pleth reads each
+g_d off g; pleth_inverse solves f[g] = p_1 in the same pass, computing g_d
+as soon as the degree-d part of f[g] is known without it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Optional, Union
+from typing import Union
 
-from .partitions import Partition
-from .series import GradedSeries
-from .symfunc import IntegerForm, SymFunc, _integer_form, _sum_of_products
+from .series import GradedSeries, _plethysm
+from .symfunc import SymFunc
 
 
 class ConstantTermError(ValueError):
@@ -28,43 +29,6 @@ class LeadingTermError(ValueError):
     """Series has no composition inverse because its degree-1 part is not p_1."""
 
 
-def scale_series(g: GradedSeries, k: int) -> GradedSeries:
-    """p_j -> p_{jk} applied to every term: degree-d input lands in degree d*k."""
-    n = g.max_degree
-    out = GradedSeries(n)
-    for d in range(1, n // k + 1):
-        part = g.components[d]
-        if part:
-            out.components[d * k] = SymFunc(
-                {tuple(j * k for j in lam): c for lam, c in part.terms.items()}
-            )
-    return out
-
-
-def _power(
-    lam: Partition,
-    g: GradedSeries,
-    powers: Dict[Partition, GradedSeries],
-    scaled: Dict[int, GradedSeries],
-) -> GradedSeries:
-    """prod_i p_{lam_i}[g], memoized in powers; scaled caches p_k[g] by k.
-
-    A module-level function rather than a closure: a closure that calls
-    itself is a reference cycle, which would keep every partial product
-    alive until the cyclic garbage collector ran.
-    """
-    cached = powers.get(lam)
-    if cached is None:
-        # Peeling the smallest part keeps the prefix a partition, so partial
-        # products are shared across the whole first argument.
-        k = lam[-1]
-        if k not in scaled:
-            scaled[k] = scale_series(g, k)
-        cached = _power(lam[:-1], g, powers, scaled) * scaled[k]
-        powers[lam] = cached
-    return cached
-
-
 def pleth(f: Union[SymFunc, GradedSeries], g: GradedSeries) -> GradedSeries:
     """f[g] truncated at the minimum bound; g must have zero constant term."""
     if g.components[0]:
@@ -73,32 +37,13 @@ def pleth(f: Union[SymFunc, GradedSeries], g: GradedSeries) -> GradedSeries:
         )
     if isinstance(f, GradedSeries):
         n = min(f.max_degree, g.max_degree)
-        items = [
-            (lam, c)
-            for part in f.components[: n + 1]
-            for lam, c in part.terms.items()
-        ]
+        items = [(lam, c) for part in f.components[: n + 1] for lam, c in part.terms.items()]
     else:
         n = g.max_degree
-        items = list(f.terms.items())
-
-    scaled: Dict[int, GradedSeries] = {}
-    powers: Dict[Partition, GradedSeries] = {(): GradedSeries.constant(1, n)}
+        items = f.terms.items()
     out = GradedSeries(n)
-    for lam, coeff in items:
-        if sum(lam) > n:
-            # each p_j[g] has valuation >= j, so this term cannot contribute
-            continue
-        out = out + _power(lam, g, powers, scaled) * coeff
+    out.components = _plethysm(items, n, lambda d, _: g.components[d])
     return out
-
-
-def _scaled_form(form: Optional[IntegerForm], k: int) -> Optional[IntegerForm]:
-    """p_k[x] for x in integer form: every part multiplied by k."""
-    if form is None:
-        return None
-    terms, den = form
-    return [(tuple(j * k for j in lam), c) for lam, c in terms], den
 
 
 def pleth_inverse(f: GradedSeries) -> GradedSeries:
@@ -106,12 +51,8 @@ def pleth_inverse(f: GradedSeries) -> GradedSeries:
 
     Write f = p_1 + F, so that f[g] = g + F[g] and g_d = -(degree d of F[g]).
     Every term p_lam of F has degree >= 2, so that degree-d part reads only
-    g_1 .. g_{d-1}.  The partial products P_lam = prod_i p_{lam_i}[g] of every
-    prefix of F's terms are kept as components in integer form and grown by
-    one degree per step: P_lam[d] = sum_j P_lam'[d - k*j] * p_k[g_j], with k
-    the last part of lam and lam' = lam[:-1].  Only P_(1)[d] = g_d reads g_d,
-    and it is filled in once g_d is solved, so the whole solve costs about
-    one plethysm.
+    g_1 .. g_{d-1}, and the plethysm kernel hands it over before it asks
+    for g_d: the whole solve costs about one plethysm.
     """
     n = f.max_degree
     p1 = SymFunc({(1,): 1})
@@ -119,44 +60,10 @@ def pleth_inverse(f: GradedSeries) -> GradedSeries:
         raise LeadingTermError("series with nonzero constant term has no inverse")
     if n >= 1 and f.components[1] != p1:
         raise LeadingTermError("composition inverse requires degree-1 part p_1 exactly")
+    # with F's coefficients negated, the kernel's degree-d part is g_d itself
+    items = [(lam, -c) for part in f.components[2:] for lam, c in part.terms.items()]
     out = GradedSeries(n)
-    if n < 1:
-        return out
-    out.components[1] = p1
-    items = [
-        (lam, _integer_form(SymFunc.constant(c)))
-        for part in f.components[2:]
-        for lam, c in part.terms.items()
-    ]
-    # products[lam][m] is the degree-m component of P_lam (None for 0)
-    products: Dict[Partition, List[Optional[IntegerForm]]] = {
-        (): [_integer_form(SymFunc.constant(1))] + [None] * n,
-        (1,): [None] * (n + 1),
-    }
-    for lam, _ in items:
-        while lam not in products:
-            products[lam] = [None] * (n + 1)
-            lam = lam[:-1]
-    g = products[(1,)]
-    # scaled[k][j] is p_k[g_j], for every last part k of a prefix
-    scaled = {lam[-1]: [None] * (n + 1) for lam in products if lam}
-    scaled[1] = g
-    growing = [(lam[-1], sum(lam[:-1]), products[lam[:-1]], scaled[lam[-1]], row)
-               for lam, row in products.items() if lam not in ((), (1,))]
-    for d in range(1, n + 1):
-        if d > 1:
-            for k, low, prefix, column, row in growing:
-                pairs = [(prefix[d - k * j], column[j])
-                         for j in range(1, (d - low) // k + 1)
-                         if prefix[d - k * j] and column[j]]
-                if pairs:
-                    row[d] = _integer_form(_sum_of_products(pairs))
-            out.components[d] = _sum_of_products(
-                ((products[lam][d], c) for lam, c in items if products[lam][d]),
-                Fraction(-1),
-            )
-        g[d] = _integer_form(out.components[d])
-        for k, column in scaled.items():
-            if 1 < k and k * d <= n:
-                column[d] = _scaled_form(g[d], k)
+    out.components = _plethysm(items, n, lambda d, s: s if d > 1 else p1)
+    if n >= 1:
+        out.components[1] = p1
     return out

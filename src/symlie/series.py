@@ -6,6 +6,12 @@ minimum of the two bounds, so no result ever claims more precision than its
 inputs.  compose_scalar() substitutes a zero-constant-term series into a
 univariate Taylor series with exact rational coefficients; exp, log(1+x),
 tan, tanh, arctan and arctanh wrappers are provided.
+
+_plethysm is the one kernel that builds f[g] = sum_lam c_lam prod_i p_{lam_i}[g]
+from one integer-form table of prefix products.  plethysm.pleth and
+plethysm.pleth_inverse call it, and so does compose_scalar: sum_m c_m g^m is
+the plethysm (sum_m c_m p_1^m)[g].  It lives here rather than in plethysm
+because plethysm imports this module.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from numbers import Rational
-from typing import Callable, List
+from typing import Callable, Iterable, List, Optional, Tuple
 
-from .symfunc import SymFunc, _integer_form, _sum_of_products, omega
+from .partitions import Partition
+from .symfunc import IntegerForm, SymFunc, _integer_form, _sum_of_products, omega
 
 
 class NonUnitConstantError(ValueError):
@@ -197,11 +204,75 @@ def omega_series(f: GradedSeries) -> GradedSeries:
     return f.map_components(omega)
 
 
+def _scaled_form(form: Optional[IntegerForm], k: int) -> Optional[IntegerForm]:
+    """p_k[x] for x in integer form: every part multiplied by k."""
+    if form is None:
+        return None
+    terms, den = form
+    return [(tuple(j * k for j in lam), c) for lam, c in terms], den
+
+
+def _plethysm(
+    items: Iterable[Tuple[Partition, Rational]],
+    n: int,
+    g_at: Callable[[int, Optional[SymFunc]], SymFunc],
+) -> List[SymFunc]:
+    """Components 0..n of f[g] = sum_lam c_lam P_lam, P_lam = prod_i p_{lam_i}[g],
+    for f's terms (lam, c_lam) in items and g with zero constant term.
+
+    The products P_lam of every prefix lam of f's terms are kept in integer
+    form and grown by one degree per step: P_lam[d] = sum_j P_lam'[d - k*j] *
+    p_k[g_j], with k the last part of lam and lam' = lam[:-1].  Each P_lam
+    has valuation >= |lam|, so a term above n is skipped.  At step d only
+    P_(1) = g reads g_d, so g_d is asked for then: g_at(d, s) returns it,
+    where s is the degree-d result when f has no p_1 term (s then does not
+    read g_d) and None otherwise.  A caller that knows g returns g_d; one
+    that solves for g computes it from s.
+    """
+    terms = [
+        (lam, _integer_form(SymFunc.constant(c))) for lam, c in items if c and sum(lam) <= n
+    ]
+    # products[lam][m] is the degree-m component of P_lam (None for 0); a
+    # one-part P_(k) = p_k[g] is filled in as each g_d is known
+    products = {(): [_integer_form(SymFunc.constant(1))] + [None] * n, (1,): [None] * (n + 1)}
+    for lam, _ in terms:
+        while lam not in products:
+            products[lam] = [None] * (n + 1)
+            products.setdefault(lam[-1:], [None] * (n + 1))
+            lam = lam[:-1]
+    g = products[(1,)]
+    scaled = [(lam[0], row) for lam, row in products.items() if len(lam) == 1 and lam != (1,)]
+    growing = [(lam[-1], sum(lam[:-1]), products[lam[:-1]], products[lam[-1:]], row)
+               for lam, row in products.items() if len(lam) > 1]
+    weighted = [(products[lam], c) for lam, c in terms]
+    reads_g = any(lam == (1,) for lam, _ in terms)
+
+    def total(d: int) -> SymFunc:
+        return _sum_of_products((row[d], c) for row, c in weighted if row[d])
+
+    out: List[SymFunc] = []
+    for d in range(n + 1):
+        for k, low, prefix, column, row in growing:
+            pairs = [(prefix[d - k * j], column[k * j])
+                     for j in range(1, (d - low) // k + 1)
+                     if prefix[d - k * j] and column[k * j]]
+            if pairs:
+                row[d] = _integer_form(_sum_of_products(pairs))
+        s = None if reads_g else total(d)
+        if d:
+            g[d] = _integer_form(g_at(d, s))
+            for k, row in scaled:
+                if k * d <= n:
+                    row[k * d] = _scaled_form(g[d], k)
+        out.append(total(d) if reads_g else s)
+    return out
+
+
 def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
     """sum_{m>=1} c_m g^m truncated at g's bound; g must have zero constant term.
 
     coeffs is a sequence or callable giving the exact rational c_m (m >= 1);
-    a float raises TypeError.
+    a float raises TypeError.  The sum is the plethysm (sum_m c_m p_1^m)[g].
     """
     if g.components[0]:
         raise NonUnitConstantError("composition requires zero constant term")
@@ -209,23 +280,10 @@ def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
     cs = [coeffs(m) for m in range(1, n + 1)] if callable(coeffs) else list(coeffs)[:n]
     if not all(isinstance(c, Rational) for c in cs):
         raise TypeError("Taylor coefficients must be exact rationals")
-    cs += [0] * (n - len(cs))
-    gs = [_integer_form(part) for part in g.components]
-    power = [_integer_form(SymFunc.constant(1))] + [None] * n
-    # per degree d, the pairs ((g^m)_d, c_m) summed into the result
-    terms: List[list] = [[] for _ in range(n + 1)]
-    for m in range(1, n + 1):
-        # g has valuation >= 1, so g^m starts in degree m
-        power = [None] * m + [_integer_form(_convolution(power, gs, d)) for d in range(m, n + 1)]
-        if not any(power):
-            break
-        scalar = _integer_form(SymFunc.constant(cs[m - 1]))
-        if scalar:
-            for d in range(m, n + 1):
-                if power[d]:
-                    terms[d].append((power[d], scalar))
     out = GradedSeries(n)
-    out.components = [_sum_of_products(pairs) for pairs in terms]
+    out.components = _plethysm(
+        [((1,) * m, c) for m, c in enumerate(cs, 1)], n, lambda d, _: g.components[d]
+    )
     return out
 
 

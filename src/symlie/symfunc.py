@@ -11,7 +11,8 @@ Coefficients are stored as Fractions but multiplied as integers: a product
 writes each factor as integer numerators over one common denominator (the
 lcm of its term denominators), sums the integer products, and builds each
 output Fraction once.  _sum_of_products is that one kernel; SymFunc.__mul__,
-GradedSeries.__mul__ and series_inverse all go through it.
+GradedSeries.__mul__, series_inverse and the plethysm kernel series._plethysm
+all go through it.
 
 expand_in_basis reaches the h and e bases by back-substitution: h_lam has
 only terms p_rho with rho at or after lam in partitions_of order, so one

@@ -14,7 +14,6 @@ from symlie.oracle import (
     lie_bracket_basis,
 )
 from symlie.partitions import partitions_of, z_of
-from symlie.plethysm import pleth
 
 
 def pentagonal_count(n: int) -> int:
@@ -325,7 +324,7 @@ def lie_character_reference(n: int) -> SymFunc:
     return SymFunc(terms)
 
 
-# --- references for the triangular solvers in symlie.symfunc and symlie.plethysm --
+# --- references for the solvers and the plethysm kernel -------------------------
 
 
 def solve_in_h_reference(f: SymFunc, d: int) -> dict:
@@ -358,8 +357,53 @@ def solve_in_h_reference(f: SymFunc, d: int) -> dict:
     return {lam: rhs[idx] for idx, (lam, _) in enumerate(elements) if rhs[idx]}
 
 
+def scale_series_reference(g: GradedSeries, k: int) -> GradedSeries:
+    """p_j -> p_{jk} applied to every term: degree-d input lands in degree d*k."""
+    n = g.max_degree
+    out = GradedSeries(n)
+    for d in range(1, n // k + 1):
+        part = g.components[d]
+        if part:
+            out.components[d * k] = SymFunc(
+                {tuple(j * k for j in lam): c for lam, c in part.terms.items()}
+            )
+    return out
+
+
+def _power_reference(lam, g, powers, scaled) -> GradedSeries:
+    """prod_i p_{lam_i}[g] as a product of whole series, memoized in powers
+    by partition and in scaled by k."""
+    cached = powers.get(lam)
+    if cached is None:
+        k = lam[-1]
+        if k not in scaled:
+            scaled[k] = scale_series_reference(g, k)
+        cached = _power_reference(lam[:-1], g, powers, scaled) * scaled[k]
+        powers[lam] = cached
+    return cached
+
+
+def pleth_reference(f, g: GradedSeries) -> GradedSeries:
+    """f[g] truncated at the minimum bound, one product of whole series per
+    term of f, added term by term: the reference for symlie.plethysm.pleth
+    and for every path through its kernel (g must have zero constant term)."""
+    if isinstance(f, GradedSeries):
+        n = min(f.max_degree, g.max_degree)
+        items = [(lam, c) for part in f.components[: n + 1] for lam, c in part.terms.items()]
+    else:
+        n = g.max_degree
+        items = list(f.terms.items())
+    powers = {(): GradedSeries.constant(1, n)}
+    scaled = {}
+    out = GradedSeries(n)
+    for lam, coeff in items:
+        if sum(lam) <= n:
+            out = out + _power_reference(lam, g, powers, scaled) * coeff
+    return out
+
+
 def pleth_inverse_reference(f: GradedSeries) -> GradedSeries:
-    """The composition inverse degree by degree, one full pleth per degree:
+    """The composition inverse degree by degree, one full pleth_reference per degree:
     with g known below degree d, g_d is minus the degree-d part of
     f[g truncated at d].  The reference for symlie.plethysm.pleth_inverse
     (f must have zero constant term and degree-1 part p_1)."""
@@ -368,6 +412,6 @@ def pleth_inverse_reference(f: GradedSeries) -> GradedSeries:
     if n >= 1:
         out.components[1] = SymFunc({(1,): 1})
     for d in range(2, n + 1):
-        remainder = pleth(f.truncate(d), out.truncate(d))
+        remainder = pleth_reference(f.truncate(d), out.truncate(d))
         out.components[d] = -remainder.components[d]
     return out

@@ -337,7 +337,7 @@ def test_cli_pleth_bare_name_keeps_constant_term_error(capsys):
         assert main(["pleth", outer, "1+p[1]", "--max-degree", "4"]) == 1
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == (
-        "error: error at offset 0: "
+        "error: error at offset 1: "
         "plethysm into a series with nonzero constant term is undefined\n"
     )
 

@@ -1,19 +1,20 @@
 """Property tests with fixed example budgets: the CLI exit-code contract under
-random token strings, omega as an involution, and plethysm associativity
-through the power-sum series P_k."""
+random token strings, omega as an involution, plethysm associativity through
+the power-sum series P_k, and pleth against its product-of-series reference."""
 
 import contextlib
 import io
+from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symlie.cli import main
 from symlie.plethysm import pleth
 from symlie.series import GradedSeries, omega_series
-from symlie.symfunc import p
+from symlie.symfunc import SymFunc, p
 
-from helpers import series
+from helpers import pleth_reference, series, symfuncs
 
 # Complete operands of the expression language, with some near misses: an
 # invalid index, a non-partition and an unknown name.
@@ -73,3 +74,15 @@ def test_omega_is_an_involution(f):
 def test_pleth_associates_through_power_sums(f, g, k):
     p_k = GradedSeries(g.max_degree, {k: p(k)})
     assert pleth(pleth(f, g), p_k) == pleth(f, pleth(g, p_k))
+
+
+# f is a SymFunc or a series, with its own bound; the examples pin a constant
+# term, a p_1 term and a term above g's bound on both kinds.
+@settings(max_examples=60, deadline=None)
+@given(f=st.one_of(symfuncs(), series(6)), g=series(6, constant=0))
+@example(f=SymFunc({(): 2, (1,): Fraction(1, 3), (2, 1): -1, (5,): 1}),
+         g=GradedSeries(3, {1: p(1), 2: p(2) - p(1) * p(1)}))
+@example(f=GradedSeries(6, {0: SymFunc.constant(-1), 1: p(1), 4: p(2) * p(2)}),
+         g=GradedSeries(3, {1: p(1) * Fraction(1, 2), 3: p(3)}))
+def test_pleth_matches_the_product_of_series_reference(f, g):
+    assert pleth(f, g) == pleth_reference(f, g)

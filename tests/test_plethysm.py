@@ -39,8 +39,6 @@ def test_pleth_power_sums():
     assert all(not out.components[d] for d in range(9) if d != 6)
     # p_n[p_m] = p_{nm} = p_m[p_n]
     assert pleth(p(3), as_series(p(2), 8)).components[6] == SymFunc({(6,): 1})
-    # p_2[p_1 + p_2] = p_2 + p_4
-    assert pleth(p(2), as_series(p(1) + p(2), 8)) == as_series(p(2) + p(4), 8)
 
 
 def test_pleth_identity_alphabet():
@@ -61,6 +59,15 @@ def test_pleth_rejects_nonzero_constant_term():
     bad = GradedSeries.constant(1, 5) + p1_series(5)
     with pytest.raises(ConstantTermError):
         pleth(h(2), bad)
+
+
+def test_scale_series():
+    # p_2[g] scales each p_lam in g to p_{2 lam}: p_2[p_1 + p_2] = p_2 + p_4
+    g = as_series(p(1) + p(2), 8)
+    doubled = pleth(p(2), g)
+    assert doubled.components[2] == p(2)
+    assert doubled.components[4] == p(4)
+    assert doubled == as_series(p(2) + p(4), 8)
 
 
 def test_pleth_h2_e2_schur_expansion():

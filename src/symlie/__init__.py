@@ -2,7 +2,7 @@
 with plethysm, plethystic inversion, the Lie characteristics, and a registry
 of machine-checked identities.
 
-The package keeps 22 memo tables (functools.lru_cache with no size limit:
+The package keeps 21 memo tables (functools.lru_cache with no size limit:
 named_series, schur, h, e, lie, staircase_skew, the oracles' orbit
 products, ...).  They are unbounded for library callers, since every
 distinct argument stays cached for the life of the process; call
@@ -43,7 +43,6 @@ from .symfunc import (
     e,
     expand_in_basis,
     h,
-    inner,
     omega,
     p,
     render,

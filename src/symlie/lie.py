@@ -5,6 +5,10 @@ Lie_n is built from the Moebius sum (1/n) sum_{d|n} mu(d) p_d^{n/d}; the
 oracle module cross-checks it against an honest free-Lie-algebra trace
 computation.  Euler numbers are never hard-coded: the Foulkes-style
 staircase expansion pulls them from the alternating-permutation enumerator.
+H, E, HE and Hk come from one closed form, the plethystic exponential
+symfunc.exponential_part: HE = exp(sum_{k odd} 2 p_k/k) and Hk = (HE - 1)/2.
+The sums of hook Schur functions (hk) and the product H*E are the
+references that the hook_he check compares them with.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .oracle import alternating_count
 from .partitions import Partition, mobius, partitions_of, staircase, z_of
 from .plethysm import pleth
 from .series import GradedSeries, exp_series, parity_split
-from .symfunc import SymFunc, _h_product, e, h, p, schur
+from .symfunc import EXPONENTIAL_WEIGHTS, SymFunc, _h_product, e, exponential_part, h, p, schur
 
 
 @lru_cache(maxsize=None)
@@ -53,7 +57,9 @@ def lie_series(variant: str, max_degree: int) -> GradedSeries:
 
 @lru_cache(maxsize=None)
 def hk(n: int) -> SymFunc:
-    """Hook sum Hk_n = sum_{k=0}^{n-1} s_{(n-k, 1^k)}."""
+    """Hook sum Hk_n = sum_{k=0}^{n-1} s_{(n-k, 1^k)}, through the border-strip
+    characters.  The named series Hk comes from the closed form instead; this
+    Schur sum is its reference (the hook_he and alt_carlitz checks)."""
     if n < 1:
         raise ValueError("hk(n) requires n >= 1")
     total = SymFunc.zero()
@@ -63,21 +69,14 @@ def hk(n: int) -> SymFunc:
 
 
 def hook_series(max_degree: int) -> GradedSeries:
-    """sum_{n>=1} Hk_n (no constant term)."""
-    out = GradedSeries(max_degree)
-    for n in range(1, max_degree + 1):
-        out.components[n] = hk(n)
-    return out
+    """sum_{n>=1} Hk_n = (HE - 1)/2 (no constant term)."""
+    return (named_series("HE", max_degree) - 1) / 2
 
 
-@lru_cache(maxsize=None)
 def hk_alt_series(parity: str, max_degree: int) -> GradedSeries:
     """Alternating hook sums at t = 1:
     even: sum_{n even >= 0} (-1)^{n/2} Hk_n  (with Hk_0 = 1),
-    odd:  sum_{n odd  >= 1} (-1)^{(n-1)/2} Hk_n.
-
-    Memoized per (parity, max_degree): the result is shared, so it must not
-    be mutated."""
+    odd:  sum_{n odd  >= 1} (-1)^{(n-1)/2} Hk_n."""
     return parity_split(named_series("Hk", max_degree) + 1, parity, alternating=True)
 
 
@@ -133,17 +132,16 @@ def staircase_skew(n: int, method: str = "foulkes") -> SymFunc:
 
 
 def h_series(max_degree: int) -> GradedSeries:
-    out = GradedSeries(max_degree)
-    for d in range(max_degree + 1):
-        out.components[d] = h(d)
-    return out
+    return GradedSeries(max_degree, [h(d) for d in range(max_degree + 1)])
 
 
 def e_series(max_degree: int) -> GradedSeries:
-    out = GradedSeries(max_degree)
-    for d in range(max_degree + 1):
-        out.components[d] = e(d)
-    return out
+    return GradedSeries(max_degree, [e(d) for d in range(max_degree + 1)])
+
+
+def _he_series(max_degree: int) -> GradedSeries:
+    weight = EXPONENTIAL_WEIGHTS["HE"]
+    return GradedSeries(max_degree, [exponential_part(d, weight) for d in range(max_degree + 1)])
 
 
 def jordan_series(max_degree: int) -> GradedSeries:
@@ -164,7 +162,7 @@ def _registry() -> Dict[str, NamedSeries]:
     entries: Dict[str, Callable[[int], GradedSeries]] = {
         "H": h_series,
         "E": e_series,
-        "HE": lambda n: named_series("H", n) * named_series("E", n),
+        "HE": _he_series,
         "Lie": lambda n: lie_series("all", n),
         "Lie_odd": lambda n: lie_series("odd", n),
         "Lie_even": lambda n: lie_series("even", n),
@@ -197,26 +195,18 @@ def named_series(name: str, max_degree: int) -> GradedSeries:
     return entry.builder(max_degree)
 
 
-# H, E and HE are plethystic exponentials exp(sum_k c_k p_k): H = exp(sum p_k/k),
-# E = exp(sum (-1)^{k-1} p_k/k), and their product keeps only odd k, doubled.
-_LOG_COEFFS: Dict[str, Callable[[int], Fraction]] = {
-    "H": lambda k: Fraction(1, k),
-    "E": lambda k: Fraction((-1) ** (k - 1), k),
-    "HE": lambda k: Fraction(2, k) if k % 2 else Fraction(0),
-}
-
-
 def compose_named(name: str, g: GradedSeries) -> GradedSeries:
     """The registered series `name` plethysm g, truncated at g's bound.
 
-    For H, E and HE this is exp(sum_k c_k p_k[g]): n scaled copies of g and
-    one exponential, instead of a product of scaled copies per partition.
+    For H, E and HE this is exp(sum_k w(k) p_k[g]/k), with the weights w of
+    symfunc.EXPONENTIAL_WEIGHTS: n scaled copies of g and one exponential,
+    instead of a product of scaled copies per partition.
     Every other name takes the generic pleth, which stays the reference.
     g must have zero constant term (ConstantTermError otherwise).
     """
     n = g.max_degree
-    coeff = _LOG_COEFFS.get(name)
-    if coeff is None:
+    weight = EXPONENTIAL_WEIGHTS.get(name)
+    if weight is None:
         return pleth(named_series(name, n), g)
-    log = GradedSeries(n, {k: p(k) * coeff(k) for k in range(1, n + 1)})
+    log = GradedSeries(n, {k: p(k) * Fraction(weight(k), k) for k in range(1, n + 1)})
     return exp_series(pleth(log, g))

@@ -72,12 +72,6 @@ class GradedSeries:
     def constant_term(self) -> Fraction:
         return self.components[0].coefficient(())
 
-    def truncate(self, max_degree: int) -> "GradedSeries":
-        n = min(max_degree, self.max_degree)
-        out = GradedSeries(n)
-        out.components = list(self.components[: n + 1])
-        return out
-
     def map_components(self, fn: Callable[[SymFunc], SymFunc]) -> "GradedSeries":
         out = GradedSeries(self.max_degree)
         out.components = [fn(part) for part in self.components]

@@ -2,10 +2,11 @@
 
 Everything is stored in the power-sum basis: a SymFunc is a sparse map
 partition -> Fraction meaning sum_lam c_lam * p_lam.  The constructors
-h(), e() and schur() expand into this basis, so the involution omega, the
-Hall inner product and plethysm all act monomial-by-monomial.  Coefficients
-are exact rationals throughout (only numbers.Rational values are accepted;
-any rounding would be a correctness bug).
+h(), e() and schur() expand into this basis, so the involution omega and
+plethysm act monomial-by-monomial.  h_n, e_n and the degree-n part of HE
+come from one closed form, exponential_part.  Coefficients are exact
+rationals throughout (only numbers.Rational values are accepted; any
+rounding would be a correctness bug).
 
 Coefficients are stored as Fractions but multiplied as integers: a product
 writes each factor as integer numerators over one common denominator (the
@@ -26,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 from numbers import Rational
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .partitions import Partition, format_partition, partitions_of, z_of
 
@@ -199,25 +200,36 @@ def p(k: int) -> SymFunc:
     return SymFunc({(k,): 1})
 
 
+# Weights w(k) of the plethystic exponentials exp(sum_k w(k) p_k / k):
+# H = sum h_n, E = sum e_n, and HE = H*E, whose even-k logs cancel.
+EXPONENTIAL_WEIGHTS: Dict[str, Callable[[int], int]] = {
+    "H": lambda k: 1,
+    "E": lambda k: (-1) ** (k - 1),
+    "HE": lambda k: 2 * (k % 2),
+}
+
+
+def exponential_part(n: int, weight: Callable[[int], int]) -> SymFunc:
+    """Degree-n part of exp(sum_k w(k) p_k/k): sum_{lam |- n} prod_i w(lam_i) p_lam/z_lam."""
+    return SymFunc(
+        {lam: Fraction(prod(map(weight, lam)), z_of(lam)) for lam in partitions_of(n)}
+    )
+
+
 @lru_cache(maxsize=None)
 def h(n: int) -> SymFunc:
-    """Complete homogeneous h_n = sum_{lam |- n} p_lam / z_lam; h(0) = 1."""
+    """Complete homogeneous h_n, the degree-n part of H; h(0) = 1."""
     if n < 0:
         raise ValueError("h_n requires n >= 0")
-    return SymFunc({lam: Fraction(1, z_of(lam)) for lam in partitions_of(n)})
+    return exponential_part(n, EXPONENTIAL_WEIGHTS["H"])
 
 
 @lru_cache(maxsize=None)
 def e(n: int) -> SymFunc:
-    """Elementary e_n: like h_n but with the sign (-1)^{n - length}; e(0) = 1."""
+    """Elementary e_n, the degree-n part of E; e(0) = 1."""
     if n < 0:
         raise ValueError("e_n requires n >= 0")
-    return SymFunc(
-        {
-            lam: Fraction((-1) ** (n - len(lam)), z_of(lam))
-            for lam in partitions_of(n)
-        }
-    )
+    return exponential_part(n, EXPONENTIAL_WEIGHTS["E"])
 
 
 def omega(f: SymFunc) -> SymFunc:
@@ -272,18 +284,6 @@ def schur(lam) -> SymFunc:
         if chi:
             terms[mu] = Fraction(chi, z_of(mu))
     return SymFunc(terms)
-
-
-def inner(f: SymFunc, g: SymFunc) -> Fraction:
-    """Hall inner product: <p_lam, p_mu> = z_lam delta_{lam,mu}."""
-    if len(f.terms) > len(g.terms):
-        f, g = g, f
-    total = Fraction(0)
-    for lam, a in f.terms.items():
-        b = g.terms.get(lam)
-        if b is not None:
-            total += a * b * z_of(lam)
-    return total
 
 
 def schur_expand(f: SymFunc) -> Dict[Partition, Fraction]:

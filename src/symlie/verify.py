@@ -173,6 +173,18 @@ def _hook_regular(n: int) -> List[Pair]:
     return [("Hk[Lie_odd]", lhs, rhs)]
 
 
+def _hook_he(n: int) -> List[Pair]:
+    # The registered HE is the closed form; its references are the Schur-sum
+    # hooks, the product H*E and the exponential exp(sum_{k odd} 2 p_k/k).
+    he = named_series("HE", n)
+    schur_sums = GradedSeries(n, {d: hk(d) * 2 for d in range(1, n + 1)}) + 1
+    return [
+        ("HE vs 1 + 2 sum Hk_n (hook Schur sums)", he, schur_sums),
+        ("HE vs H*E", he, named_series("H", n) * named_series("E", n)),
+        ("HE vs HE[p_1] (exponential)", he, compose_named("HE", _p1_series(n))),
+    ]
+
+
 def _he_lie_even(n: int) -> List[Pair]:
     # The even-part identity forced by dividing the product rule
     # (HE)[Lie_odd] * (HE)[Lie_even] = (HE)[Lie] = (1-p_2)(1-p_1)^-2
@@ -417,6 +429,7 @@ CHECKS: List[Check] = [
           "sum_{m odd} (-1)^{(m-1)/2} p_1^m/m", partial(_arctanh_pleth, alternating=True)),
     Check("he_restate", "(HE)[Lie_odd] = (1 + p_1)/(1 - p_1)", _he_restate),
     Check("hook_regular", "Hk[Lie_odd] at degree n = p_1^n", _hook_regular),
+    Check("hook_he", "HE = exp(sum_{k odd} 2p_k/k) = 1 + 2 sum Hk_n = H E", _hook_he),
     Check("he_lie_even",
           "(HE)[Lie_even] = (1 - p_2)(1 - p_1)^-2 = (1 - p_1)^-1 E[Lie]",
           _he_lie_even),

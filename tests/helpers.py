@@ -123,6 +123,23 @@ def prefix_equal(a: GradedSeries, b: GradedSeries, through: int) -> bool:
     return all(a.components[d] == b.components[d] for d in range(through + 1))
 
 
+def head(s: GradedSeries, d: int) -> GradedSeries:
+    """s truncated at degree d <= s.max_degree."""
+    return GradedSeries(d, s.components[: d + 1])
+
+
+def inner(f: SymFunc, g: SymFunc) -> Fraction:
+    """Hall inner product: <p_lam, p_mu> = z_lam delta_{lam,mu}."""
+    if len(f.terms) > len(g.terms):
+        f, g = g, f
+    total = Fraction(0)
+    for lam, a in f.terms.items():
+        b = g.terms.get(lam)
+        if b is not None:
+            total += a * b * z_of(lam)
+    return total
+
+
 # --- references for the integer multiplication kernel in symlie.symfunc ----------
 
 
@@ -412,6 +429,6 @@ def pleth_inverse_reference(f: GradedSeries) -> GradedSeries:
     if n >= 1:
         out.components[1] = SymFunc({(1,): 1})
     for d in range(2, n + 1):
-        remainder = pleth_reference(f.truncate(d), out.truncate(d))
+        remainder = pleth_reference(head(f, d), head(out, d))
         out.components[d] = -remainder.components[d]
     return out

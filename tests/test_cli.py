@@ -377,7 +377,7 @@ def test_cli_verify_all_at_the_highest_cap(capsys):
     code = main(["verify", "--all", "--max-degree", "12", "--json"])
     records = json.loads(capsys.readouterr().out)["results"]
     assert code == 0
-    assert len(records) == 23
+    assert len(records) == 24
     caps = {check.name: check.cap for check in CHECKS}
     for record in records:
         cap = caps[record["check_name"]]
@@ -389,7 +389,7 @@ def test_cli_list_checks(capsys):
     code = main(["list-checks"])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert len(out) == 23
+    assert len(out) == 24
     assert out[0].startswith("thrall_h\t")
 
 

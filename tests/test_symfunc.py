@@ -12,7 +12,6 @@ from symlie.symfunc import (
     e,
     expand_in_basis,
     h,
-    inner,
     omega,
     p,
     render,
@@ -20,7 +19,7 @@ from symlie.symfunc import (
     schur_expand,
 )
 
-from helpers import pentagonal_count, random_symfunc
+from helpers import inner, pentagonal_count, random_symfunc
 
 half = Fraction(1, 2)
 

@@ -1,6 +1,6 @@
 """The benchmark's tracer binds names inside symlie (benchmarks/tracing.py).
 A refactor that renames or inlines one of them would make `--trace 1` count
-nothing without failing, so this runs the tracer on one check, one
+nothing without failing, so this runs the tracer on two checks, one
 `symlie inverse` command and two plethysms through `symlie expand`.  It runs
 in a subprocess, since installing the tracer patches symlie's modules for
 good."""
@@ -25,6 +25,13 @@ assert report.passed, report
 metrics = tracer.metrics()
 assert metrics["lie.series_builds"] >= 1, metrics["lie.series_builds"]
 assert metrics["verify.check"].get("hook_alt_odd", 0) > 0, metrics["verify.check"]
+
+# hk_alt_series builds on every call, so each build counts once
+assert verify.run_check("alt_parity_props", 5).passed
+metrics = tracer.metrics()
+keys = metrics["lie.series_build_keys"]
+assert metrics["lie.series_builds"] == len(keys), (metrics["lie.series_builds"], keys)
+assert repr(("hook_series", 5)) in keys, keys
 
 from symlie import cli
 

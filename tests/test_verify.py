@@ -12,7 +12,7 @@ def test_registry_contents():
     expected = {
         "thrall_h", "thrall_e", "main_inverse", "main_inverse_alt",
         "arctanh_pleth", "arctan_pleth_alt", "he_restate", "hook_regular",
-        "he_lie_even", "hook_alt_even", "hook_alt_odd", "carlitz", "foulkes",
+        "hook_he", "he_lie_even", "hook_alt_even", "hook_alt_odd", "carlitz", "foulkes",
         "alt_carlitz", "tanh_form", "tan_form", "arctan_sum", "arctanh_sum",
         "jordan", "parity_props", "alt_parity_props", "lie_oracle",
         "pleth_oracle",

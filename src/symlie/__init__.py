@@ -2,11 +2,12 @@
 with plethysm, plethystic inversion, the Lie characteristics, and a registry
 of machine-checked identities.
 
-The package keeps 21 memo tables (functools.lru_cache with no size limit:
+The package keeps 23 memo tables (functools.lru_cache with no size limit:
 named_series, schur, h, e, lie, staircase_skew, the oracles' orbit
-products, ...).  They are unbounded for library callers, since every
-distinct argument stays cached for the life of the process; call
-cache_clear() on the functions a long sweep drives.  Through the CLI they
+products, the integer-form partition keys and their decodings, ...).
+They are unbounded for library callers, since every distinct argument
+stays cached for the life of the process; call cache_clear() on the
+functions a long sweep drives.  Through the CLI they
 are bounded, because it runs one command per process and refuses a
 --max-degree above symlie.cli.MAX_DEGREE = 40.
 """

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 from .lie import SERIES_REGISTRY, compose_named, named_series
-from .partitions import check_partition
+from .partitions import check_partition, format_partition
 from .plethysm import ConstantTermError, LeadingTermError, pleth, pleth_inverse
 from .series import (
     GradedSeries,
@@ -496,6 +496,8 @@ def _cmd_verify(args) -> int:
                 if report.mismatch:
                     print(f"  lhs: {report.mismatch[0]}")
                     print(f"  rhs: {report.mismatch[1]}")
+                    print(f"  first difference at p{format_partition(report.mismatch_partition)}: "
+                          f"lhs - rhs = {report.mismatch_delta}")
     return 0 if all(report.passed for report in reports) else 1
 
 

@@ -23,7 +23,17 @@ from numbers import Rational
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .partitions import Partition
-from .symfunc import IntegerForm, SymFunc, _integer_form, _sum_of_products, omega
+from .symfunc import (
+    IntegerForm,
+    SymFunc,
+    _form_of_products,
+    _from_form,
+    _integer_form,
+    _key,
+    _partition,
+    _sum_of_products,
+    omega,
+)
 
 
 class NonUnitConstantError(ValueError):
@@ -126,7 +136,7 @@ class GradedSeries:
         fs = [_integer_form(part) for part in self.components[: n + 1]]
         gs = [_integer_form(part) for part in other.components[: n + 1]]
         out = GradedSeries(n)
-        out.components = [_convolution(fs, gs, d) for d in range(n + 1)]
+        out.components = [_from_form(_convolution(fs, gs, d)) for d in range(n + 1)]
         return out
 
     __rmul__ = __mul__
@@ -145,9 +155,11 @@ class GradedSeries:
         return f"GradedSeries(N={self.max_degree}, {{{parts}}})"
 
 
-def _convolution(fs, gs, d: int, start: int = 0, scale: Fraction = Fraction(1)) -> SymFunc:
+def _convolution(
+    fs, gs, d: int, start: int = 0, scale: Fraction = Fraction(1)
+) -> Optional[IntegerForm]:
     """scale * sum_{start <= a <= d} f_a g_{d-a} over integer forms (None for 0)."""
-    return _sum_of_products(
+    return _form_of_products(
         ((fs[a], gs[d - a]) for a in range(start, d + 1) if fs[a] and gs[d - a]), scale
     )
 
@@ -168,8 +180,8 @@ def series_inverse(f: GradedSeries) -> GradedSeries:
     fs = [_integer_form(part) for part in f.components]
     rs = [_integer_form(out.components[0])]
     for d in range(1, n + 1):
-        out.components[d] = _convolution(fs, rs, d, start=1, scale=-inv_c)
-        rs.append(_integer_form(out.components[d]))
+        rs.append(_convolution(fs, rs, d, start=1, scale=-inv_c))
+        out.components[d] = _from_form(rs[d])
     return out
 
 
@@ -199,11 +211,12 @@ def omega_series(f: GradedSeries) -> GradedSeries:
 
 
 def _scaled_form(form: Optional[IntegerForm], k: int) -> Optional[IntegerForm]:
-    """p_k[x] for x in integer form: every part multiplied by k."""
+    """p_k[x] for x in integer form: every part multiplied by k, one decode
+    and encode per term."""
     if form is None:
         return None
     terms, den = form
-    return [(tuple(j * k for j in lam), c) for lam, c in terms], den
+    return [(_key(tuple(j * k for j in _partition(key))), c) for key, c in terms], den
 
 
 def _plethysm(
@@ -251,7 +264,7 @@ def _plethysm(
                      for j in range(1, (d - low) // k + 1)
                      if prefix[d - k * j] and column[k * j]]
             if pairs:
-                row[d] = _integer_form(_sum_of_products(pairs))
+                row[d] = _form_of_products(pairs)
         s = None if reads_g else total(d)
         if d:
             g[d] = _integer_form(g_at(d, s))

@@ -11,9 +11,20 @@ rounding would be a correctness bug).
 Coefficients are stored as Fractions but multiplied as integers: a product
 writes each factor as integer numerators over one common denominator (the
 lcm of its term denominators), sums the integer products, and builds each
-output Fraction once.  _sum_of_products is that one kernel; SymFunc.__mul__,
-GradedSeries.__mul__, series_inverse and the plethysm kernel series._plethysm
-all go through it.
+output Fraction once.  _form_of_products is that one kernel, returning the
+sum in lowest terms; _sum_of_products turns it into a SymFunc.
+SymFunc.__mul__, GradedSeries.__mul__, series_inverse and the plethysm kernel
+series._plethysm all go through it.
+
+Inside an integer form a partition lam is keyed by the integer
+prod_i P(lam_i), P(k) the k-th prime, so the key of p_lam * p_mu is the
+product of the two keys: one int multiplication per pair, where a merged
+and sorted tuple would need a sort.  The empty partition's key is 1.  By
+unique factorization the product keeps every multiplicity exactly and can
+never carry into another part, whatever the multiplicities and however
+large the parts; no width has to be fixed in advance.  _key encodes once
+per input term and _partition decodes once per output term, both memoized;
+SymFunc.terms keeps its tuple keys.
 
 expand_in_basis reaches the h and e bases by back-substitution: h_lam has
 only terms p_rho with rho at or after lam in partitions_of order, so one
@@ -25,7 +36,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from itertools import compress
+from math import factorial, gcd, isqrt, lcm, prod
 from numbers import Rational
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -38,8 +50,45 @@ class HomogeneityError(ValueError):
     """Raised when an operation requiring homogeneous input gets a mixed one."""
 
 
-# (terms as (partition, integer numerator) pairs, common denominator)
-IntegerForm = Tuple[List[Tuple[Partition, int]], int]
+# (terms as (partition key, integer numerator) pairs, common denominator)
+IntegerForm = Tuple[List[Tuple[int, int]], int]
+
+# Every prime up to the largest one issued so far, in order: P(k) = _PRIMES[k-1].
+_PRIMES: List[int] = []
+
+
+def _prime(k: int) -> int:
+    """The k-th prime, sieving twice as far as before until there are k."""
+    if k < 1:
+        raise ValueError(f"partition part {k} is not positive")
+    bound = _PRIMES[-1] if _PRIMES else 16
+    while len(_PRIMES) < k:
+        bound *= 2
+        sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 1)
+        for i in range(2, isqrt(bound) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytes(len(range(i * i, bound + 1, i)))
+        _PRIMES[:] = compress(range(bound + 1), sieve)
+    return _PRIMES[k - 1]
+
+
+@lru_cache(maxsize=None)
+def _key(lam: Partition) -> int:
+    """The integer-form key of lam: prod_i P(lam_i), 1 for the empty partition."""
+    return prod(_prime(k) for k in lam)
+
+
+@lru_cache(maxsize=None)
+def _partition(key: int) -> Partition:
+    """The partition keyed by key, by trial division over the issued primes."""
+    parts: List[int] = []
+    for k, q in enumerate(_PRIMES, 1):
+        if key == 1:
+            break
+        while not key % q:
+            key //= q
+            parts.append(k)
+    return tuple(reversed(parts))
 
 
 def _integer_form(f: "SymFunc") -> Optional[IntegerForm]:
@@ -47,23 +96,23 @@ def _integer_form(f: "SymFunc") -> Optional[IntegerForm]:
     if not f.terms:
         return None
     den = lcm(*(c.denominator for c in f.terms.values()))
-    return [(lam, c.numerator * (den // c.denominator)) for lam, c in f.terms.items()], den
+    return [(_key(lam), c.numerator * (den // c.denominator)) for lam, c in f.terms.items()], den
 
 
-def _sum_of_products(
+def _form_of_products(
     pairs: Iterable[Tuple[IntegerForm, IntegerForm]], scale: Fraction = Fraction(1)
-) -> "SymFunc":
+) -> Optional[IntegerForm]:
     """scale * sum of x*y over the pairs, accumulated on integers over the
-    lcm of the pair denominators; each output Fraction is built once."""
+    lcm of the pair denominators and returned in lowest terms; None for 0."""
     pairs = list(pairs)
     den = lcm(*(xd * yd for (_, xd), (_, yd) in pairs))
-    acc: Dict[Partition, int] = {}
+    acc: Dict[int, int] = {}
     for (xs, xd), (ys, yd) in pairs:
         k = den // (xd * yd)
-        if len(xs) == 1 and not xs[0][0]:
+        if len(xs) == 1 and xs[0][0] == 1:
             xs, ys = ys, xs
-        if len(ys) == 1 and not ys[0][0]:
-            # a constant factor, put second, leaves the partitions as they are
+        if len(ys) == 1 and ys[0][0] == 1:
+            # a constant factor, put second, leaves the keys as they are
             yk = ys[0][1] * k
             for lam, x in xs:
                 acc[lam] = acc.get(lam, 0) + x * yk
@@ -71,14 +120,35 @@ def _sum_of_products(
         for lam, x in xs:
             xk = x * k
             for mu, y in ys:
-                # p_lam * p_mu = p_(lam merged with mu)
-                key = tuple(sorted(lam + mu, reverse=True))
+                # p_lam * p_mu = p_(lam merged with mu), keyed by the product
+                key = lam * mu
                 acc[key] = acc.get(key, 0) + xk * y
     num = scale.numerator
+    terms = [(key, w) for key, v in acc.items() if (w := v * num)]
+    if not terms:
+        return None
     den *= scale.denominator
+    g = den
+    for _, v in terms:
+        g = gcd(g, v)
+        if g == 1:
+            return terms, den
+    return [(key, v // g) for key, v in terms], den // g
+
+
+def _from_form(form: Optional[IntegerForm]) -> "SymFunc":
+    """The SymFunc of an integer form, one Fraction per term."""
+    terms, den = form or ([], 1)
     result = SymFunc.__new__(SymFunc)
-    result.terms = {key: Fraction(v * num, den) for key, v in acc.items() if v}
+    result.terms = {_partition(key): Fraction(v, den) for key, v in terms}
     return result
+
+
+def _sum_of_products(
+    pairs: Iterable[Tuple[IntegerForm, IntegerForm]], scale: Fraction = Fraction(1)
+) -> "SymFunc":
+    """scale * sum of x*y over the pairs, as a SymFunc."""
+    return _from_form(_form_of_products(pairs, scale))
 
 
 class SymFunc:
@@ -320,11 +390,16 @@ def dimension(f: SymFunc) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _h_product(lam: Partition) -> SymFunc:
-    """h_lam = prod_i h_{lam_i}, built from its memoized prefix lam[:-1]."""
+def _h_form(lam: Partition) -> IntegerForm:
+    """h_lam = prod_i h_{lam_i} in integer form, built from its memoized prefix lam[:-1]."""
     if len(lam) <= 1:
-        return h(sum(lam))
-    return _h_product(lam[:-1]) * h(lam[-1])
+        return _integer_form(h(sum(lam)))
+    return _form_of_products([(_h_form(lam[:-1]), _h_form(lam[-1:]))])
+
+
+def _h_product(lam: Partition) -> SymFunc:
+    """h_lam = prod_i h_{lam_i}."""
+    return _from_form(_h_form(lam))
 
 
 def _solve_in_h(f: SymFunc, d: int) -> Dict[Partition, Fraction]:
@@ -335,21 +410,35 @@ def _solve_in_h(f: SymFunc, d: int) -> Dict[Partition, Fraction]:
     coefficient of p_lam itself is prod_i 1/lam_i.  Walking partitions_of(d)
     in order, the coefficient a_lam is therefore prod_i lam_i times the
     coefficient of p_lam left in the residual, from which a_lam * h_lam is
-    then subtracted.
+    then subtracted.  The residual is kept as integer numerators over one
+    denominator, which grows only when a_lam * h_lam needs it to.
     """
-    residual = dict(f.terms)
+    form = _integer_form(f)
+    if form is None:
+        return {}
+    terms, den = form
+    residual = dict(terms)
     coords: Dict[Partition, Fraction] = {}
     for lam in partitions_of(d):
         if not residual:
             break
-        c = residual.pop(lam, None)
+        key = _key(lam)
+        c = residual.pop(key, None)
         if c is None:
             continue
-        a = c * prod(lam)
-        coords[lam] = a
-        for rho, b in _h_product(lam).terms.items():
-            if rho != lam:
-                new = residual.get(rho, 0) - a * b
+        # a_lam = t/den, and a_lam * h_lam = t * y / (den * hd) term by term
+        t = c * prod(lam)
+        coords[lam] = Fraction(t, den)
+        hs, hd = _h_form(lam)
+        g = gcd(t, hd)
+        m = hd // g
+        if m > 1:
+            residual = {rho: r * m for rho, r in residual.items()}
+            den *= m
+        t //= g
+        for rho, y in hs:
+            if rho != key:
+                new = residual.get(rho, 0) - t * y
                 if new:
                     residual[rho] = new
                 else:

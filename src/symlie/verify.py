@@ -2,7 +2,8 @@
 
 Every check builds one or more (label, lhs, rhs) pairs of graded series and
 compares them degree by degree, exactly.  A report records the first degree
-at which any pair disagrees, with both offending components rendered.
+at which any pair disagrees, with both offending components rendered, the
+first partition where they differ and the exact difference lhs - rhs there.
 Oracle-backed checks declare a lower degree cap because enumeration is
 factorial-cost; run_check clamps the requested degree to the cap.
 """
@@ -23,7 +24,7 @@ from .oracle import (
     monomial_pleth_collected,
     specialize_collected,
 )
-from .partitions import multiplicities, partitions_of
+from .partitions import Partition, multiplicities, partitions_of
 from .plethysm import pleth
 from .series import (
     GradedSeries,
@@ -49,6 +50,10 @@ class CheckReport:
     passed: bool
     first_failure_degree: Optional[int] = None
     mismatch: Optional[Tuple[str, str]] = None
+    # The first partition (in render order) where the failing components
+    # differ, and the exact coefficient of lhs - rhs there.
+    mismatch_partition: Optional[Partition] = None
+    mismatch_delta: Optional[Fraction] = None
     # The degree asked for, before the cap; max_degree is the one compared.
     requested_degree: Optional[int] = None
     # Wall time of building and comparing the pairs; not part of the result.
@@ -72,7 +77,13 @@ class CheckReport:
         if self.first_failure_degree is not None:
             record["first_failure_degree"] = self.first_failure_degree
         if self.mismatch is not None:
-            record["mismatch"] = {"lhs": self.mismatch[0], "rhs": self.mismatch[1]}
+            record["mismatch"] = {
+                "lhs": self.mismatch[0],
+                "rhs": self.mismatch[1],
+                "partition": list(self.mismatch_partition),
+                "delta": {"num": self.mismatch_delta.numerator,
+                          "den": self.mismatch_delta.denominator},
+            }
         return record
 
 
@@ -523,6 +534,7 @@ def run_check(
         )
     first_failure = None
     mismatch = None
+    partition = delta = None
     for d in range(n + 1):
         for label, lhs, rhs in pairs:
             if d > min(lhs.max_degree, rhs.max_degree):
@@ -531,6 +543,9 @@ def run_check(
             if left != right:
                 first_failure = d
                 mismatch = (f"{label}: {render(left)}", f"{label}: {render(right)}")
+                diff = (left - right).terms
+                partition = min(diff)
+                delta = diff[partition]
                 break
         if first_failure is not None:
             break
@@ -543,6 +558,8 @@ def run_check(
         passed=first_failure is None,
         first_failure_degree=first_failure,
         mismatch=mismatch,
+        mismatch_partition=partition,
+        mismatch_delta=delta,
         requested_degree=max_degree,
         elapsed_ms=elapsed_ms,
         terms=sum(len(part.terms) for part in parts),

@@ -442,3 +442,19 @@ def test_cli_verify_json_carries_mismatch(capsys, monkeypatch):
     assert record["first_failure_degree"] == 3
     assert record["mismatch"]["lhs"].startswith("H[Lie]: ")
     assert record["mismatch"]["rhs"] == "H[Lie]: p[1,1,1]"
+
+
+def test_cli_verify_text_names_the_first_difference(capsys, monkeypatch):
+    def perturbed(name, max_degree):
+        return run_check(name, max_degree, perturb=(0, 1, 4, (2, 1, 1), Fraction(-2, 3)))
+
+    monkeypatch.setattr(cli, "run_check", perturbed)
+    code = main(["verify", "--check", "thrall_h", "--max-degree", "6"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[1:] == [
+        "  first failure at degree 4",
+        "  lhs: H[Lie]: p[1,1,1,1]",
+        "  rhs: H[Lie]: p[1,1,1,1] - 2/3*p[2,1,1]",
+        "  first difference at p[2,1,1]: lhs - rhs = 2/3",
+    ]

@@ -1,20 +1,35 @@
 """Property tests with fixed example budgets: the CLI exit-code contract under
 random token strings, omega as an involution, plethysm associativity through
-the power-sum series P_k, and pleth against its product-of-series reference."""
+the power-sum series P_k, pleth against its product-of-series reference, and
+the prime-product partition keys of the integer multiplication kernel."""
 
 import contextlib
 import io
 from fractions import Fraction
+from functools import reduce
+from math import comb, gcd
+from operator import mul
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symlie.cli import main
+from symlie.partitions import partitions_of
 from symlie.plethysm import pleth
 from symlie.series import GradedSeries, omega_series
-from symlie.symfunc import SymFunc, p
+from symlie.symfunc import (
+    _PRIMES,
+    SymFunc,
+    _form_of_products,
+    _integer_form,
+    _key,
+    _partition,
+    _sum_of_products,
+    p,
+)
 
-from helpers import pleth_reference, series, symfuncs
+from helpers import coefficients, pleth_reference, series, symfunc_mul_reference, symfuncs
 
 # Complete operands of the expression language, with some near misses: an
 # invalid index, a non-partition and an unknown name.
@@ -86,3 +101,80 @@ def test_pleth_associates_through_power_sums(f, g, k):
          g=GradedSeries(3, {1: p(1) * Fraction(1, 2), 3: p(3)}))
 def test_pleth_matches_the_product_of_series_reference(f, g):
     assert pleth(f, g) == pleth_reference(f, g)
+
+
+# --- prime-product partition keys ------------------------------------------------
+
+
+def test_partition_keys_round_trip():
+    assert _key(()) == 1
+    for n in range(15):
+        for lam in partitions_of(n):
+            assert _partition(_key(lam)) == lam
+
+
+def test_products_bring_in_primes_not_yet_issued():
+    fresh = len(_PRIMES) + 1  # the first part whose prime is not issued yet
+    assert p(97) * p(1000) == SymFunc({(1000, 97): 1})
+    f = p(fresh) * Fraction(1, 3) + p(2)
+    g = p(fresh + 1) - p(fresh) * p(1)
+    assert f * g == symfunc_mul_reference(f, g)
+    assert f * g == SymFunc({
+        (fresh + 1, fresh): Fraction(1, 3), (fresh, fresh, 1): Fraction(-1, 3),
+        (fresh + 1, 2): 1, (fresh, 2, 1): -1,
+    })
+
+
+@pytest.mark.parametrize("m", [31, 32, 63, 64])
+def test_high_multiplicities(m):
+    assert reduce(mul, [p(1)] * m) == SymFunc({(1,) * m: 1})
+    # (p_2 + p_1)^m = sum_j C(m, j) p_2^j p_1^(m-j): both multiplicities reach m
+    binomial = reduce(mul, [p(2) + p(1)] * m)
+    assert binomial == SymFunc({(2,) * j + (1,) * (m - j): comb(m, j) for j in range(m + 1)})
+
+
+def test_p1_forty_squared():
+    p1_40 = reduce(mul, [p(1)] * 40)
+    assert p1_40 * p1_40 == SymFunc({(1,) * 80: 1})
+    assert p1_40 * p1_40 == symfunc_mul_reference(p1_40, p1_40)
+
+
+# Sparse elements with parts up to 300, so products issue new primes.
+wide_symfuncs = st.dictionaries(
+    st.lists(st.integers(min_value=1, max_value=300), max_size=4).map(
+        lambda parts: tuple(sorted(parts, reverse=True))
+    ),
+    coefficients,
+    max_size=4,
+).map(SymFunc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=st.one_of(symfuncs(), wide_symfuncs), g=st.one_of(symfuncs(), wide_symfuncs))
+def test_mul_matches_the_term_by_term_reference(f, g):
+    assert f * g == symfunc_mul_reference(f, g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=series(12, constant=0), m=st.integers(min_value=1, max_value=12))
+def test_pleth_of_a_high_power_matches_the_reference(g, m):
+    f = reduce(mul, [p(1)] * m) + p(2) * Fraction(1, 2)
+    assert pleth(f, g) == pleth_reference(f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(symfuncs(), symfuncs()), max_size=3), scale=coefficients)
+def test_forms_of_products_are_in_lowest_terms(pairs, scale):
+    forms = [(_integer_form(x), _integer_form(y)) for x, y in pairs if x and y]
+    expected = sum((x * y for x, y in pairs), SymFunc.zero()) * scale
+    form = _form_of_products(forms, scale)
+    assert _sum_of_products(forms, scale) == expected
+    if not expected:
+        assert form is None
+        return
+    terms, den = form
+    assert den > 0 and all(v for _, v in terms)
+    assert gcd(den, *(v for _, v in terms)) == 1
+    # the same form, term for term, as writing the sum out and encoding it
+    expected_terms, expected_den = _integer_form(expected)
+    assert (dict(terms), den) == (dict(expected_terms), expected_den)

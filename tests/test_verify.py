@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from symlie.verify import CHECKS, build_pairs, check_names, run_all, run_check
+import symlie.verify as verify
+from symlie.series import GradedSeries
+from symlie.symfunc import SymFunc
+from symlie.verify import CHECKS, Check, build_pairs, check_names, run_all, run_check
 
 
 ALL_NAMES = [check.name for check in CHECKS]
@@ -73,8 +76,50 @@ def test_check_report_record_carries_mismatch():
     assert set(record) == RECORD_KEYS | {"first_failure_degree", "mismatch"}
     assert record["passed"] is False
     assert record["first_failure_degree"] == 3
-    assert record["mismatch"] == {"lhs": report.mismatch[0], "rhs": report.mismatch[1]}
+    assert record["mismatch"] == {
+        "lhs": report.mismatch[0],
+        "rhs": report.mismatch[1],
+        "partition": [3],
+        "delta": {"num": 1, "den": 1},
+    }
     assert record["mismatch"]["lhs"] == "H[Lie]: p[1,1,1] + p[3]"
+
+
+@pytest.mark.parametrize(
+    "perturb, partition, delta",
+    [
+        # lhs + delta p_lam reads back as lhs - rhs = delta at lam
+        ((0, 0, 3, (3,), Fraction(1)), (3,), Fraction(1)),
+        # rhs + delta p_lam reads back as -delta
+        ((0, 1, 4, (2, 1, 1), Fraction(-2, 3)), (2, 1, 1), Fraction(2, 3)),
+        # a perturbation that cancels a term of the side: the delta is exact
+        ((0, 0, 4, (1, 1, 1, 1), Fraction(-1)), (1, 1, 1, 1), Fraction(-1)),
+        # the second pair of a multi-pair check, below an untouched term
+        ((1, 0, 5, (2, 2, 1), Fraction(1, 2**40)), (2, 2, 1), Fraction(1, 2**40)),
+    ],
+)
+def test_failing_report_carries_partition_and_delta(perturb, partition, delta):
+    name = "main_inverse" if perturb[0] else "thrall_h"
+    report = run_check(name, 6, perturb=perturb)
+    assert not report.passed
+    assert report.first_failure_degree == perturb[2]
+    assert (report.mismatch_partition, report.mismatch_delta) == (partition, delta)
+    mismatch = report.as_record()["mismatch"]
+    assert mismatch["partition"] == list(partition)
+    assert Fraction(mismatch["delta"]["num"], mismatch["delta"]["den"]) == delta
+    assert run_check(name, 6).mismatch_partition is None
+
+
+def test_first_mismatching_partition_is_the_first_in_render_order(monkeypatch):
+    # lhs and rhs differ at p[2,2] and p[2,1,1]; the report names p[2,1,1],
+    # which renders first, and the difference there, not the one at p[2,2]
+    lhs = GradedSeries(4, {4: SymFunc({(2, 2): 1, (2, 1, 1): Fraction(1, 3), (4,): 1})})
+    rhs = GradedSeries(4, {4: SymFunc({(2, 2): 4, (2, 1, 1): 1, (4,): 1})})
+    check = Check("two_differences", "lhs = rhs", lambda n: [("pair", lhs, rhs)])
+    monkeypatch.setitem(verify._BY_NAME, check.name, check)
+    report = run_check(check.name, 4)
+    assert (report.first_failure_degree, report.mismatch_partition) == (4, (2, 1, 1))
+    assert report.mismatch_delta == Fraction(-2, 3)
 
 
 def test_check_report_counts_terms_and_denominators():

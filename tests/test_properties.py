@@ -125,6 +125,13 @@ def test_products_bring_in_primes_not_yet_issued():
     })
 
 
+@pytest.mark.parametrize("lam", [(0,), (2, -1)])
+def test_a_part_without_a_prime_is_rejected(lam):
+    # P(0) and P(-1) do not exist; a key for them would alias another part
+    with pytest.raises(ValueError, match="not positive"):
+        SymFunc({lam: 1}) * p(1)
+
+
 @pytest.mark.parametrize("m", [31, 32, 63, 64])
 def test_high_multiplicities(m):
     assert reduce(mul, [p(1)] * m) == SymFunc({(1,) * m: 1})

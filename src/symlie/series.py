@@ -29,8 +29,7 @@ from .symfunc import (
     _form_of_products,
     _from_form,
     _integer_form,
-    _key,
-    _partition,
+    _scaled_form,
     _sum_of_products,
     omega,
 )
@@ -208,15 +207,6 @@ def parity_split(f: GradedSeries, parity: str, alternating: bool = False) -> Gra
 
 def omega_series(f: GradedSeries) -> GradedSeries:
     return f.map_components(omega)
-
-
-def _scaled_form(form: Optional[IntegerForm], k: int) -> Optional[IntegerForm]:
-    """p_k[x] for x in integer form: every part multiplied by k, one decode
-    and encode per term."""
-    if form is None:
-        return None
-    terms, den = form
-    return [(_key(tuple(j * k for j in _partition(key))), c) for key, c in terms], den
 
 
 def _plethysm(

@@ -99,6 +99,15 @@ def _integer_form(f: "SymFunc") -> Optional[IntegerForm]:
     return [(_key(lam), c.numerator * (den // c.denominator)) for lam, c in f.terms.items()], den
 
 
+def _scaled_form(form: Optional[IntegerForm], k: int) -> Optional[IntegerForm]:
+    """p_k[x] for x in integer form: every part multiplied by k, one decode
+    and encode per term."""
+    if form is None:
+        return None
+    terms, den = form
+    return [(_key(tuple(j * k for j in _partition(key))), c) for key, c in terms], den
+
+
 def _form_of_products(
     pairs: Iterable[Tuple[IntegerForm, IntegerForm]], scale: Fraction = Fraction(1)
 ) -> Optional[IntegerForm]:

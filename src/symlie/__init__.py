@@ -2,14 +2,17 @@
 with plethysm, plethystic inversion, the Lie characteristics, and a registry
 of machine-checked identities.
 
-The package keeps 23 memo tables (functools.lru_cache with no size limit:
-named_series, schur, h, e, lie, staircase_skew, the oracles' orbit
-products, the integer-form partition keys and their decodings, ...).
-They are unbounded for library callers, since every distinct argument
-stays cached for the life of the process; call cache_clear() on the
-functions a long sweep drives.  Through the CLI they
-are bounded, because it runs one command per process and refuses a
---max-degree above symlie.cli.MAX_DEGREE = 40.
+The package keeps 17 memo tables (functools.lru_cache with no size limit):
+lie.hk, lie.staircase_skew and lie.named_series; oracle._perm_count,
+oracle._placements, oracle._collected_mul_term, oracle._p_product_collected,
+oracle._alphabet_power_collected, oracle._alphabet_product_collected and
+oracle.alternating_count; partitions.partitions_of; symfunc._key,
+symfunc._partition, symfunc.character and symfunc._h_form; and
+verify._geometric_p1 and verify._quotient.  They are unbounded for library
+callers, since every distinct argument stays cached for the life of the
+process; call cache_clear() on the functions a long sweep drives.  Through
+the CLI they are bounded, because it runs one command per process and
+refuses a --max-degree above symlie.cli.MAX_DEGREE = 40.
 """
 
 from .partitions import (
@@ -37,7 +40,6 @@ from .series import (
     tanh_series,
 )
 from .symfunc import (
-    Coefficient,
     HomogeneityError,
     SymFunc,
     dimension,

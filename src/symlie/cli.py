@@ -309,42 +309,6 @@ def parse(source: str) -> Expr:
     return _Parser(source).parse()
 
 
-def render_expr(expr: Expr) -> str:
-    """Text form with parentheses only where the grammar needs them: around
-    a compound outer side of `o`, a binary operator inside `o` or as the
-    right operand of `*` and `/`, `+` or `-` under `*` and `/`, and `+` or
-    `-` as the right operand of `+` and `-`.  Any tree that parse()
-    accepted renders to text that reparses to an equal tree."""
-    if isinstance(expr, Num):
-        return str(expr.value)
-    if isinstance(expr, Gen):
-        if expr.kind == "s":
-            return "s[" + ",".join(str(part) for part in expr.arg) + "]"
-        return f"{expr.kind}[{expr.arg}]"
-    if isinstance(expr, Name):
-        return expr.ident
-    if isinstance(expr, Call):
-        return f"{expr.fn}({render_expr(expr.arg)})"
-    if isinstance(expr, Pleth):
-        outer = _grouped(expr.outer, isinstance(expr.outer, (Pleth, BinOp)))
-        return f"{outer} o {_grouped(expr.inner, isinstance(expr.inner, BinOp))}"
-    if isinstance(expr, BinOp):
-        additive = expr.op in "+-"
-        left = _grouped(expr.left, not additive and _is_additive(expr.left))
-        right_needs = _is_additive(expr.right) if additive else isinstance(expr.right, BinOp)
-        return f"{left} {expr.op} {_grouped(expr.right, right_needs)}"
-    raise TypeError(f"not an Expr: {expr!r}")
-
-
-def _is_additive(expr: Expr) -> bool:
-    return isinstance(expr, BinOp) and expr.op in "+-"
-
-
-def _grouped(expr: Expr, parenthesize: bool) -> str:
-    text = render_expr(expr)
-    return f"({text})" if parenthesize else text
-
-
 def _registered(node: Name) -> str:
     if node.ident not in SERIES_REGISTRY:
         raise EvalError(node.pos, f"unknown series {node.ident!r}")
@@ -573,9 +537,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except EvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

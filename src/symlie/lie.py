@@ -25,7 +25,6 @@ from .series import GradedSeries, exp_series, parity_split
 from .symfunc import EXPONENTIAL_WEIGHTS, SymFunc, _h_product, e, exponential_part, h, p, schur
 
 
-@lru_cache(maxsize=None)
 def lie(n: int) -> SymFunc:
     """Lie_n = (1/n) sum_{d|n} mu(d) p_d^{n/d}, homogeneous of degree n."""
     if n < 1:
@@ -40,19 +39,10 @@ def lie(n: int) -> SymFunc:
     return SymFunc(terms)
 
 
-# variant -> (parity, alternating) for parity_split; "all" keeps every degree
-_LIE_VARIANTS = {"all": None, "odd": ("odd", False), "even": ("even", False),
-                 "odd_alt": ("odd", True)}
-
-
-def lie_series(variant: str, max_degree: int) -> GradedSeries:
-    """odd = sum Lie_{2k+1}; even = sum_{k>=1} Lie_{2k};
-    odd_alt = sum (-1)^k Lie_{2k+1}; all = odd + even."""
-    if variant not in _LIE_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    full = GradedSeries(max_degree, {n: lie(n) for n in range(1, max_degree + 1)})
-    split = _LIE_VARIANTS[variant]
-    return full if split is None else parity_split(full, *split)
+def lie_series(max_degree: int) -> GradedSeries:
+    """Lie = sum_{n>=1} Lie_n; Lie_odd, Lie_even and Lie_odd_alt are its
+    registered parity variants."""
+    return GradedSeries(max_degree, {n: lie(n) for n in range(1, max_degree + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -163,19 +153,15 @@ def _registry() -> Dict[str, NamedSeries]:
         "H": h_series,
         "E": e_series,
         "HE": _he_series,
-        "Lie": lambda n: lie_series("all", n),
-        "Lie_odd": lambda n: lie_series("odd", n),
-        "Lie_even": lambda n: lie_series("even", n),
-        "Lie_odd_alt": lambda n: lie_series("odd_alt", n),
+        "Lie": lie_series,
         "Hk": hook_series,
+        "Jordan": jordan_series,
     }
-    for base in ("H", "E"):
-        for suffix, alternating in (("", False), ("_alt", True)):
-            for parity in ("odd", "even"):
-                entries[f"{base}_{parity}{suffix}"] = partial(
-                    _parity_variant, base, parity, alternating
-                )
-    entries["Jordan"] = jordan_series
+    parities = (("odd", False), ("even", False), ("odd", True), ("even", True))
+    for base, variants in (("Lie", parities[:3]), ("H", parities), ("E", parities)):
+        for parity, alternating in variants:
+            name = f"{base}_{parity}{'_alt' if alternating else ''}"
+            entries[name] = partial(_parity_variant, base, parity, alternating)
     return {name: NamedSeries(name, builder) for name, builder in entries.items()}
 
 

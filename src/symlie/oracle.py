@@ -7,8 +7,10 @@ Euler/tangent numbers come from counting alternating permutations built
 value by value.  That count shares the completions of each prefix, keyed
 by its set of values and its last value; it uses no Entringer or
 boustrophedon recurrence and no tan/sec series, which the tangent checks
-compare against.  The trace reads one word's coefficient per permuted
-bracket, without expanding the bracket into its 2^(n-1) words.
+compare against.  Standard skew tableaux are counted cell by cell, with
+the completions shared per frontier.  The trace reads one word's
+coefficient per permuted bracket, without expanding the bracket into its
+2^(n-1) words.
 """
 
 from __future__ import annotations
@@ -305,11 +307,13 @@ def alternating_count(n: int) -> int:
 
 
 def syt_count(outer, inner=()) -> int:
-    """Standard Young tableaux of the skew shape outer/inner, by backtracking.
+    """Standard Young tableaux of the skew shape outer/inner, by counting them.
 
     Rows fill left to right; a cell is placeable once the cell above it is
     filled (or absent), which means each row's fill count must stay strictly
-    below the previous row's frontier.
+    below the previous row's frontier.  Two partial fillings with the same
+    frontier (fill count per row) have the same completions, so those are
+    counted once per frontier.
     """
     outer = tuple(outer)
     inner = tuple(inner)
@@ -320,28 +324,18 @@ def syt_count(outer, inner=()) -> int:
     for r in range(rows):
         if inner[r] > outer[r]:
             raise ValueError("inner shape does not fit inside outer shape")
-    cells = sum(outer) - sum(inner)
-    if cells > 13:
+    if sum(outer) - sum(inner) > 13:
         raise ValueError("enumeration capped at 13 cells")
-    if cells == 0:
-        return 1
+    memo: Dict[Tuple[int, ...], int] = {outer: 1}
 
-    frontier = list(inner)
-    count = 0
+    def completions(frontier: Tuple[int, ...]) -> int:
+        count = memo.get(frontier)
+        if count is None:
+            count = 0
+            for r in range(rows):
+                if frontier[r] < outer[r] and (r == 0 or frontier[r] < frontier[r - 1]):
+                    count += completions(frontier[:r] + (frontier[r] + 1,) + frontier[r + 1:])
+            memo[frontier] = count
+        return count
 
-    def place(remaining: int):
-        nonlocal count
-        if remaining == 0:
-            count += 1
-            return
-        for r in range(rows):
-            if frontier[r] >= outer[r]:
-                continue
-            if r > 0 and frontier[r] >= frontier[r - 1]:
-                continue
-            frontier[r] += 1
-            place(remaining - 1)
-            frontier[r] -= 1
-
-    place(cells)
-    return count
+    return completions(inner)

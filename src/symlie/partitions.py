@@ -62,7 +62,6 @@ def z_of(lam: Partition) -> int:
     return z
 
 
-@lru_cache(maxsize=None)
 def mobius(d: int) -> int:
     """Number-theoretic Moebius function: 0 on non-squarefree d, else (-1)^{#primes}."""
     if d < 1:

@@ -17,7 +17,6 @@ because plethysm imports this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from numbers import Rational
 from typing import Callable, Iterable, List, Optional, Tuple
@@ -307,10 +306,9 @@ def _arctanh_coeff(m: int) -> Fraction:
     return Fraction(1, m)
 
 
-@lru_cache(maxsize=None)
-def _tan_like_coeffs(n: int, hyperbolic: bool) -> tuple:
-    # tan = sin/cos and tanh = sinh/cosh as univariate series, solved from
-    # t * cos = sin term by term.
+def _tan_like_coeffs(n: int, hyperbolic: bool) -> List[Fraction]:
+    # Coefficients 0..n of tan = sin/cos or tanh = sinh/cosh as univariate
+    # series, solved from t * cos = sin term by term.
     def sin_c(j):
         if j % 2 == 0:
             return Fraction(0)
@@ -326,15 +324,7 @@ def _tan_like_coeffs(n: int, hyperbolic: bool) -> tuple:
     t = [Fraction(0)] * (n + 1)
     for j in range(1, n + 1):
         t[j] = sin_c(j) - sum(t[i] * cos_c(j - i) for i in range(1, j))
-    return tuple(t)
-
-
-def tan_coeff(m: int) -> Fraction:
-    return _tan_like_coeffs(m, False)[m]
-
-
-def tanh_coeff(m: int) -> Fraction:
-    return _tan_like_coeffs(m, True)[m]
+    return t
 
 
 def exp_series(g: GradedSeries) -> GradedSeries:
@@ -347,11 +337,11 @@ def log1p_series(g: GradedSeries) -> GradedSeries:
 
 
 def tan_series(g: GradedSeries) -> GradedSeries:
-    return compose_scalar(tan_coeff, g)
+    return compose_scalar(_tan_like_coeffs(g.max_degree, False)[1:], g)
 
 
 def tanh_series(g: GradedSeries) -> GradedSeries:
-    return compose_scalar(tanh_coeff, g)
+    return compose_scalar(_tan_like_coeffs(g.max_degree, True)[1:], g)
 
 
 def arctan_series(g: GradedSeries) -> GradedSeries:

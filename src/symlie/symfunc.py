@@ -17,14 +17,15 @@ SymFunc.__mul__, GradedSeries.__mul__, series_inverse and the plethysm kernel
 series._plethysm all go through it.
 
 Inside an integer form a partition lam is keyed by the integer
-prod_i P(lam_i), P(k) the k-th prime, so the key of p_lam * p_mu is the
-product of the two keys: one int multiplication per pair, where a merged
-and sorted tuple would need a sort.  The empty partition's key is 1.  By
-unique factorization the product keeps every multiplicity exactly and can
-never carry into another part, whatever the multiplicities and however
-large the parts; no width has to be fixed in advance.  _key encodes once
-per input term and _partition decodes once per output term, both memoized;
-SymFunc.terms keeps its tuple keys.
+prod_i P(lam_i), P(k) the prime issued to the part k when it is first seen
+(_prime), so the key of p_lam * p_mu is the product of the two keys: one
+int multiplication per pair, where a merged and sorted tuple would need a
+sort.  The empty partition's key is 1.  By unique factorization the product
+keeps every multiplicity exactly and can never carry into another part,
+whatever the multiplicities and however large the parts; no width has to
+be fixed in advance.  _key encodes once per input term and _partition
+decodes once per output term, both memoized; SymFunc.terms keeps its tuple
+keys.
 
 expand_in_basis reaches the h and e bases by back-substitution: h_lam has
 only terms p_rho with rho at or after lam in partitions_of order, so one
@@ -36,14 +37,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
-from math import factorial, gcd, isqrt, lcm, prod
+from itertools import takewhile
+from math import factorial, gcd, lcm, prod
 from numbers import Rational
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .partitions import Partition, format_partition, partitions_of, z_of
-
-Coefficient = Fraction
 
 
 class HomogeneityError(ValueError):
@@ -53,23 +52,24 @@ class HomogeneityError(ValueError):
 # (terms as (partition key, integer numerator) pairs, common denominator)
 IntegerForm = Tuple[List[Tuple[int, int]], int]
 
-# Every prime up to the largest one issued so far, in order: P(k) = _PRIMES[k-1].
-_PRIMES: List[int] = []
+# The prime issued to each part seen so far, P(k) = _PRIMES[k]; primes are
+# issued in increasing order, so its values are the first len(_PRIMES) primes.
+_PRIMES: Dict[int, int] = {}
 
 
 def _prime(k: int) -> int:
-    """The k-th prime, sieving twice as far as before until there are k."""
-    if k < 1:
-        raise ValueError(f"partition part {k} is not positive")
-    bound = _PRIMES[-1] if _PRIMES else 16
-    while len(_PRIMES) < k:
-        bound *= 2
-        sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 1)
-        for i in range(2, isqrt(bound) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytes(len(range(i * i, bound + 1, i)))
-        _PRIMES[:] = compress(range(bound + 1), sieve)
-    return _PRIMES[k - 1]
+    """P(k): a part seen for the first time gets the smallest prime not yet
+    issued, found by trial division by the issued ones."""
+    q = _PRIMES.get(k)
+    if q is None:
+        if k < 1:
+            raise ValueError(f"partition part {k} is not positive")
+        issued = list(_PRIMES.values())
+        q = issued[-1] + 1 if issued else 2
+        while any(q % r == 0 for r in takewhile(lambda r: r * r <= q, issued)):
+            q += 1
+        _PRIMES[k] = q
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -82,13 +82,13 @@ def _key(lam: Partition) -> int:
 def _partition(key: int) -> Partition:
     """The partition keyed by key, by trial division over the issued primes."""
     parts: List[int] = []
-    for k, q in enumerate(_PRIMES, 1):
+    for k, q in _PRIMES.items():
         if key == 1:
             break
         while not key % q:
             key //= q
             parts.append(k)
-    return tuple(reversed(parts))
+    return tuple(sorted(parts, reverse=True))
 
 
 def _integer_form(f: "SymFunc") -> Optional[IntegerForm]:
@@ -295,7 +295,6 @@ def exponential_part(n: int, weight: Callable[[int], int]) -> SymFunc:
     )
 
 
-@lru_cache(maxsize=None)
 def h(n: int) -> SymFunc:
     """Complete homogeneous h_n, the degree-n part of H; h(0) = 1."""
     if n < 0:
@@ -303,7 +302,6 @@ def h(n: int) -> SymFunc:
     return exponential_part(n, EXPONENTIAL_WEIGHTS["H"])
 
 
-@lru_cache(maxsize=None)
 def e(n: int) -> SymFunc:
     """Elementary e_n, the degree-n part of E; e(0) = 1."""
     if n < 0:
@@ -352,7 +350,6 @@ def character(lam: Partition, mu: Partition) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def schur(lam) -> SymFunc:
     """Schur function s_lam = sum_{mu |- n} chi^lam(mu) p_mu / z_mu."""
     lam = tuple(lam)

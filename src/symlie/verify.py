@@ -23,8 +23,9 @@ from .oracle import (
     lie_character,
     monomial_pleth_collected,
     specialize_collected,
+    syt_count,
 )
-from .partitions import Partition, multiplicities, partitions_of
+from .partitions import Partition, multiplicities, partitions_of, staircase
 from .plethysm import pleth
 from .series import (
     GradedSeries,
@@ -37,7 +38,7 @@ from .series import (
     tan_series,
     tanh_series,
 )
-from .symfunc import SymFunc, e, h, p, render, schur, schur_expand
+from .symfunc import SymFunc, dimension, e, h, p, render, schur, schur_expand
 
 Pair = Tuple[str, GradedSeries, GradedSeries]
 
@@ -138,10 +139,6 @@ def _quotient(n: int, alternating: bool = False) -> GradedSeries:
     return series_div(named_series("E_odd" + alt, n), named_series("E_even" + alt, n))
 
 
-def _lie_odd(n: int, alternating: bool) -> GradedSeries:
-    return named_series("Lie_odd_alt" if alternating else "Lie_odd", n)
-
-
 # --- check builders -------------------------------------------------------------
 
 
@@ -158,7 +155,7 @@ def _thrall_e(n: int) -> List[Pair]:
 def _main_inverse(n: int, alternating: bool = False) -> List[Pair]:
     a = "^alt" if alternating else ""
     q = _quotient(n, alternating)
-    lo = _lie_odd(n, alternating)
+    lo = named_series("Lie_odd_alt" if alternating else "Lie_odd", n)
     target = _p1_series(n)
     return [
         (f"(E_odd{a}/E_even{a})[Lie_odd{a}]", pleth(q, lo), target),
@@ -168,7 +165,8 @@ def _main_inverse(n: int, alternating: bool = False) -> List[Pair]:
 
 def _arctanh_pleth(n: int, alternating: bool = False) -> List[Pair]:
     label = "alternating sum [Lie_odd^alt]" if alternating else "sum p_k/k [Lie_odd]"
-    lhs = pleth(_odd_powersum(n, alternating), _lie_odd(n, alternating))
+    lo = named_series("Lie_odd_alt" if alternating else "Lie_odd", n)
+    lhs = pleth(_odd_powersum(n, alternating), lo)
     return [(label, lhs, _odd_p1_logs(n, alternating))]
 
 
@@ -247,6 +245,26 @@ def _foulkes(n: int) -> List[Pair]:
     ]
 
 
+def _ribbon_dimension(n: int) -> List[Pair]:
+    # dim s_{delta_m/delta_{m-2}} three ways, each carried as the coefficient
+    # of p_1^d in degree d = 2m - 3: from the Jacobi-Trudi determinant (no
+    # Euler numbers), by counting standard tableaux of the ribbon, and by
+    # counting alternating permutations of d.
+    determinant, tableaux, alternating = {}, {}, {}
+    for m in range(2, (n + 3) // 2 + 1):
+        d = 2 * m - 3
+        ones = (1,) * d
+        determinant[d] = SymFunc({ones: dimension(staircase_skew(m, "jacobi_trudi"))})
+        tableaux[d] = SymFunc({ones: syt_count(staircase(m), staircase(max(m - 2, 1)))})
+        alternating[d] = SymFunc({ones: alternating_count(d)})
+    return [
+        ("dim of the determinant vs standard tableaux",
+         GradedSeries(n, determinant), GradedSeries(n, tableaux)),
+        ("standard tableaux vs alternating permutations",
+         GradedSeries(n, tableaux), GradedSeries(n, alternating)),
+    ]
+
+
 def _hook_product_expansion(d: int) -> SymFunc:
     # sum over mu |- d of (-1)^{len(mu)-1} multinomial(len; mults) prod Hk_i^{m_i}
     total = SymFunc.zero()
@@ -305,7 +323,7 @@ def _arctanh_sum(n: int, alternating: bool = False) -> List[Pair]:
         ("tan", tan_series, arctan_series) if alternating
         else ("tanh", tanh_series, arctanh_series)
     )
-    lo = _lie_odd(n, alternating)
+    lo = named_series("Lie_odd_alt" if alternating else "Lie_odd", n)
     z = _odd_powersum(n, alternating)
     return [
         (f"{trig}(sum)[Lie_odd{a}] = p_1", pleth(fn(z), lo), _p1_series(n)),
@@ -456,6 +474,9 @@ CHECKS: List[Check] = [
     Check("foulkes",
           "staircase skew Schur: odd-power-sum Euler expansion = "
           "Jacobi-Trudi determinant", _foulkes, cap=12),
+    Check("ribbon_dimension",
+          "dim s_{delta_n/delta_{n-2}} = #SYT(delta_n/delta_{n-2}) = E_{2n-3}, "
+          "the alternating permutations of 2n-3", _ribbon_dimension, cap=12),
     Check("alt_carlitz",
           "E_odd/E_even = s_(1) + sum (-1)^n s_{delta_n/delta_{n-2}} "
           "= hook-product expansion", _alt_carlitz, cap=12),

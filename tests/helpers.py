@@ -8,6 +8,7 @@ from random import Random
 from hypothesis import strategies as st
 
 from symlie import GradedSeries, SymFunc, h
+from symlie.cli import BinOp, Call, Expr, Gen, Name, Num, Pleth
 from symlie.oracle import (
     _cycle_type_permutation,
     _placements,
@@ -432,3 +433,71 @@ def pleth_inverse_reference(f: GradedSeries) -> GradedSeries:
         remainder = pleth_reference(head(f, d), head(out, d))
         out.components[d] = -remainder.components[d]
     return out
+
+
+def syt_count_reference(outer, inner=()) -> int:
+    """Standard Young tableaux of the skew shape outer/inner by plain
+    backtracking, one placement at a time with nothing shared; the
+    frontier-memoized oracle.syt_count is pinned against it."""
+    outer = tuple(outer)
+    rows = len(outer)
+    frontier = list(inner) + [0] * (rows - len(inner))
+    count = 0
+
+    def place(remaining: int):
+        nonlocal count
+        if remaining == 0:
+            count += 1
+            return
+        for r in range(rows):
+            if frontier[r] >= outer[r]:
+                continue
+            if r > 0 and frontier[r] >= frontier[r - 1]:
+                continue
+            frontier[r] += 1
+            place(remaining - 1)
+            frontier[r] -= 1
+
+    place(sum(outer) - sum(inner))
+    return count
+
+
+# --- expression rendering ------------------------------------------------------
+#
+# The inverse of cli.parse, used by the parse round-trip test.
+
+
+def render_expr(expr: Expr) -> str:
+    """Text form with parentheses only where the grammar needs them: around
+    a compound outer side of `o`, a binary operator inside `o` or as the
+    right operand of `*` and `/`, `+` or `-` under `*` and `/`, and `+` or
+    `-` as the right operand of `+` and `-`.  Any tree that parse()
+    accepted renders to text that reparses to an equal tree."""
+    if isinstance(expr, Num):
+        return str(expr.value)
+    if isinstance(expr, Gen):
+        if expr.kind == "s":
+            return "s[" + ",".join(str(part) for part in expr.arg) + "]"
+        return f"{expr.kind}[{expr.arg}]"
+    if isinstance(expr, Name):
+        return expr.ident
+    if isinstance(expr, Call):
+        return f"{expr.fn}({render_expr(expr.arg)})"
+    if isinstance(expr, Pleth):
+        outer = _grouped(expr.outer, isinstance(expr.outer, (Pleth, BinOp)))
+        return f"{outer} o {_grouped(expr.inner, isinstance(expr.inner, BinOp))}"
+    if isinstance(expr, BinOp):
+        additive = expr.op in "+-"
+        left = _grouped(expr.left, not additive and _is_additive(expr.left))
+        right_needs = _is_additive(expr.right) if additive else isinstance(expr.right, BinOp)
+        return f"{left} {expr.op} {_grouped(expr.right, right_needs)}"
+    raise TypeError(f"not an Expr: {expr!r}")
+
+
+def _is_additive(expr: Expr) -> bool:
+    return isinstance(expr, BinOp) and expr.op in "+-"
+
+
+def _grouped(expr: Expr, parenthesize: bool) -> str:
+    text = render_expr(expr)
+    return f"({text})" if parenthesize else text

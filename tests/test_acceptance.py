@@ -58,7 +58,7 @@ def test_criterion_03_thrall_degree_10():
     _passed(run_check("thrall_h", 10))
     _passed(run_check("thrall_e", 10))
     # spot check the t-graded statement degree by degree
-    thrall = pleth(h_series(10), lie_series("all", 10))
+    thrall = pleth(h_series(10), lie_series(10))
     for n in range(11):
         assert thrall.components[n] == SymFunc({(1,) * n if n else (): 1})
     print("ACCEPTANCE 3 PASS: Thrall H and E forms, degree 10")

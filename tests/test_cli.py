@@ -16,13 +16,12 @@ from symlie.cli import (
     evaluate,
     main,
     parse,
-    render_expr,
 )
 from symlie.series import GradedSeries
 from symlie.symfunc import SymFunc, p
 from symlie.verify import CHECKS, run_check
 
-from helpers import prefix_equal
+from helpers import prefix_equal, render_expr
 
 
 def test_parse_pleth_of_generators():
@@ -377,7 +376,7 @@ def test_cli_verify_all_at_the_highest_cap(capsys):
     code = main(["verify", "--all", "--max-degree", "12", "--json"])
     records = json.loads(capsys.readouterr().out)["results"]
     assert code == 0
-    assert len(records) == 24
+    assert len(records) == 25
     caps = {check.name: check.cap for check in CHECKS}
     for record in records:
         cap = caps[record["check_name"]]
@@ -389,7 +388,7 @@ def test_cli_list_checks(capsys):
     code = main(["list-checks"])
     out = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert len(out) == 24
+    assert len(out) == 25
     assert out[0].startswith("thrall_h\t")
 
 

@@ -30,7 +30,7 @@ from symlie.oracle import (
 )
 from symlie.partitions import staircase
 from symlie.plethysm import ConstantTermError, pleth
-from symlie.series import GradedSeries, series_div
+from symlie.series import GradedSeries, parity_split, series_div
 from symlie.symfunc import SymFunc, dimension, e, h, p, schur, schur_expand
 from symlie.verify import run_check
 
@@ -72,19 +72,17 @@ def test_lie_odd_lives_on_odd_power_sums():
 
 
 def test_lie_series_variants():
-    odd = lie_series("odd", 3)
+    odd = named_series("Lie_odd", 3)
     assert odd.components[3] == lie(3)
     assert not odd.components[2]
-    alt = lie_series("odd_alt", 3)
+    alt = named_series("Lie_odd_alt", 3)
     assert alt.components[3] == -lie(3)
     assert alt.components[1] == p(1)
-    even = lie_series("even", 3)
+    even = named_series("Lie_even", 3)
     assert not even.components[3]
     assert even.components[2] == lie(2)
-    both = lie_series("all", 6)
+    both = lie_series(6)
     assert all(both.components[d] == lie(d) for d in range(1, 7))
-    with pytest.raises(ValueError):
-        lie_series("sideways", 3)
 
 
 def test_hk_values():
@@ -272,6 +270,28 @@ def test_registry_names():
     assert set(SERIES_REGISTRY) == expected
     with pytest.raises(KeyError):
         named_series("Mystery", 4)
+
+
+# every parity variant in the registry: name -> (base, parity, alternating)
+PARITY_NAMES = {
+    "Lie_odd": ("Lie", "odd", False),
+    "Lie_even": ("Lie", "even", False),
+    "Lie_odd_alt": ("Lie", "odd", True),
+    **{
+        f"{base}_{parity}{suffix}": (base, parity, bool(suffix))
+        for base in ("H", "E")
+        for suffix in ("", "_alt")
+        for parity in ("odd", "even")
+    },
+}
+
+
+def test_parity_names_split_their_base():
+    assert len(PARITY_NAMES) == 11
+    assert {name for name in SERIES_REGISTRY if "_" in name} == set(PARITY_NAMES)
+    for name, (base, parity, alternating) in PARITY_NAMES.items():
+        split = parity_split(named_series(base, 14), parity, alternating)
+        assert named_series(name, 14) == split, name
 
 
 def test_registry_values():

@@ -14,6 +14,7 @@ from symlie.oracle import (
     specialize_collected,
     syt_count,
 )
+from symlie.partitions import staircase
 from symlie.symfunc import SymFunc, e, h, p, schur
 
 from helpers import (
@@ -25,6 +26,7 @@ from helpers import (
     poly_mul,
     random_symfunc,
     specialize,
+    syt_count_reference,
 )
 
 
@@ -206,6 +208,16 @@ def test_syt_count_examples():
     assert syt_count((2, 1)) == 2
     assert syt_count((2, 2)) == 2
     assert syt_count((3, 2)) == 5
+
+
+def test_syt_count_matches_plain_backtracker():
+    # the shapes of the other syt_count tests, and the staircase ribbons
+    shapes = [((1,), ()), ((3, 2, 1), (1,)), ((2, 1), ()), ((2, 2), ()), ((3, 2), ()),
+              ((4, 3, 1), (2, 1))]
+    shapes += [((n,), ()) for n in range(1, 9)]
+    shapes += [(staircase(n), staircase(max(n - 2, 1))) for n in range(2, 8)]
+    for outer, inner in shapes:
+        assert syt_count(outer, inner) == syt_count_reference(outer, inner), (outer, inner)
 
 
 def test_syt_count_rejections():

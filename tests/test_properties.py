@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import symlie.symfunc as symfunc
 from symlie.cli import main
 from symlie.partitions import partitions_of
 from symlie.plethysm import pleth
@@ -114,7 +115,7 @@ def test_partition_keys_round_trip():
 
 
 def test_products_bring_in_primes_not_yet_issued():
-    fresh = len(_PRIMES) + 1  # the first part whose prime is not issued yet
+    fresh = max(_PRIMES) + 1  # a part whose prime is not issued yet
     assert p(97) * p(1000) == SymFunc({(1000, 97): 1})
     f = p(fresh) * Fraction(1, 3) + p(2)
     g = p(fresh + 1) - p(fresh) * p(1)
@@ -123,6 +124,21 @@ def test_products_bring_in_primes_not_yet_issued():
         (fresh + 1, fresh): Fraction(1, 3), (fresh, fresh, 1): Fraction(-1, 3),
         (fresh + 1, 2): 1, (fresh, 2, 1): -1,
     })
+
+
+def test_a_huge_part_issues_one_prime(monkeypatch):
+    # a part gets the next prime when it is first seen, so p(10**6) costs
+    # one prime, not a sieve up to the 10**6-th
+    monkeypatch.setattr(symfunc, "_PRIMES", {})
+    _key.cache_clear()
+    _partition.cache_clear()
+    try:
+        assert p(10**6) * p(1) == SymFunc({(10**6, 1): 1})
+        assert symfunc._PRIMES == {10**6: 2, 1: 3}
+    finally:
+        # the cached keys were made with the emptied table
+        _key.cache_clear()
+        _partition.cache_clear()
 
 
 @pytest.mark.parametrize("lam", [(0,), (2, -1)])

@@ -17,8 +17,7 @@ from symlie.series import (
     parity_split,
     series_div,
     series_inverse,
-    tan_coeff,
-    tanh_coeff,
+    _tan_like_coeffs,
     tanh_series,
 )
 from symlie.symfunc import SymFunc, e, h, p
@@ -134,13 +133,15 @@ def test_compose_scalar_sequence_argument():
 def test_tan_tanh_coefficients_vs_enumeration():
     # tan x = sum T_{2n+1} x^{2n+1}/(2n+1)! with T the tangent numbers, i.e.
     # the odd alternating-permutation counts; tanh alternates in sign
+    tan, tanh = _tan_like_coeffs(10, False), _tan_like_coeffs(10, True)
+    assert tan[0] == tanh[0] == 0
     for k in range(0, 5):
         m = 2 * k + 1
         tangent = alternating_count(m)
-        assert tan_coeff(m) == Fraction(tangent, factorial(m))
-        assert tanh_coeff(m) == Fraction((-1) ** k * tangent, factorial(m))
-        assert tan_coeff(m + 1) == 0
-        assert tanh_coeff(m + 1) == 0
+        assert tan[m] == Fraction(tangent, factorial(m))
+        assert tanh[m] == Fraction((-1) ** k * tangent, factorial(m))
+        assert tan[m + 1] == 0
+        assert tanh[m + 1] == 0
 
 
 def test_parity_identities():

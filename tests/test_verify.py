@@ -16,7 +16,7 @@ def test_registry_contents():
         "thrall_h", "thrall_e", "main_inverse", "main_inverse_alt",
         "arctanh_pleth", "arctan_pleth_alt", "he_restate", "hook_regular",
         "hook_he", "he_lie_even", "hook_alt_even", "hook_alt_odd", "carlitz", "foulkes",
-        "alt_carlitz", "tanh_form", "tan_form", "arctan_sum", "arctanh_sum",
+        "ribbon_dimension", "alt_carlitz", "tanh_form", "tan_form", "arctan_sum", "arctanh_sum",
         "jordan", "parity_props", "alt_parity_props", "lie_oracle",
         "pleth_oracle",
     }
@@ -32,6 +32,15 @@ def test_unknown_check_rejected():
         run_check("sideways", 4)
     with pytest.raises(KeyError):
         build_pairs("sideways", 4)
+
+
+def test_ribbon_dimension_passes_at_every_degree_to_its_cap():
+    for n in range(13):
+        report = run_check("ribbon_dimension", n)
+        assert report.passed and report.max_degree == n, n
+    report = run_check("ribbon_dimension", 40)
+    assert report.passed
+    assert (report.requested_degree, report.max_degree) == (40, 12)
 
 
 def test_run_check_passes():

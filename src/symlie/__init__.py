@@ -2,10 +2,9 @@
 with plethysm, plethystic inversion, the Lie characteristics, and a registry
 of machine-checked identities.
 
-The package keeps 17 memo tables (functools.lru_cache with no size limit):
+The package keeps 15 memo tables (functools.lru_cache with no size limit):
 lie.hk, lie.staircase_skew and lie.named_series; oracle._perm_count,
-oracle._placements, oracle._collected_mul_term, oracle._p_product_collected,
-oracle._alphabet_power_collected, oracle._alphabet_product_collected and
+oracle._placements, oracle._collected_mul_term, oracle._power_product and
 oracle.alternating_count; partitions.partitions_of; symfunc._key,
 symfunc._partition, symfunc.character and symfunc._h_form; and
 verify._geometric_p1 and verify._quotient.  They are unbounded for library

@@ -1,9 +1,11 @@
 """Independent brute-force computations used to validate the algebraic engine.
 
 Nothing in here goes through the plethysm substitution or the Moebius
-formula: plethysm is replayed on explicit monomial alphabets, the free Lie
-character comes from the traces of permuted bracketings, and the
-Euler/tangent numbers come from counting alternating permutations built
+formula: plethysm is replayed on explicit monomial alphabets, substituting
+f into the monomials of g(x_1, ..., x_m) in orbit form, and specialization
+is the same substitution into the alphabet of variables x_1 + ... + x_m.
+The free Lie character comes from the traces of permuted bracketings, and
+the Euler/tangent numbers come from counting alternating permutations built
 value by value.  That count shares the completions of each prefix, keyed
 by its set of values and its last value; it uses no Entringer or
 boustrophedon recurrence and no tan/sec series, which the tangent checks
@@ -18,10 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, lcm
 from typing import Dict, List, Tuple
 
-from .partitions import Partition, partitions_of, z_of
+from .partitions import Partition, check_partition, multiplicities, partitions_of, z_of
 from .symfunc import SymFunc
 
 ExponentVector = Tuple[int, ...]
@@ -34,19 +36,23 @@ ExponentVector = Tuple[int, ...]
 # Multiplication only ever enumerates arrangements of the *smaller* factor:
 # for dominant gamma, the number of monomial pairs from orbit(mu) x orbit(nu)
 # landing on x^gamma is   #perms(mu) * #{beta in perms(nu): sort(mu + beta) = gamma}
-#                         / #perms(gamma).
+#                         / #perms(gamma),   an integer.
 
 CollectedPoly = Dict[Partition, Fraction]
+
+# An alphabet is a sorted tuple of (exponent partition, multiplicity) pairs:
+# every monomial in the orbit of x^gamma is a letter, counted multiplicity times.
+Alphabet = Tuple[Tuple[Partition, int], ...]
+
+# The variables x_1 + ... + x_m: one letter per orbit of x_1.
+_VARIABLES: Alphabet = (((1,), 1),)
 
 
 @lru_cache(maxsize=None)
 def _perm_count(lam: Partition, m: int) -> int:
     # distinct arrangements of lam among m slots (zeros fill the rest)
-    mults: Dict[int, int] = {}
-    for part in lam:
-        mults[part] = mults.get(part, 0) + 1
     count = factorial(m) // factorial(m - len(lam))
-    for mult in mults.values():
+    for mult in multiplicities(lam).values():
         count //= factorial(mult)
     return count
 
@@ -78,7 +84,7 @@ def _placements(nu: Partition, m: int) -> Tuple[ExponentVector, ...]:
 @lru_cache(maxsize=None)
 def _collected_mul_term(
     mu: Partition, nu: Partition, m: int
-) -> Tuple[Tuple[Partition, Fraction], ...]:
+) -> Tuple[Tuple[Partition, int], ...]:
     """m_mu * m_nu in m variables, as (gamma, multiplicity) pairs; shared."""
     if len(mu) > m or len(nu) > m:
         return ()
@@ -92,8 +98,7 @@ def _collected_mul_term(
         hits[gamma] = hits.get(gamma, 0) + 1
     mu_count = _perm_count(mu, m)
     return tuple(
-        (gamma, Fraction(mu_count * cnt, _perm_count(gamma, m)))
-        for gamma, cnt in hits.items()
+        (gamma, mu_count * cnt // _perm_count(gamma, m)) for gamma, cnt in hits.items()
     )
 
 
@@ -116,52 +121,34 @@ def collected_mul(a: CollectedPoly, b: CollectedPoly, m: int) -> CollectedPoly:
 
 
 @lru_cache(maxsize=None)
-def _p_product_collected(lam: Partition, m: int) -> tuple:
-    # p_lam(x_1..x_m) in collected form, shared across all callers
+def _power_product(alphabet: Alphabet, m: int, lam: Partition) -> tuple:
+    """p_lam on the alphabet in m variables, in collected form, built from
+    its prefix lam[:-1]; p_k sends each letter x^gamma to x^(k gamma)."""
     if not lam:
-        return (((), Fraction(1)),)
-    prev = dict(_p_product_collected(lam[:-1], m))
-    return tuple(collected_mul(prev, {(lam[-1],): Fraction(1)}, m).items())
+        return (((), 1),)
+    k = lam[-1]
+    power = {tuple(k * x for x in gamma): mult for gamma, mult in alphabet}
+    return tuple(collected_mul(dict(_power_product(alphabet, m, lam[:-1])), power, m).items())
+
+
+def _substitute(f: SymFunc, alphabet: Alphabet, m: int) -> CollectedPoly:
+    """f evaluated on the alphabet, in collected form, summed as integer
+    numerators over the lcm of f's denominators."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    acc: Dict[Partition, int] = {}
+    for lam, coeff in f.terms.items():
+        num = coeff.numerator * (den // coeff.denominator)
+        for gamma, value in _power_product(alphabet, m, lam):
+            acc[gamma] = acc.get(gamma, 0) + num * value
+    return {gamma: Fraction(v, den) for gamma, v in acc.items() if v}
 
 
 def specialize_collected(f: SymFunc, m: int) -> CollectedPoly:
-    """f(x_1, ..., x_m, 0, 0, ...) in collected form: p_k maps to
-    x_1^k + ... + x_m^k."""
+    """f(x_1, ..., x_m, 0, 0, ...) in collected form: f substituted into the
+    alphabet x_1 + ... + x_m, so p_k maps to x_1^k + ... + x_m^k."""
     if m < 1:
         raise ValueError("need at least one variable")
-    out: CollectedPoly = {}
-    for lam, coeff in f.terms.items():
-        for gamma, value in _p_product_collected(lam, m):
-            new = out.get(gamma, 0) + coeff * value
-            if new:
-                out[gamma] = new
-            else:
-                del out[gamma]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _alphabet_power_collected(g: SymFunc, m: int, k: int) -> tuple:
-    alphabet = specialize_collected(g, m)
-    for coeff in alphabet.values():
-        if coeff.denominator != 1 or coeff < 0:
-            raise ValueError(
-                "alphabet requires nonnegative integer monomial coefficients"
-            )
-    out: CollectedPoly = {}
-    for gamma, mult in alphabet.items():
-        key = tuple(x * k for x in gamma)
-        out[key] = out.get(key, 0) + mult
-    return tuple(out.items())
-
-
-@lru_cache(maxsize=None)
-def _alphabet_product_collected(g: SymFunc, m: int, lam: Partition) -> tuple:
-    if not lam:
-        return (((), Fraction(1)),)
-    prev = dict(_alphabet_product_collected(g, m, lam[:-1]))
-    power = dict(_alphabet_power_collected(g, m, lam[-1]))
-    return tuple(collected_mul(prev, power, m).items())
+    return _substitute(f, _VARIABLES, m)
 
 
 def monomial_pleth_collected(f: SymFunc, g: SymFunc, m: int) -> CollectedPoly:
@@ -169,17 +156,13 @@ def monomial_pleth_collected(f: SymFunc, g: SymFunc, m: int) -> CollectedPoly:
 
     Each monomial of g(x_1, ..., x_m) with coefficient c counts as c
     letters, so p_k picks up sum_j c_j * (monomial_j)^k; the coefficients
-    must be nonnegative integers.  Per-alphabet power products are cached
-    module-wide, so sweeping many f against one g costs one set of products."""
-    result: CollectedPoly = {}
-    for lam, coeff in f.terms.items():
-        for gamma, value in _alphabet_product_collected(g, m, lam):
-            new = result.get(gamma, 0) + coeff * value
-            if new:
-                result[gamma] = new
-            else:
-                del result[gamma]
-    return result
+    must be nonnegative integers.  Power products are cached per alphabet,
+    so sweeping many f against one g costs one set of products."""
+    letters = specialize_collected(g, m)
+    if any(c.denominator != 1 or c < 0 for c in letters.values()):
+        raise ValueError("alphabet requires nonnegative integer monomial coefficients")
+    alphabet = tuple(sorted((gamma, int(c)) for gamma, c in letters.items()))
+    return _substitute(f, alphabet, m)
 
 
 # --- free Lie algebra character --------------------------------------------------
@@ -315,8 +298,8 @@ def syt_count(outer, inner=()) -> int:
     frontier (fill count per row) have the same completions, so those are
     counted once per frontier.
     """
-    outer = tuple(outer)
-    inner = tuple(inner)
+    outer = check_partition(outer)
+    inner = check_partition(inner)
     rows = len(outer)
     inner = inner + (0,) * (rows - len(inner))
     if len(inner) > rows:

@@ -166,7 +166,9 @@ class SymFunc:
     terms maps partitions to nonzero Fractions; the empty partition carries
     the constant term.  Instances are treated as immutable values.
     Coefficients must be numbers.Rational (int, Fraction); anything else,
-    a float included, raises TypeError.
+    a float included, raises TypeError.  The constructor sorts each key
+    into a partition and adds up the coefficients that land on one key; a
+    part that is not a positive int raises ValueError.
     """
 
     __slots__ = ("terms",)
@@ -177,10 +179,17 @@ class SymFunc:
             for lam, coeff in terms.items():
                 if not isinstance(coeff, Rational):
                     raise TypeError(f"coefficient {coeff!r} is not an exact rational")
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[tuple(lam)] = coeff
-        self.terms = clean
+                for part in lam:
+                    if not isinstance(part, int) or part < 1:
+                        raise ValueError(f"partition part {part!r} is not an int, or not positive")
+                key = tuple(sorted(lam, reverse=True))
+                # an already sorted tuple is kept, so equal keys stay one shared object
+                lam = lam if key == lam else key
+                if lam in clean:
+                    clean[lam] += coeff
+                else:
+                    clean[lam] = coeff if type(coeff) is Fraction else Fraction(coeff)
+        self.terms = {lam: c for lam, c in clean.items() if c}
 
     @staticmethod
     def zero() -> "SymFunc":
@@ -457,6 +466,8 @@ def expand_in_basis(f: SymFunc, basis: str) -> Dict[Partition, Fraction]:
 
     Inhomogeneous input is handled degree by degree.
     """
+    if basis not in ("p", "s", "h", "e"):
+        raise ValueError(f"unknown basis {basis!r}")
     if basis == "p":
         return dict(f.terms)
     out: Dict[Partition, Fraction] = {}
@@ -464,11 +475,9 @@ def expand_in_basis(f: SymFunc, basis: str) -> Dict[Partition, Fraction]:
         part = f.homogeneous_part(d)
         if basis == "s":
             out.update(schur_expand(part))
-        elif basis in ("h", "e"):
+        else:
             # omega(e_lam) = h_lam, so f on e_lam is omega(f) on h_lam
             out.update(_solve_in_h(omega(part) if basis == "e" else part, d))
-        else:
-            raise ValueError(f"unknown basis {basis!r}")
     return out
 
 

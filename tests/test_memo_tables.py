@@ -26,8 +26,7 @@ def memo_tables():
 MEMO_TABLES = {
     "lie.hk", "lie.staircase_skew", "lie.named_series",
     "oracle._perm_count", "oracle._placements", "oracle._collected_mul_term",
-    "oracle._p_product_collected", "oracle._alphabet_power_collected",
-    "oracle._alphabet_product_collected", "oracle.alternating_count",
+    "oracle._power_product", "oracle.alternating_count",
     "partitions.partitions_of",
     "symfunc._key", "symfunc._partition", "symfunc.character", "symfunc._h_form",
     "verify._geometric_p1", "verify._quotient",

@@ -7,6 +7,7 @@ import pytest
 
 from symlie.oracle import (
     _bracket_coefficient,
+    _collected_mul_term,
     alternating_count,
     collected_mul,
     lie_character,
@@ -14,7 +15,7 @@ from symlie.oracle import (
     specialize_collected,
     syt_count,
 )
-from symlie.partitions import staircase
+from symlie.partitions import partitions_of, staircase
 from symlie.symfunc import SymFunc, e, h, p, schur
 
 from helpers import (
@@ -99,10 +100,11 @@ def test_monomial_pleth_examples():
 
 
 def test_monomial_pleth_rejects_negative_alphabet():
-    with pytest.raises(ValueError):
-        monomial_pleth(h(2), SymFunc({(1, 1): -1}), 3)
-    with pytest.raises(ValueError):
-        monomial_pleth(h(2), p(1) * Fraction(1, 2), 3)
+    for pleth in (monomial_pleth, monomial_pleth_collected):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            pleth(h(2), SymFunc({(1, 1): -1}), 3)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            pleth(h(2), p(1) * Fraction(1, 2), 3)
 
 
 def test_collected_forms_match_expanded():
@@ -110,10 +112,22 @@ def test_collected_forms_match_expanded():
     for f in cases:
         for m in (2, 3, 5):
             assert collected_expand(specialize_collected(f, m), m) == specialize(f, m)
+            # every degree-1 generator is the alphabet of the variables
+            for g in (p(1), h(1), e(1), schur((1,))):
+                assert specialize_collected(f, m) == monomial_pleth_collected(f, g, m)
     for f, g, m in [(h(2), e(2), 4), (p(2), p(3), 2), (schur((2, 1)), e(2), 6)]:
         assert collected_expand(monomial_pleth_collected(f, g, m), m) == (
             monomial_pleth(f, g, m)
         )
+
+
+def test_orbit_product_multiplicities_are_ints():
+    for m in range(1, 7):
+        shapes = [lam for n in range(5) for lam in partitions_of(n) if len(lam) <= m]
+        for mu in shapes:
+            for nu in shapes:
+                for gamma, mult in _collected_mul_term(mu, nu, m):
+                    assert type(mult) is int and mult > 0, (mu, nu, m, gamma, mult)
 
 
 def test_collected_mul_matches_expanded():
@@ -227,6 +241,13 @@ def test_syt_count_rejections():
         syt_count((1,), (1, 1))
     with pytest.raises(ValueError):
         syt_count((8, 7), ())
+
+
+@pytest.mark.parametrize("outer, inner", [((1, 2), ()), ((2, 1), (0, 1)), ((2, 0), ()),
+                                          ((2, 1), (-1,)), ((1.5,), ())])
+def test_syt_count_rejects_shapes_that_are_not_partitions(outer, inner):
+    with pytest.raises(ValueError, match="partition parts"):
+        syt_count(outer, inner)
 
 
 def test_lie_bracket_basis():

@@ -173,6 +173,33 @@ def test_expand_in_basis_round_trip():
     assert expand_in_basis(h(2), "p") == h(2).terms
 
 
+@pytest.mark.parametrize("f", [SymFunc.zero(), SymFunc.constant(2), h(2)])
+def test_expand_in_basis_rejects_an_unknown_basis(f):
+    # the zero function has no degree to expand, yet the basis is still checked
+    with pytest.raises(ValueError, match="unknown basis"):
+        expand_in_basis(f, "q")
+
+
+def test_keys_are_sorted_into_partitions():
+    x = SymFunc({(1, 2): 1})
+    assert x.terms == {(2, 1): 1}
+    assert x * 1 == x
+    assert x == p(1) * p(2)
+    assert render(x) == "p[2,1]"
+
+
+def test_coefficients_on_one_key_add_up():
+    assert (SymFunc({(1, 2): 1}) + SymFunc({(2, 1): 1})).terms == {(2, 1): 2}
+    assert SymFunc({(1, 2): 1, (2, 1): half}) == SymFunc({(2, 1): Fraction(3, 2)})
+    assert SymFunc({(1, 2, 2): 1, (2, 1, 2): -1, (3,): half}) == p(3) * half
+
+
+@pytest.mark.parametrize("lam", [(0,), (-1,), (2, -1), (1, 0, 2), (Fraction(3, 2),), (1.0,)])
+def test_a_part_that_is_not_a_positive_int_is_rejected_at_construction(lam):
+    with pytest.raises(ValueError, match="not positive"):
+        SymFunc({lam: 1})
+
+
 def test_render_format():
     assert render(h(2)) == "1/2*p[1,1] + 1/2*p[2]"
     assert render(e(2)) == "1/2*p[1,1] - 1/2*p[2]"

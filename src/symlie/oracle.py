@@ -19,24 +19,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import factorial, lcm
+from itertools import permutations
+from math import comb, factorial, lcm
 from typing import Dict, List, Tuple
 
 from .partitions import Partition, check_partition, multiplicities, partitions_of, z_of
 from .symfunc import SymFunc
-
-ExponentVector = Tuple[int, ...]
 
 
 # --- orbit-collected symmetric polynomials --------------------------------------
 #
 # A symmetric polynomial in m variables is stored as {sorted exponent vector
 # (trailing zeros stripped) -> coefficient of any one monomial in the orbit}.
-# Multiplication only ever enumerates arrangements of the *smaller* factor:
-# for dominant gamma, the number of monomial pairs from orbit(mu) x orbit(nu)
-# landing on x^gamma is   #perms(mu) * #{beta in perms(nu): sort(mu + beta) = gamma}
-#                         / #perms(gamma),   an integer.
+# Multiplication places the parts of the factor with the smaller orbit on
+# the padded exponents of the other: for dominant gamma, the number of
+# monomial pairs from orbit(mu) x orbit(nu) landing on x^gamma is
+#     #perms(mu) * #{beta in perms(nu): sort(mu + beta) = gamma} / #perms(gamma),
+# an integer, and the placements beta are counted a class at a time: by how
+# many copies of each part of nu land on each value of mu (_collected_mul_term).
 
 CollectedPoly = Dict[Partition, Fraction]
 
@@ -58,44 +58,47 @@ def _perm_count(lam: Partition, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _placements(nu: Partition, m: int) -> Tuple[ExponentVector, ...]:
-    # every distinct way to place the parts of nu among m slots
-    values = sorted(set(nu), reverse=True)
-    out: List[ExponentVector] = []
-
-    def place(value_index: int, free: Tuple[int, ...], vec: List[int]):
-        if value_index == len(values):
-            out.append(tuple(vec))
-            return
-        value = values[value_index]
-        count = sum(1 for part in nu if part == value)
-        for chosen in combinations(free, count):
-            for slot in chosen:
-                vec[slot] = value
-            remaining = tuple(s for s in free if s not in chosen)
-            place(value_index + 1, remaining, vec)
-            for slot in chosen:
-                vec[slot] = 0
-
-    place(0, tuple(range(m)), [0] * m)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _collected_mul_term(
     mu: Partition, nu: Partition, m: int
 ) -> Tuple[Tuple[Partition, int], ...]:
-    """m_mu * m_nu in m variables, as (gamma, multiplicity) pairs; shared."""
+    """m_mu * m_nu in m variables, as (gamma, multiplicity) pairs; shared.
+
+    The m slots of mu, padded with zeros, fall into groups by value, the
+    zeros one group among them.  A placement of nu is fixed, up to the
+    slots it picks inside each group, by how many copies of each part
+    value of nu go into each group; one such pattern fixes gamma and
+    stands for prod C(free, copies) placements, free being the slots of
+    the group that the earlier part values left empty."""
     if len(mu) > m or len(nu) > m:
         return ()
-    padded = list(mu) + [0] * (m - len(mu))
+    if not nu:
+        return ((mu, 1),)
+    groups = multiplicities(mu)
+    groups[0] = m - len(mu)
+    values, free = list(groups), list(groups.values())
+    parts = list(multiplicities(nu).items())
     hits: Dict[Partition, int] = {}
-    for beta in _placements(nu, m):
-        summed = sorted((x + y for x, y in zip(padded, beta)), reverse=True)
-        while summed and summed[-1] == 0:
-            summed.pop()
-        gamma = tuple(summed)
-        hits[gamma] = hits.get(gamma, 0) + 1
+
+    def spread(i: int, j: int, left: int, count: int, placed: List[int]):
+        # `left` copies of the i-th part value of nu go into the groups from j on
+        if not left:
+            i, j = i + 1, 0
+            if i == len(parts):
+                rest = [v for v, f in zip(values, free) if v for _ in range(f)]
+                gamma = tuple(sorted(placed + rest, reverse=True))
+                hits[gamma] = hits.get(gamma, 0) + count
+                return
+            left = parts[i][1]
+        if j == len(values):
+            return
+        f = free[j]
+        grown = values[j] + parts[i][0]
+        for a in range(min(f, left) + 1):
+            free[j] = f - a
+            spread(i, j + 1, left - a, count * comb(f, a), placed + [grown] * a)
+        free[j] = f
+
+    spread(0, 0, parts[0][1], 1, [])
     mu_count = _perm_count(mu, m)
     return tuple(
         (gamma, mu_count * cnt // _perm_count(gamma, m)) for gamma, cnt in hits.items()
@@ -168,16 +171,16 @@ def monomial_pleth_collected(f: SymFunc, g: SymFunc, m: int) -> CollectedPoly:
 # --- free Lie algebra character --------------------------------------------------
 
 
-def _bracket_coefficient(letters: Tuple[int, ...], word: Tuple[int, ...]) -> int:
-    """Coefficient of word in the associative expansion of the left-normed
-    bracket [[..[l1,l2],..],lk] of distinct letters, word a rearrangement.
+def _bracket_coefficient(letters: Tuple[int, ...], position: Dict[int, int]) -> int:
+    """Coefficient of a word in the associative expansion of the left-normed
+    bracket [[..[l1,l2],..],lk] of distinct letters, the word a rearrangement
+    given by the position of each letter in it.
 
     The expansion puts each new letter at the right end (+) or the left end
-    (-) of every word so far, so the words that reach `word` keep l1..li on
+    (-) of every word so far, so the words that reach the word keep l1..li on
     a contiguous interval of it.  Each letter must extend that interval by
     one on the right or on the left, which fixes a single path: the
     coefficient is 0 or +-1."""
-    position = {x: i for i, x in enumerate(word)}
     left = right = position[letters[0]]
     sign = 1
     for x in letters[1:]:
@@ -230,13 +233,13 @@ def lie_character(n: int) -> SymFunc:
     if not 1 <= n <= 7:
         raise ValueError("lie_character supports 1 <= n <= 7")
     basis = lie_bracket_basis(n)
+    positions = [({x: i for i, x in enumerate(letters)}, letters) for letters in basis]
     terms = {}
     for lam in partitions_of(n):
         perm = _cycle_type_permutation(lam)
         trace = 0
-        for letters in basis:
-            moved = tuple(perm[x] for x in letters)
-            trace += _bracket_coefficient(moved, letters)
+        for position, letters in positions:
+            trace += _bracket_coefficient(tuple(perm[x] for x in letters), position)
         if trace:
             terms[lam] = Fraction(trace, z_of(lam))
     return SymFunc(terms)

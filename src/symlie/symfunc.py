@@ -42,7 +42,7 @@ from math import factorial, gcd, lcm, prod
 from numbers import Rational
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .partitions import Partition, format_partition, partitions_of, z_of
+from .partitions import Partition, check_partition, format_partition, partitions_of, z_of
 
 
 class HomogeneityError(ValueError):
@@ -160,6 +160,18 @@ def _sum_of_products(
     return _from_form(_form_of_products(pairs, scale))
 
 
+def _sorted_key(parts) -> Partition:
+    """The parts sorted into a partition; an already sorted tuple is returned
+    as given, so equal keys stay one shared object.  A part that is not a
+    positive int raises ValueError."""
+    lam = tuple(parts)
+    for part in lam:
+        if not isinstance(part, int) or part < 1:
+            raise ValueError(f"partition part {part!r} is not an int, or not positive")
+    key = tuple(sorted(lam, reverse=True))
+    return lam if key == lam else key
+
+
 class SymFunc:
     """A symmetric function expanded in the power-sum basis.
 
@@ -179,12 +191,7 @@ class SymFunc:
             for lam, coeff in terms.items():
                 if not isinstance(coeff, Rational):
                     raise TypeError(f"coefficient {coeff!r} is not an exact rational")
-                for part in lam:
-                    if not isinstance(part, int) or part < 1:
-                        raise ValueError(f"partition part {part!r} is not an int, or not positive")
-                key = tuple(sorted(lam, reverse=True))
-                # an already sorted tuple is kept, so equal keys stay one shared object
-                lam = lam if key == lam else key
+                lam = _sorted_key(lam)
                 if lam in clean:
                     clean[lam] += coeff
                 else:
@@ -200,7 +207,8 @@ class SymFunc:
         return SymFunc({(): c})
 
     def coefficient(self, lam) -> Fraction:
-        return self.terms.get(tuple(lam), Fraction(0))
+        """The coefficient of p_lam, lam's parts taken in any order."""
+        return self.terms.get(_sorted_key(lam), Fraction(0))
 
     def degree(self) -> int:
         """Maximal degree among stored terms (0 for the zero function)."""
@@ -325,47 +333,53 @@ def omega(f: SymFunc) -> SymFunc:
     )
 
 
-def _partition_from_betas(betas: List[int]) -> Partition:
-    betas = sorted(betas, reverse=True)
-    m = len(betas)
-    lam = [betas[i] - (m - 1 - i) for i in range(m)]
-    while lam and lam[-1] == 0:
-        lam.pop()
-    return tuple(lam)
+def _bead_mask(lam: Partition) -> int:
+    """The beta-set of the partition lam as an int bit mask: a bead at
+    lam_i + (len(lam) - 1 - i) for each part.  With no zero parts position 0
+    is vacant, so each shape has exactly one mask; the empty shape's is 0."""
+    m = len(lam)
+    return sum(1 << (part + m - 1 - i) for i, part in enumerate(lam))
 
 
 @lru_cache(maxsize=None)
-def character(lam: Partition, mu: Partition) -> int:
-    """Irreducible character chi^lam(mu) by border-strip removal on beta numbers.
+def _character(mask: int, mu: Partition) -> int:
+    """chi^lam(mu) for the shape with bead mask `mask`, by Murnaghan-Nakayama.
 
-    Removing a strip of size k replaces a beta number b by b-k; the sign is
-    (-1)^{number of beta numbers strictly between them}.
-    """
+    A border strip of size k moves a bead b to a vacant b - k, with sign
+    (-1)^(number of beads strictly between the two).  Beads packed at the
+    bottom after the move are zero parts and are shifted out."""
     if not mu:
-        return 1 if not lam else 0
-    k = mu[0]
-    rest = mu[1:]
-    m = len(lam)
-    betas = [lam[i] + (m - 1 - i) for i in range(m)]
-    beta_set = set(betas)
+        return 0 if mask else 1
+    k, rest = mu[0], mu[1:]
     total = 0
-    for b in betas:
-        nb = b - k
-        if nb < 0 or nb in beta_set:
+    beads = mask >> k << k
+    while beads:
+        bead = beads & -beads
+        beads ^= bead
+        target = bead >> k
+        if mask & target:
             continue
-        height = sum(1 for c in betas if nb < c < b)
-        new_betas = [c for c in betas if c != b] + [nb]
-        total += (-1) ** height * character(_partition_from_betas(new_betas), rest)
+        moved = mask ^ bead ^ target
+        chi = _character(moved >> ((moved ^ (moved + 1)).bit_length() - 1), rest)
+        if chi:
+            between = mask & (bead - 1) & -(target << 1)
+            total += -chi if between.bit_count() & 1 else chi
     return total
+
+
+def character(lam, mu) -> int:
+    """Irreducible character chi^lam(mu) by border-strip removal on the
+    beta-set of lam; lam and mu must be partitions."""
+    return _character(_bead_mask(check_partition(lam)), check_partition(mu))
 
 
 def schur(lam) -> SymFunc:
     """Schur function s_lam = sum_{mu |- n} chi^lam(mu) p_mu / z_mu."""
-    lam = tuple(lam)
-    n = sum(lam)
+    lam = check_partition(lam)
+    mask = _bead_mask(lam)
     terms = {}
-    for mu in partitions_of(n):
-        chi = character(lam, mu)
+    for mu in partitions_of(sum(lam)):
+        chi = _character(mask, mu)
         if chi:
             terms[mu] = Fraction(chi, z_of(mu))
     return SymFunc(terms)
@@ -375,18 +389,20 @@ def schur_expand(f: SymFunc) -> Dict[Partition, Fraction]:
     """Schur coefficients of a homogeneous f: lam -> <f, s_lam>.
 
     Since <p_mu, s_lam> = chi^lam(mu), the coefficient is
-    sum_mu f_mu chi^lam(mu) with no divisions.
-    """
+    sum_mu f_mu chi^lam(mu) with no divisions, summed as integer numerators
+    over the lcm of f's denominators."""
     if not f.is_homogeneous():
         raise HomogeneityError("schur_expand requires homogeneous input")
     if not f:
         return {}
-    n = f.degree()
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    nums = [(mu, c.numerator * (den // c.denominator)) for mu, c in f.terms.items()]
     out = {}
-    for lam in partitions_of(n):
-        coeff = sum((c * character(lam, mu) for mu, c in f.terms.items()), Fraction(0))
-        if coeff:
-            out[lam] = coeff
+    for lam in partitions_of(f.degree()):
+        mask = _bead_mask(lam)
+        v = sum(num * _character(mask, mu) for mu, num in nums)
+        if v:
+            out[lam] = Fraction(v, den)
     return out
 
 

@@ -2,18 +2,15 @@
 hypothesis strategies."""
 
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 from random import Random
 
 from hypothesis import strategies as st
 
 from symlie import GradedSeries, SymFunc, h
 from symlie.cli import BinOp, Call, Expr, Gen, Name, Num, Pleth
-from symlie.oracle import (
-    _cycle_type_permutation,
-    _placements,
-    lie_bracket_basis,
-)
+from symlie.oracle import _cycle_type_permutation, _perm_count, lie_bracket_basis
 from symlie.partitions import partitions_of, z_of
 
 
@@ -227,6 +224,42 @@ def jacobi_trudi_reference(outer, inner) -> SymFunc:
     return total
 
 
+# --- reference for the Schur characters in symlie.symfunc -----------------------
+
+
+def _partition_from_betas(betas) -> tuple:
+    betas = sorted(betas, reverse=True)
+    m = len(betas)
+    lam = [betas[i] - (m - 1 - i) for i in range(m)]
+    while lam and lam[-1] == 0:
+        lam.pop()
+    return tuple(lam)
+
+
+@lru_cache(maxsize=None)
+def character_reference(lam, mu) -> int:
+    """chi^lam(mu) by border-strip removal on a list of beta numbers: a strip
+    of size k replaces a beta number b by a free b - k, with sign (-1)^(beta
+    numbers strictly between).  The reference for symlie.symfunc.character,
+    which works on bead masks."""
+    if not mu:
+        return 1 if not lam else 0
+    k = mu[0]
+    rest = mu[1:]
+    m = len(lam)
+    betas = [lam[i] + (m - 1 - i) for i in range(m)]
+    beta_set = set(betas)
+    total = 0
+    for b in betas:
+        nb = b - k
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for c in betas if nb < c < b)
+        new_betas = [c for c in betas if c != b] + [nb]
+        total += (-1) ** height * character_reference(_partition_from_betas(new_betas), rest)
+    return total
+
+
 # --- references for the oracles in symlie.oracle ---------------------------------
 
 
@@ -282,10 +315,53 @@ def monomial_pleth(f: SymFunc, g: SymFunc, m: int) -> dict:
     return {k: v for k, v in result.items() if v}
 
 
+@lru_cache(maxsize=None)
+def placements(nu, m: int) -> tuple:
+    """Every distinct way to place the parts of nu among m slots, as exponent
+    vectors of length m."""
+    values = sorted(set(nu), reverse=True)
+    out = []
+
+    def place(value_index: int, free: tuple, vec: list):
+        if value_index == len(values):
+            out.append(tuple(vec))
+            return
+        value = values[value_index]
+        count = sum(1 for part in nu if part == value)
+        for chosen in combinations(free, count):
+            for slot in chosen:
+                vec[slot] = value
+            remaining = tuple(s for s in free if s not in chosen)
+            place(value_index + 1, remaining, vec)
+            for slot in chosen:
+                vec[slot] = 0
+
+    place(0, tuple(range(m)), [0] * m)
+    return tuple(out)
+
+
 def collected_expand(a: dict, m: int) -> dict:
     """Inflate a collected (one coefficient per orbit) polynomial to the full
     monomial dict."""
-    return {vec: coeff for lam, coeff in a.items() for vec in _placements(lam, m)}
+    return {vec: coeff for lam, coeff in a.items() for vec in placements(lam, m)}
+
+
+def collected_mul_term_reference(mu, nu, m: int) -> dict:
+    """m_mu * m_nu in m variables as {gamma: multiplicity}, walking every
+    placement of nu on the padded mu and sorting each sum: the reference
+    for symlie.oracle._collected_mul_term, which counts a class at a time."""
+    if len(mu) > m or len(nu) > m:
+        return {}
+    padded = list(mu) + [0] * (m - len(mu))
+    hits = {}
+    for beta in placements(nu, m):
+        summed = sorted((x + y for x, y in zip(padded, beta)), reverse=True)
+        while summed and summed[-1] == 0:
+            summed.pop()
+        gamma = tuple(summed)
+        hits[gamma] = hits.get(gamma, 0) + 1
+    mu_count = _perm_count(mu, m)
+    return {gamma: mu_count * cnt // _perm_count(gamma, m) for gamma, cnt in hits.items()}
 
 
 def alternating_count_reference(n: int) -> int:

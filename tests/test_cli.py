@@ -166,6 +166,13 @@ def test_evaluate_errors_carry_positions():
     assert info.value.offset == 1
 
 
+@pytest.mark.parametrize("source, offset", [("p[1] + s[1,2]", 8), ("s[2,0]", 1)])
+def test_cli_schur_shape_that_is_not_a_partition_is_an_error(source, offset, capsys):
+    assert main(["expand", source, "--max-degree", "3"]) == 1
+    err = capsys.readouterr().err
+    assert f"offset {offset}" in err and "partition parts" in err
+
+
 def test_generator_above_bound_is_zero(monkeypatch):
     def unbuilt(*args):
         raise AssertionError("built a generator above the bound")

@@ -25,10 +25,10 @@ def memo_tables():
 
 MEMO_TABLES = {
     "lie.hk", "lie.staircase_skew", "lie.named_series",
-    "oracle._perm_count", "oracle._placements", "oracle._collected_mul_term",
+    "oracle._perm_count", "oracle._collected_mul_term",
     "oracle._power_product", "oracle.alternating_count",
     "partitions.partitions_of",
-    "symfunc._key", "symfunc._partition", "symfunc.character", "symfunc._h_form",
+    "symfunc._key", "symfunc._partition", "symfunc._character", "symfunc._h_form",
     "verify._geometric_p1", "verify._quotient",
 }
 

@@ -21,6 +21,7 @@ from symlie.symfunc import SymFunc, e, h, p, schur
 from helpers import (
     alternating_count_reference,
     collected_expand,
+    collected_mul_term_reference,
     left_normed_expansion,
     lie_character_reference,
     monomial_pleth,
@@ -130,6 +131,36 @@ def test_orbit_product_multiplicities_are_ints():
                     assert type(mult) is int and mult > 0, (mu, nu, m, gamma, mult)
 
 
+def test_orbit_product_matches_placement_reference():
+    shapes = [lam for n in range(9) for lam in partitions_of(n)]
+    smaller = [nu for n in range(5) for nu in partitions_of(n)]
+    for m in range(1, 10):
+        for mu in shapes:
+            for nu in smaller:
+                got = dict(_collected_mul_term(mu, nu, m))
+                assert got == collected_mul_term_reference(mu, nu, m), (mu, nu, m)
+
+
+def test_orbit_products_of_the_plethysm_sweep_match_placement_reference(monkeypatch):
+    import symlie.oracle as oracle
+    from symlie.verify import _pleth_oracle
+
+    products = set()
+
+    def recording(mu, nu, m):
+        products.add((mu, nu, m))
+        return _collected_mul_term(mu, nu, m)
+
+    # rebuild every power product, so the sweep asks for all of its products
+    oracle._power_product.cache_clear()
+    monkeypatch.setattr(oracle, "_collected_mul_term", recording)
+    _pleth_oracle(12)
+    assert len(products) > 400
+    for mu, nu, m in products:
+        got = dict(_collected_mul_term(mu, nu, m))
+        assert got == collected_mul_term_reference(mu, nu, m), (mu, nu, m)
+
+
 def test_collected_mul_matches_expanded():
     rng = Random(17)
     for _ in range(5):
@@ -198,7 +229,10 @@ def test_bracket_coefficient_matches_full_expansion():
         words = list(permutations(range(1, n + 1)))
         for letters in words:
             expansion = left_normed_expansion(letters)
-            read = {word: _bracket_coefficient(letters, word) for word in words}
+            read = {
+                word: _bracket_coefficient(letters, {x: i for i, x in enumerate(word)})
+                for word in words
+            }
             assert read == {word: expansion.get(word, 0) for word in words}
 
 

@@ -19,7 +19,7 @@ from symlie.symfunc import (
     schur_expand,
 )
 
-from helpers import inner, pentagonal_count, random_symfunc
+from helpers import character_reference, inner, pentagonal_count, random_symfunc
 
 half = Fraction(1, 2)
 
@@ -88,6 +88,24 @@ def test_character_hand_values():
     assert character((2, 1), (1, 1, 1)) == 2
     assert character((2, 1), (2, 1)) == 0
     assert character((2, 1), (3,)) == -1
+
+
+def test_character_matches_beta_list_reference():
+    for n in range(13):
+        shapes = partitions_of(n)
+        for lam in shapes:
+            for mu in shapes:
+                assert character(lam, mu) == character_reference(lam, mu), (lam, mu)
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, 0), (0,), (-1,), (Fraction(3, 2),), (1.0,)])
+def test_schur_and_character_reject_shapes_that_are_not_partitions(lam):
+    with pytest.raises(ValueError, match="partition parts"):
+        schur(lam)
+    with pytest.raises(ValueError, match="partition parts"):
+        character(lam, (1,))
+    with pytest.raises(ValueError, match="partition parts"):
+        character((1,), lam)
 
 
 def test_schur_trivial_and_sign():
@@ -198,6 +216,16 @@ def test_coefficients_on_one_key_add_up():
 def test_a_part_that_is_not_a_positive_int_is_rejected_at_construction(lam):
     with pytest.raises(ValueError, match="not positive"):
         SymFunc({lam: 1})
+
+
+def test_coefficient_sorts_its_argument():
+    f = p(1) * p(2) + p(2) * p(2) * p(1) * half
+    assert f.coefficient((1, 2)) == f.coefficient([2, 1]) == 1
+    assert f.coefficient((2, 1, 2)) == f.coefficient((2, 2, 1)) == half
+    assert f.coefficient((3,)) == 0
+    for lam in [(1, 0), (-1,), (1.0,)]:
+        with pytest.raises(ValueError, match="not positive"):
+            f.coefficient(lam)
 
 
 def test_render_format():

@@ -19,7 +19,7 @@ def check_partition(parts) -> Partition:
     """Validate and canonicalize an iterable of parts into a partition tuple."""
     lam = tuple(parts)
     for i, part in enumerate(lam):
-        if not isinstance(part, int) or part < 1:
+        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
             raise ValueError(f"partition parts must be positive integers, got {lam!r}")
         if i > 0 and lam[i - 1] < part:
             raise ValueError(f"partition parts must be weakly decreasing, got {lam!r}")

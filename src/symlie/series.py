@@ -7,6 +7,13 @@ inputs.  compose_scalar() substitutes a zero-constant-term series into a
 univariate Taylor series with exact rational coefficients; exp, log(1+x),
 tan, tanh, arctan and arctanh wrappers are provided.
 
+series_div is the one division kernel: it solves f = g*q for q one degree
+at a time over integer forms, so it never builds 1/g, which is dense where
+f/g is sparse (E_odd/E_even lies in Q[p_1, p_3, ...]).  series_inverse(g)
+is series_div(1, g).  Every series kernel reads its operands' components
+through the integer form each SymFunc carries, so a shared component is
+encoded once.
+
 _plethysm is the one kernel that builds f[g] = sum_lam c_lam prod_i p_{lam_i}[g]
 from one integer-form table of prefix products.  plethysm.pleth and
 plethysm.pleth_inverse call it, and so does compose_scalar: sum_m c_m g^m is
@@ -153,38 +160,43 @@ class GradedSeries:
         return f"GradedSeries(N={self.max_degree}, {{{parts}}})"
 
 
-def _convolution(
-    fs, gs, d: int, start: int = 0, scale: Fraction = Fraction(1)
-) -> Optional[IntegerForm]:
-    """scale * sum_{start <= a <= d} f_a g_{d-a} over integer forms (None for 0)."""
+def _convolution(fs, gs, d: int) -> Optional[IntegerForm]:
+    """sum_{0 <= a <= d} f_a g_{d-a} over integer forms (None for 0)."""
     return _form_of_products(
-        ((fs[a], gs[d - a]) for a in range(start, d + 1) if fs[a] and gs[d - a]), scale
+        (fs[a], gs[d - a]) for a in range(d + 1) if fs[a] and gs[d - a]
     )
 
 
-def series_inverse(f: GradedSeries) -> GradedSeries:
+def series_inverse(g: GradedSeries) -> GradedSeries:
     """Multiplicative inverse of a series with invertible (nonzero rational)
-    constant term: r_0 = 1/c and r_d = -(1/c) sum_{j=1..d} f_j r_{d-j}."""
-    c0 = f.components[0]
-    if c0.terms and set(c0.terms) != {()}:
-        raise NonUnitConstantError("constant component is not a scalar")
-    c = f.constant_term()
-    if not c:
-        raise NonUnitConstantError("cannot invert a series with zero constant term")
-    n = f.max_degree
-    inv_c = Fraction(1) / c
-    out = GradedSeries(n)
-    out.components[0] = SymFunc.constant(inv_c)
-    fs = [_integer_form(part) for part in f.components]
-    rs = [_integer_form(out.components[0])]
-    for d in range(1, n + 1):
-        rs.append(_convolution(fs, rs, d, start=1, scale=-inv_c))
-        out.components[d] = _from_form(rs[d])
-    return out
+    constant term: series_div(1, g)."""
+    return series_div(GradedSeries.constant(1, g.max_degree), g)
 
 
 def series_div(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    return f * series_inverse(g)
+    """f/g for g with invertible (nonzero rational) constant term c,
+    truncated at the smaller bound: q_d = (1/c)(f_d - sum_{j=1..d} g_j q_{d-j}),
+    each q_d summed in one pass over integer forms."""
+    c0 = g.components[0]
+    if c0.terms and set(c0.terms) != {()}:
+        raise NonUnitConstantError("constant component is not a scalar")
+    c = g.constant_term()
+    if not c:
+        raise NonUnitConstantError("cannot divide by a series with zero constant term")
+    n = min(f.max_degree, g.max_degree)
+    gs = [_integer_form(part) for part in g.components[: n + 1]]
+    # f_d enters as f_d * (-1) under the common scale -1/c
+    minus_one = _integer_form(SymFunc.constant(-1))
+    scale = -1 / c
+    qs: List[Optional[IntegerForm]] = []
+    for d, part in enumerate(f.components[: n + 1]):
+        pairs = [(gs[j], qs[d - j]) for j in range(1, d + 1) if gs[j] and qs[d - j]]
+        if part:
+            pairs.append((_integer_form(part), minus_one))
+        qs.append(_form_of_products(pairs, scale))
+    out = GradedSeries(n)
+    out.components = [_from_form(q) for q in qs]
+    return out
 
 
 def parity_split(f: GradedSeries, parity: str, alternating: bool = False) -> GradedSeries:

@@ -13,8 +13,12 @@ writes each factor as integer numerators over one common denominator (the
 lcm of its term denominators), sums the integer products, and builds each
 output Fraction once.  _form_of_products is that one kernel, returning the
 sum in lowest terms; _sum_of_products turns it into a SymFunc.
-SymFunc.__mul__, GradedSeries.__mul__, series_inverse and the plethysm kernel
-series._plethysm all go through it.
+SymFunc.__mul__, GradedSeries.__mul__, series_div (and with it
+series_inverse) and the plethysm kernel series._plethysm all go through it.
+Each SymFunc carries its integer form: one the kernel returns is kept on the
+SymFunc built from it, and any other is computed at most once, the first
+time a product asks for it, so a shared operand such as a named series
+component is encoded once however often it is multiplied.
 
 Inside an integer form a partition lam is keyed by the integer
 prod_i P(lam_i), P(k) the prime issued to the part k when it is first seen
@@ -49,8 +53,10 @@ class HomogeneityError(ValueError):
     """Raised when an operation requiring homogeneous input gets a mixed one."""
 
 
-# (terms as (partition key, integer numerator) pairs, common denominator)
-IntegerForm = Tuple[List[Tuple[int, int]], int]
+# (terms as (partition key, integer numerator) pairs, common denominator);
+# tuples all the way down, since one form is shared by every product that
+# reads its SymFunc
+IntegerForm = Tuple[Tuple[Tuple[int, int], ...], int]
 
 # The prime issued to each part seen so far, P(k) = _PRIMES[k]; primes are
 # issued in increasing order, so its values are the first len(_PRIMES) primes.
@@ -92,11 +98,23 @@ def _partition(key: int) -> Partition:
 
 
 def _integer_form(f: "SymFunc") -> Optional[IntegerForm]:
-    """f as integer numerators over the lcm of its denominators; None for 0."""
-    if not f.terms:
-        return None
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    return [(_key(lam), c.numerator * (den // c.denominator)) for lam, c in f.terms.items()], den
+    """f as integer numerators over the lcm of its denominators; None for 0.
+
+    The form is kept on f, so it is computed at most once per SymFunc.  A
+    form is valid under the prime table that issued its keys; _PRIMES only
+    grows, so a kept form stays valid for the life of the process."""
+    try:
+        return f._form
+    except AttributeError:
+        pass
+    form = None
+    if f.terms:
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        form = tuple([
+            (_key(lam), c.numerator * (den // c.denominator)) for lam, c in f.terms.items()
+        ]), den
+    f._form = form
+    return form
 
 
 def _scaled_form(form: Optional[IntegerForm], k: int) -> Optional[IntegerForm]:
@@ -105,7 +123,7 @@ def _scaled_form(form: Optional[IntegerForm], k: int) -> Optional[IntegerForm]:
     if form is None:
         return None
     terms, den = form
-    return [(_key(tuple(j * k for j in _partition(key))), c) for key, c in terms], den
+    return tuple([(_key(tuple(j * k for j in _partition(key))), c) for key, c in terms]), den
 
 
 def _form_of_products(
@@ -133,7 +151,7 @@ def _form_of_products(
                 key = lam * mu
                 acc[key] = acc.get(key, 0) + xk * y
     num = scale.numerator
-    terms = [(key, w) for key, v in acc.items() if (w := v * num)]
+    terms = tuple([(key, w) for key, v in acc.items() if (w := v * num)])
     if not terms:
         return None
     den *= scale.denominator
@@ -142,14 +160,23 @@ def _form_of_products(
         g = gcd(g, v)
         if g == 1:
             return terms, den
-    return [(key, v // g) for key, v in terms], den // g
+    return tuple([(key, v // g) for key, v in terms]), den // g
 
 
 def _from_form(form: Optional[IntegerForm]) -> "SymFunc":
-    """The SymFunc of an integer form, one Fraction per term."""
-    terms, den = form or ([], 1)
+    """The SymFunc of an integer form in lowest terms, one Fraction per term;
+    it keeps the form."""
+    terms, den = form or ((), 1)
+    result = _canonical({_partition(key): Fraction(v, den) for key, v in terms})
+    result._form = form
+    return result
+
+
+def _canonical(terms: Dict[Partition, Fraction]) -> "SymFunc":
+    """The SymFunc of terms already in canonical form (partition keys,
+    nonzero Fraction values), taken as given."""
     result = SymFunc.__new__(SymFunc)
-    result.terms = {_partition(key): Fraction(v, den) for key, v in terms}
+    result.terms = terms
     return result
 
 
@@ -166,7 +193,7 @@ def _sorted_key(parts) -> Partition:
     positive int raises ValueError."""
     lam = tuple(parts)
     for part in lam:
-        if not isinstance(part, int) or part < 1:
+        if not isinstance(part, int) or isinstance(part, bool) or part < 1:
             raise ValueError(f"partition part {part!r} is not an int, or not positive")
     key = tuple(sorted(lam, reverse=True))
     return lam if key == lam else key
@@ -180,10 +207,14 @@ class SymFunc:
     Coefficients must be numbers.Rational (int, Fraction); anything else,
     a float included, raises TypeError.  The constructor sorts each key
     into a partition and adds up the coefficients that land on one key; a
-    part that is not a positive int raises ValueError.
+    part that is not a positive int (a bool included) raises ValueError.
+
+    _form holds the integer form of terms once one is known (see
+    _integer_form); since terms is never changed after construction, the
+    form stays the one recomputed from terms.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_form")
 
     def __init__(self, terms=None):
         clean: Dict[Partition, Fraction] = {}
@@ -252,16 +283,12 @@ class SymFunc:
                 out[lam] = new
             else:
                 out.pop(lam, None)
-        result = SymFunc.__new__(SymFunc)
-        result.terms = out
-        return result
+        return _canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymFunc":
-        result = SymFunc.__new__(SymFunc)
-        result.terms = {lam: -c for lam, c in self.terms.items()}
-        return result
+        return _canonical({lam: -c for lam, c in self.terms.items()})
 
     def __sub__(self, other) -> "SymFunc":
         if isinstance(other, Rational):
@@ -306,10 +333,16 @@ EXPONENTIAL_WEIGHTS: Dict[str, Callable[[int], int]] = {
 
 
 def exponential_part(n: int, weight: Callable[[int], int]) -> SymFunc:
-    """Degree-n part of exp(sum_k w(k) p_k/k): sum_{lam |- n} prod_i w(lam_i) p_lam/z_lam."""
-    return SymFunc(
-        {lam: Fraction(prod(map(weight, lam)), z_of(lam)) for lam in partitions_of(n)}
-    )
+    """Degree-n part of exp(sum_k w(k) p_k/k): sum_{lam |- n} prod_i w(lam_i) p_lam/z_lam.
+
+    partitions_of yields sorted keys, and a zero weight product (a part
+    with w = 0) drops before any Fraction is made."""
+    terms = {}
+    for lam in partitions_of(n):
+        w = prod(map(weight, lam))
+        if w:
+            terms[lam] = Fraction(w, z_of(lam))
+    return _canonical(terms)
 
 
 def h(n: int) -> SymFunc:

@@ -350,7 +350,8 @@ def _jordan(n: int) -> List[Pair]:
         offenders.components[d] = SymFunc(bad)
     return [
         ("sum eta_n vs (1-p_1)^-1 / H[Lie_even]", eta, rhs),
-        ("eta Schur-expansion negative or fractional part", offenders, GradedSeries(bound)),
+        (f"eta Schur-expansion negative or fractional part, through degree {bound}",
+         offenders, GradedSeries(bound)),
     ]
 
 

@@ -189,6 +189,12 @@ def series_inverse_reference(f: GradedSeries) -> GradedSeries:
     return out
 
 
+def series_div_reference(f: GradedSeries, g: GradedSeries) -> GradedSeries:
+    """f times the inverse of g, both in Fractions: the reference for
+    symlie.series.series_div, which never builds 1/g."""
+    return series_mul_reference(f, series_inverse_reference(g))
+
+
 def compose_scalar_reference(cs, g: GradedSeries) -> GradedSeries:
     """sum_m cs[m-1] g^m, one series product per power: the reference for
     symlie.series.compose_scalar (g must have zero constant term)."""

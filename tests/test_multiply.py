@@ -5,17 +5,18 @@ on random sparse elements with mixed denominators."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symlie.plethysm import pleth, pleth_inverse
-from symlie.series import GradedSeries, compose_scalar, series_inverse
+from symlie.series import GradedSeries, compose_scalar, series_div, series_inverse
 from symlie.symfunc import SymFunc, h, p
 
 from helpers import (
     coefficients,
     compose_scalar_reference,
     series,
+    series_div_reference,
     series_inverse_reference,
     series_mul_reference,
     symfunc_mul_reference,
@@ -80,6 +81,23 @@ def test_series_inverse_matches_reference(data, c):
 def test_series_inverse_of_a_constant_only_series():
     f = GradedSeries.constant(Fraction(-3, 7), 5)
     assert series_inverse(f) == series_inverse_reference(f) == GradedSeries.constant(Fraction(-7, 3), 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=series(), g=nonzero_constants.flatmap(lambda c: series(constant=c)))
+# series() draws each bound and leaves components zero at random; pinned:
+# c != 1 under f with a constant term, unequal bounds both ways, f = 0, f = g
+@example(f=GradedSeries(6, {0: Fraction(2, 3), 2: p(2) * Fraction(1, 5), 5: p(3) * p(2)}),
+         g=GradedSeries(4, {0: Fraction(-3, 7), 1: p(1), 3: p(1) * p(2) - p(3)}))
+@example(f=GradedSeries(3, {1: p(1) * 4}),
+         g=GradedSeries(7, {0: 5, 4: p(2) * p(2) * Fraction(1, 9), 7: p(7)}))
+@example(f=GradedSeries(5), g=GradedSeries.constant(Fraction(11, 2), 5))
+@example(f=GradedSeries(4, {0: 1, 1: p(1)}), g=GradedSeries(4, {0: 1, 1: p(1)}))
+def test_series_div_matches_reference(f, g):
+    quotient = series_div(f, g)
+    assert quotient == series_div_reference(f, g)
+    assert quotient.max_degree == min(f.max_degree, g.max_degree)
+    assert quotient * g == GradedSeries(quotient.max_degree, f.components)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,8 @@
 """Property tests with fixed example budgets: the CLI exit-code contract under
 random token strings, omega as an involution, plethysm associativity through
-the power-sum series P_k, pleth against its product-of-series reference, and
-the prime-product partition keys of the integer multiplication kernel."""
+the power-sum series P_k, pleth against its product-of-series reference,
+the prime-product partition keys of the integer multiplication kernel, and
+the integer form each SymFunc keeps."""
 
 import contextlib
 import io
@@ -16,17 +17,20 @@ from hypothesis import strategies as st
 
 import symlie.symfunc as symfunc
 from symlie.cli import main
+from symlie.lie import e_series, named_series
 from symlie.partitions import partitions_of
 from symlie.plethysm import pleth
-from symlie.series import GradedSeries, omega_series
+from symlie.series import GradedSeries, omega_series, parity_split, series_div
 from symlie.symfunc import (
     _PRIMES,
+    EXPONENTIAL_WEIGHTS,
     SymFunc,
     _form_of_products,
     _integer_form,
     _key,
     _partition,
     _sum_of_products,
+    exponential_part,
     p,
 )
 
@@ -128,7 +132,8 @@ def test_products_bring_in_primes_not_yet_issued():
 
 def test_a_huge_part_issues_one_prime(monkeypatch):
     # a part gets the next prime when it is first seen, so p(10**6) costs
-    # one prime, not a sieve up to the 10**6-th
+    # one prime, not a sieve up to the 10**6-th; p() builds fresh SymFuncs,
+    # so no form kept under the full prime table is read here
     monkeypatch.setattr(symfunc, "_PRIMES", {})
     _key.cache_clear()
     _partition.cache_clear()
@@ -201,3 +206,34 @@ def test_forms_of_products_are_in_lowest_terms(pairs, scale):
     # the same form, term for term, as writing the sum out and encoding it
     expected_terms, expected_den = _integer_form(expected)
     assert (dict(terms), den) == (dict(expected_terms), expected_den)
+
+
+# --- the integer form kept on each SymFunc ---------------------------------------
+
+
+def _recomputed_form(f: SymFunc):
+    """f's integer form computed afresh from its terms."""
+    return _integer_form(SymFunc(f.terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=symfuncs(), g=symfuncs(), c=coefficients)
+def test_kept_forms_match_the_terms(f, g, c):
+    # the operands keep their forms first, so a result that wrongly shared
+    # one would show
+    assert _integer_form(f) == _recomputed_form(f)
+    assert _integer_form(g) == _recomputed_form(g)
+    for x in (f + g, f - g, -f, f * g, f * c, f * f):
+        assert _integer_form(x) == _recomputed_form(x)
+        assert _integer_form(x) is _integer_form(x)
+
+
+def test_kernel_outputs_keep_the_forms_of_their_terms():
+    n = 10
+    E = e_series(n)
+    quotient = series_div(parity_split(E, "odd"), parity_split(E, "even"))
+    outputs = [exponential_part(d, w) for d in range(n) for w in EXPONENTIAL_WEIGHTS.values()]
+    outputs += quotient.components + (E * quotient).components
+    outputs += pleth(quotient, named_series("Lie_odd", n)).components
+    for x in outputs:
+        assert _integer_form(x) == _recomputed_form(x)

@@ -98,7 +98,9 @@ def test_character_matches_beta_list_reference():
                 assert character(lam, mu) == character_reference(lam, mu), (lam, mu)
 
 
-@pytest.mark.parametrize("lam", [(1, 2), (2, 0), (0,), (-1,), (Fraction(3, 2),), (1.0,)])
+@pytest.mark.parametrize(
+    "lam", [(1, 2), (2, 0), (0,), (-1,), (Fraction(3, 2),), (1.0,), (True,), (True, True)]
+)
 def test_schur_and_character_reject_shapes_that_are_not_partitions(lam):
     with pytest.raises(ValueError, match="partition parts"):
         schur(lam)
@@ -212,7 +214,9 @@ def test_coefficients_on_one_key_add_up():
     assert SymFunc({(1, 2, 2): 1, (2, 1, 2): -1, (3,): half}) == p(3) * half
 
 
-@pytest.mark.parametrize("lam", [(0,), (-1,), (2, -1), (1, 0, 2), (Fraction(3, 2),), (1.0,)])
+@pytest.mark.parametrize(
+    "lam", [(0,), (-1,), (2, -1), (1, 0, 2), (Fraction(3, 2),), (1.0,), (True,), (2, True)]
+)
 def test_a_part_that_is_not_a_positive_int_is_rejected_at_construction(lam):
     with pytest.raises(ValueError, match="not positive"):
         SymFunc({lam: 1})
@@ -223,7 +227,7 @@ def test_coefficient_sorts_its_argument():
     assert f.coefficient((1, 2)) == f.coefficient([2, 1]) == 1
     assert f.coefficient((2, 1, 2)) == f.coefficient((2, 2, 1)) == half
     assert f.coefficient((3,)) == 0
-    for lam in [(1, 0), (-1,), (1.0,)]:
+    for lam in [(1, 0), (-1,), (1.0,), (True,)]:
         with pytest.raises(ValueError, match="not positive"):
             f.coefficient(lam)
 

@@ -153,6 +153,15 @@ def test_perturbing_a_shared_side_leaves_it_intact():
     assert run_check("hook_regular", 6).passed
 
 
+def test_jordan_names_the_bound_of_its_positivity_scan():
+    # the Schur scan stops at degree 8 whatever degree the check runs at
+    labels = {n: build_pairs("jordan", n)[1][0] for n in (5, 18)}
+    assert labels[5].endswith("through degree 5")
+    assert labels[18].endswith("through degree 8")
+    report = run_check("jordan", 18, perturb=(1, 1, 2, (2,), Fraction(1)))
+    assert report.mismatch[1] == f"{labels[18]}: p[2]"
+
+
 def test_cap_clamps_degree():
     report = run_check("lie_oracle", 9)
     assert report.max_degree == 7

@@ -333,16 +333,10 @@ EXPONENTIAL_WEIGHTS: Dict[str, Callable[[int], int]] = {
 
 
 def exponential_part(n: int, weight: Callable[[int], int]) -> SymFunc:
-    """Degree-n part of exp(sum_k w(k) p_k/k): sum_{lam |- n} prod_i w(lam_i) p_lam/z_lam.
-
-    partitions_of yields sorted keys, and a zero weight product (a part
-    with w = 0) drops before any Fraction is made."""
-    terms = {}
-    for lam in partitions_of(n):
-        w = prod(map(weight, lam))
-        if w:
-            terms[lam] = Fraction(w, z_of(lam))
-    return _canonical(terms)
+    """Degree-n part of exp(sum_k w(k) p_k/k): sum_{lam |- n} prod_i w(lam_i) p_lam/z_lam."""
+    return SymFunc(
+        {lam: Fraction(prod(map(weight, lam)), z_of(lam)) for lam in partitions_of(n)}
+    )
 
 
 def h(n: int) -> SymFunc:

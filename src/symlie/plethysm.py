@@ -9,8 +9,11 @@ constant term, otherwise the substitution would produce infinite sums.
 Both pleth and pleth_inverse go through series._plethysm, which keeps the
 partial products prod_i p_{lam_i}[g] of every prefix of f's terms in one
 integer-form table and grows each by one degree per step.  pleth reads each
-g_d off g; pleth_inverse solves f[g] = p_1 in the same pass, computing g_d
-as soon as the degree-d part of f[g] is known without it.
+g_d off g and keeps the table on g, so every later plethysm into the same
+series object starts from the rows already built; g must therefore not be
+mutated once a plethysm has read it.  pleth_inverse solves f[g] = p_1 in
+the same pass with a fresh table, computing g_d as soon as the degree-d
+part of f[g] is known without it; it neither reads nor keeps a table on f.
 """
 
 from __future__ import annotations
@@ -41,8 +44,13 @@ def pleth(f: Union[SymFunc, GradedSeries], g: GradedSeries) -> GradedSeries:
     else:
         n = g.max_degree
         items = f.terms.items()
+    # the rows P_lam[g] stay on g for the next plethysm into it
+    try:
+        rows = g._powers
+    except AttributeError:
+        rows = g._powers = {}
     out = GradedSeries(n)
-    out.components = _plethysm(items, n, lambda d, _: g.components[d])
+    out.components = _plethysm(items, n, lambda d, _: g.components[d], rows)
     return out
 
 
@@ -63,7 +71,7 @@ def pleth_inverse(f: GradedSeries) -> GradedSeries:
     # with F's coefficients negated, the kernel's degree-d part is g_d itself
     items = [(lam, -c) for part in f.components[2:] for lam, c in part.terms.items()]
     out = GradedSeries(n)
-    out.components = _plethysm(items, n, lambda d, s: s if d > 1 else p1)
+    out.components = _plethysm(items, n, lambda d, s: s if d > 1 else p1, {})
     if n >= 1:
         out.components[1] = p1
     return out

@@ -4,8 +4,10 @@ A GradedSeries holds components[d] for 0 <= d <= max_degree, each a
 homogeneous SymFunc of degree d.  Arithmetic on two series truncates to the
 minimum of the two bounds, so no result ever claims more precision than its
 inputs.  compose_scalar() substitutes a zero-constant-term series into a
-univariate Taylor series with exact rational coefficients; exp, log(1+x),
-tan, tanh, arctan and arctanh wrappers are provided.
+univariate Taylor series with exact rational coefficients; log(1+x), tan,
+tanh, arctan and arctanh wrappers are provided.  exp_series solves
+F = exp(g) from D F = D(g) F, D the degree operator: d F_d =
+sum_{j=1..d} j g_j F_{d-j}, one pass per degree instead of every power g^m.
 
 series_div is the one division kernel: it solves f = g*q for q one degree
 at a time over integer forms, so it never builds 1/g, which is dense where
@@ -18,7 +20,10 @@ _plethysm is the one kernel that builds f[g] = sum_lam c_lam prod_i p_{lam_i}[g]
 from one integer-form table of prefix products.  plethysm.pleth and
 plethysm.pleth_inverse call it, and so does compose_scalar: sum_m c_m g^m is
 the plethysm (sum_m c_m p_1^m)[g].  It lives here rather than in plethysm
-because plethysm imports this module.
+because plethysm imports this module.  pleth keeps the table on g (the
+_powers slot), so a later plethysm into the same series object reads the
+rows it has and grows only the degrees they lack.  A series must therefore
+not be mutated once a plethysm has read it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 from numbers import Rational
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .partitions import Partition
 from .symfunc import (
@@ -45,8 +50,21 @@ class NonUnitConstantError(ValueError):
     """Raised when inverting or dividing by a series whose constant term is zero."""
 
 
+# The rows P_lam = prod_i p_{lam_i}[g] of a plethysm into g, keyed by lam:
+# P_lam[m] is the degree-m component in integer form (None for 0), and a
+# row's length is the number of its degrees computed so far.
+PowerTable = Dict[Partition, List[Optional[IntegerForm]]]
+
+
 class GradedSeries:
-    __slots__ = ("max_degree", "components")
+    """components[d] for 0 <= d <= max_degree, each homogeneous of degree d.
+
+    A series must not be mutated once a plethysm has read it: pleth keeps
+    the rows it built from the components on the series (_powers), and
+    they would go stale.
+    """
+
+    __slots__ = ("max_degree", "components", "_powers")
 
     def __init__(self, max_degree: int, components=None):
         if max_degree < 0:
@@ -224,34 +242,44 @@ def _plethysm(
     items: Iterable[Tuple[Partition, Rational]],
     n: int,
     g_at: Callable[[int, Optional[SymFunc]], SymFunc],
+    products: PowerTable,
 ) -> List[SymFunc]:
     """Components 0..n of f[g] = sum_lam c_lam P_lam, P_lam = prod_i p_{lam_i}[g],
     for f's terms (lam, c_lam) in items and g with zero constant term.
 
-    The products P_lam of every prefix lam of f's terms are kept in integer
-    form and grown by one degree per step: P_lam[d] = sum_j P_lam'[d - k*j] *
-    p_k[g_j], with k the last part of lam and lam' = lam[:-1].  Each P_lam
-    has valuation >= |lam|, so a term above n is skipped.  At step d only
-    P_(1) = g reads g_d, so g_d is asked for then: g_at(d, s) returns it,
-    where s is the degree-d result when f has no p_1 term (s then does not
-    read g_d) and None otherwise.  A caller that knows g returns g_d; one
-    that solves for g computes it from s.
+    The products P_lam of every prefix lam of f's terms are rows of the
+    table products, each grown by one degree per step: P_lam[d] = sum_j
+    P_lam'[d - k*j] * p_k[g_j], with k the last part of lam and lam' =
+    lam[:-1].  Each P_lam has valuation >= |lam|, so a term above n is
+    skipped.  A row is final through its length, so rows that an earlier
+    call left in the table are read as they are and only grown past it.
+    At step d only P_(1) = g reads g_d, so g_d is asked for then: g_at(d, s)
+    returns it, where s is the degree-d result when f has no p_1 term (s
+    then does not read g_d) and None otherwise.  A caller that knows g
+    returns g_d and may keep the table on g; one that solves for g computes
+    g_d from s and passes a fresh table.
     """
     terms = [
         (lam, _integer_form(SymFunc.constant(c))) for lam, c in items if c and sum(lam) <= n
     ]
-    # products[lam][m] is the degree-m component of P_lam (None for 0); a
-    # one-part P_(k) = p_k[g] is filled in as each g_d is known
-    products = {(): [_integer_form(SymFunc.constant(1))] + [None] * n, (1,): [None] * (n + 1)}
+    # P_() = 1 is read in every degree by a constant term of f
+    one = products.setdefault((), [_integer_form(SymFunc.constant(1))])
+    one += [None] * (n + 1 - len(one))
+    products.setdefault((1,), [None])
+    used = {(), (1,)}
     for lam, _ in terms:
-        while lam not in products:
-            products[lam] = [None] * (n + 1)
-            products.setdefault(lam[-1:], [None] * (n + 1))
+        while lam not in used:
+            used.update((lam, lam[-1:]))
+            # P_lam is zero below degree |lam|, so a new row is final there
+            products.setdefault(lam, [None] * sum(lam))
+            products.setdefault(lam[-1:], [None] * lam[-1])
             lam = lam[:-1]
     g = products[(1,)]
-    scaled = [(lam[0], row) for lam, row in products.items() if len(lam) == 1 and lam != (1,)]
+    # rows already final through n take no part in the steps
+    scaled = [(lam[0], row) for lam in used
+              if len(lam) == 1 and lam != (1,) and len(row := products[lam]) <= n]
     growing = [(lam[-1], sum(lam[:-1]), products[lam[:-1]], products[lam[-1:]], row)
-               for lam, row in products.items() if len(lam) > 1]
+               for lam in used if len(lam) > 1 and len(row := products[lam]) <= n]
     weighted = [(products[lam], c) for lam, c in terms]
     reads_g = any(lam == (1,) for lam, _ in terms)
 
@@ -261,17 +289,17 @@ def _plethysm(
     out: List[SymFunc] = []
     for d in range(n + 1):
         for k, low, prefix, column, row in growing:
-            pairs = [(prefix[d - k * j], column[k * j])
-                     for j in range(1, (d - low) // k + 1)
-                     if prefix[d - k * j] and column[k * j]]
-            if pairs:
-                row[d] = _form_of_products(pairs)
+            if len(row) == d:
+                pairs = [(prefix[d - k * j], column[k * j])
+                         for j in range(1, (d - low) // k + 1)
+                         if prefix[d - k * j] and column[k * j]]
+                row.append(_form_of_products(pairs) if pairs else None)
+        for k, row in scaled:
+            if len(row) == d:
+                row.append(None if d % k else _scaled_form(g[d // k], k))
         s = None if reads_g else total(d)
-        if d:
-            g[d] = _integer_form(g_at(d, s))
-            for k, row in scaled:
-                if k * d <= n:
-                    row[k * d] = _scaled_form(g[d], k)
+        if len(g) == d:
+            g.append(_integer_form(g_at(d, s)))
         out.append(total(d) if reads_g else s)
     return out
 
@@ -290,16 +318,12 @@ def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
         raise TypeError("Taylor coefficients must be exact rationals")
     out = GradedSeries(n)
     out.components = _plethysm(
-        [((1,) * m, c) for m, c in enumerate(cs, 1)], n, lambda d, _: g.components[d]
+        [((1,) * m, c) for m, c in enumerate(cs, 1)], n, lambda d, _: g.components[d], {}
     )
     return out
 
 
 # Exact Taylor coefficients for the named wrappers.
-
-
-def _exp_coeff(m: int) -> Fraction:
-    return Fraction(1, factorial(m))
 
 
 def _log1p_coeff(m: int) -> Fraction:
@@ -340,8 +364,26 @@ def _tan_like_coeffs(n: int, hyperbolic: bool) -> List[Fraction]:
 
 
 def exp_series(g: GradedSeries) -> GradedSeries:
-    """exp(g) = 1 + sum_{m>=1} g^m / m! for g with zero constant term."""
-    return compose_scalar(_exp_coeff, g) + 1
+    """exp(g) = 1 + sum_{m>=1} g^m / m! for g with zero constant term,
+    truncated at g's bound.
+
+    F = exp(g) solves D F = D(g) F for the degree operator D, so F_0 = 1 and
+    F_d = (1/d) sum_{j=1..d} j g_j F_{d-j}: one sum of products per degree
+    over integer forms, where the powers g^m would take one per power.
+    """
+    if g.components[0]:
+        raise NonUnitConstantError("composition requires zero constant term")
+    n = g.max_degree
+    # D(g)_j = j g_j: each numerator of g_j times j, over g_j's denominator
+    dg = [form and (tuple([(key, c * j) for key, c in form[0]]), form[1])
+          for j, form in enumerate(map(_integer_form, g.components))]
+    fs: List[Optional[IntegerForm]] = [_integer_form(SymFunc.constant(1))]
+    for d in range(1, n + 1):
+        pairs = [(dg[j], fs[d - j]) for j in range(1, d + 1) if dg[j] and fs[d - j]]
+        fs.append(_form_of_products(pairs, Fraction(1, d)) if pairs else None)
+    out = GradedSeries(n)
+    out.components = [_from_form(form) for form in fs]
+    return out
 
 
 def log1p_series(g: GradedSeries) -> GradedSeries:

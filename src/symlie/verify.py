@@ -379,14 +379,15 @@ def _alt_parity_props(n: int) -> List[Pair]:
     one = GradedSeries.constant(1, n)
     x = hk_alt_series("even", n)
     y = hk_alt_series("odd", n)
+    x2, y2 = x * x, y * y
     q = _quotient(n, True)
     return [
         ("H_odd^alt E_even^alt = H_even^alt E_odd^alt", h_odd * e_even, h_even * e_odd),
         ("H_even^alt E_even^alt + H_odd^alt E_odd^alt = 1",
          h_even * e_even + h_odd * e_odd, one),
         ("H_odd^alt/H_even^alt = E_odd^alt/E_even^alt", series_div(h_odd, h_even), q),
-        ("quotient * (X^2 + Y^2) = Y", q * (x * x + y * y), y),
-        ("Y^2 = X - X^2", y * y, x - x * x),
+        ("quotient * (X^2 + Y^2) = Y", q * (x2 + y2), y),
+        ("Y^2 = X - X^2", y2, x - x2),
         ("omega-invariance of the alternating quotient", omega_series(q), q),
     ]
 

@@ -4,11 +4,12 @@ hypothesis strategies."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 from random import Random
 
 from hypothesis import strategies as st
 
-from symlie import GradedSeries, SymFunc, h
+from symlie import GradedSeries, SymFunc, compose_scalar, h
 from symlie.cli import BinOp, Call, Expr, Gen, Name, Num, Pleth
 from symlie.oracle import _cycle_type_permutation, _perm_count, lie_bracket_basis
 from symlie.partitions import partitions_of, z_of
@@ -205,6 +206,13 @@ def compose_scalar_reference(cs, g: GradedSeries) -> GradedSeries:
         power = series_mul_reference(power, g)
         out = out + power * c
     return out
+
+
+def exp_series_reference(g: GradedSeries) -> GradedSeries:
+    """1 + sum_m g^m / m!, the powers of g built by the generic composition:
+    the reference for symlie.series.exp_series (g must have zero constant
+    term)."""
+    return compose_scalar(lambda m: Fraction(1, factorial(m)), g) + 1
 
 
 def jacobi_trudi_reference(outer, inner) -> SymFunc:

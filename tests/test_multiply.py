@@ -9,12 +9,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symlie.plethysm import pleth, pleth_inverse
-from symlie.series import GradedSeries, compose_scalar, series_div, series_inverse
+from symlie.series import (
+    GradedSeries,
+    NonUnitConstantError,
+    compose_scalar,
+    exp_series,
+    series_div,
+    series_inverse,
+)
 from symlie.symfunc import SymFunc, h, p
 
 from helpers import (
     coefficients,
     compose_scalar_reference,
+    exp_series_reference,
     series,
     series_div_reference,
     series_inverse_reference,
@@ -130,6 +138,30 @@ def test_pleth_inverse_round_trip(data):
 def test_compose_scalar_matches_reference(data, cs):
     g = data.draw(series(6, constant=0))
     assert compose_scalar(cs, g) == compose_scalar_reference(cs, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=series(constant=0))
+# pinned: bound 0, g = 0, components of several Fraction terms, and E's
+# signed log sum_k (-1)^(k-1) p_k/k
+@example(g=GradedSeries(0))
+@example(g=GradedSeries(5))
+@example(g=GradedSeries(6, {
+    1: p(1) * Fraction(-2, 3),
+    2: p(2) * Fraction(5, 7) + p(1) * p(1) * Fraction(1, 6),
+    4: p(3) * p(1) * Fraction(9, 14) - p(2) * p(2) * Fraction(1, 4) + p(4) * 3,
+    6: p(3) * p(2) * p(1) * Fraction(-1, 30),
+}))
+@example(g=GradedSeries(9, {k: p(k) * Fraction((-1) ** (k - 1), k) for k in range(1, 10)}))
+def test_exp_series_matches_reference(g):
+    assert exp_series(g) == exp_series_reference(g)
+
+
+@pytest.mark.parametrize("g", [GradedSeries.constant(1, 4), GradedSeries(3, {0: -2, 1: p(1)})])
+def test_exp_series_rejects_a_constant_term(g):
+    for exponential in (exp_series, exp_series_reference):
+        with pytest.raises(NonUnitConstantError, match="requires zero constant term"):
+            exponential(g)
 
 
 @settings(max_examples=80, deadline=None)

@@ -16,6 +16,8 @@ from symlie.symfunc import SymFunc, e, h, omega, p, schur, schur_expand
 
 from helpers import (
     monomial_pleth,
+    pleth_inverse_reference,
+    pleth_reference,
     random_homogeneous,
     random_series,
     random_symfunc,
@@ -230,8 +232,8 @@ def test_oracle_equivalence_small_sweep():
 
 
 def test_pleth_frees_partial_products_without_the_cycle_collector():
-    # Partial products live only for one call; a reference cycle would keep
-    # them until a generation-2 collection.
+    # The rows pleth builds stay on g and die with it; a reference cycle
+    # would keep them until a generation-2 collection.
     f, g = h_series(8), lie_series(8)
     gc.collect()
     gc.disable()
@@ -253,3 +255,59 @@ def test_pleth_inverse_frees_partial_products_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- rows kept on the inner series ------------------------------------------------
+
+
+def _fresh_copy(g):
+    """g's values in a new series object, which carries no kept rows."""
+    return GradedSeries(g.max_degree, g.components)
+
+
+def _kept_rows_inner():
+    return GradedSeries(12, {1: p(1), 2: p(2) * Fraction(1, 2) - p(1) * p(1),
+                             3: p(3) * Fraction(-2, 3), 5: p(3) * p(2) + p(5)})
+
+
+def test_plethysms_with_overlapping_prefixes_share_rows():
+    g = _kept_rows_inner()
+    # the rows (2, 1), (2, 1, 1) and (3, 2) are prefixes of terms of both
+    first = p(2) * p(1) * p(1) * 3 + p(3) * p(2) - p(4)
+    second = p(2) * p(1) * p(1) * p(1) + p(3) * p(2) * p(2) * Fraction(1, 5) + p(2) * p(1)
+    for f in (first, second, first):
+        assert pleth(f, g) == pleth_reference(f, g) == pleth(f, _fresh_copy(g))
+    assert {(2, 1), (2, 1, 1), (3, 2)} <= set(g._powers)
+
+
+def test_a_plethysm_at_a_higher_bound_grows_the_kept_rows():
+    g = _kept_rows_inner()
+    low = GradedSeries(6, {2: p(1) * p(1) - p(2), 3: p(2) * p(1), 4: p(2) * p(1) * p(1)})
+    high = GradedSeries(12, {
+        **dict(enumerate(low.components)),
+        8: SymFunc({(2,) + (1,) * 6: Fraction(1, 3)}),
+        12: SymFunc({(3, 2) + (1,) * 7: 1}),
+    })
+    assert pleth(low, g) == pleth_reference(low, g)
+    assert pleth(high, g) == pleth_reference(high, g) == pleth(high, _fresh_copy(g))
+    assert pleth(low, g) == pleth_reference(low, g)
+
+
+def test_a_constant_term_after_rows_are_kept():
+    g = _kept_rows_inner()
+    pleth(GradedSeries(4, {2: p(1) * p(1), 3: p(2) * p(1)}), g)
+    # f's constant term reads the row P_() in every degree up to 12
+    f = GradedSeries(12, {0: Fraction(-5, 2), 3: p(2) * p(1), 6: p(3) * p(3)})
+    assert pleth(f, g) == pleth_reference(f, g) == pleth(f, _fresh_copy(g))
+    assert pleth(SymFunc.constant(7), g) == GradedSeries.constant(7, 12)
+
+
+def test_pleth_inverse_neither_reads_nor_keeps_rows_on_its_argument():
+    f = valid_inverse_candidate(Random(5), 8)
+    expected = pleth_inverse_reference(f)
+    assert pleth_inverse(f) == expected
+    assert not hasattr(f, "_powers")
+    # rows that do not belong to f are not read either
+    f._powers = {(1,): [None] * 9, (2,): [None] * 9, (1, 1): [None] * 9}
+    assert pleth_inverse(f) == expected
+    assert f._powers == {(1,): [None] * 9, (2,): [None] * 9, (1, 1): [None] * 9}

@@ -1,9 +1,9 @@
 """The benchmark's tracer binds names inside symlie (benchmarks/tracing.py).
 A refactor that renames or inlines one of them would make `--trace 1` count
 nothing without failing, so this runs the tracer on two checks, one
-`symlie inverse` command and two plethysms through `symlie expand`.  It runs
-in a subprocess, since installing the tracer patches symlie's modules for
-good."""
+`symlie inverse` command, and two plethysms and a tanh through
+`symlie expand`.  It runs in a subprocess, since installing the tracer
+patches symlie's modules for good."""
 
 import os
 import subprocess
@@ -40,13 +40,20 @@ metrics = tracer.metrics()
 assert metrics["plethysm.pleth_inverse.calls"] == 1, metrics["plethysm.pleth_inverse.calls"]
 assert metrics["symfunc.expand_in_basis.s"] > 0, metrics["symfunc.expand_in_basis.s"]
 
-# the generic plethysm, then the exponential behind a bare name
+# the generic plethysm, then the exponential behind a bare name, whose one
+# plethysm is its log
 calls = metrics["plethysm.pleth.calls"]
 assert cli.main(["expand", "(H+0) o Lie", "--max-degree", "5"]) == 0
 metrics = tracer.metrics()
 assert metrics["plethysm.pleth.calls"] >= calls + 1, (calls, metrics["plethysm.pleth.calls"])
-seconds = metrics["series.compose_scalar.s"]
+calls = metrics["plethysm.pleth.calls"]
 assert cli.main(["expand", "H o Lie", "--max-degree", "5"]) == 0
+metrics = tracer.metrics()
+assert metrics["plethysm.pleth.calls"] == calls + 1, (calls, metrics["plethysm.pleth.calls"])
+
+# a Taylor series other than exp still goes through compose_scalar
+seconds = metrics["series.compose_scalar.s"]
+assert cli.main(["expand", "tanh(p[1])", "--max-degree", "5"]) == 0
 metrics = tracer.metrics()
 assert metrics["series.compose_scalar.s"] > seconds, (seconds, metrics["series.compose_scalar.s"])
 print("ok")

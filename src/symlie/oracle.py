@@ -207,6 +207,11 @@ def _cycle_type_permutation(lam: Partition) -> Dict[int, int]:
     return perm
 
 
+# The largest n the free-Lie trace oracle accepts: the bracket basis has
+# (n-1)! elements, 720 at n = 7.
+LIE_TRACE_LIMIT = 7
+
+
 def lie_bracket_basis(n: int) -> Tuple[Tuple[int, ...], ...]:
     """Letter sequences of the multilinear bracket basis, (n-1)! of them.
 
@@ -214,8 +219,8 @@ def lie_bracket_basis(n: int) -> Tuple[Tuple[int, ...], ...]:
     [[..[1, s(2)], ..], s(n)]; these words are exactly the multilinear
     Lyndon words on 1..n, since a word starting with its smallest letter
     precedes all of its proper suffixes."""
-    if not 1 <= n <= 7:
-        raise ValueError("bracket basis supported for 1 <= n <= 7")
+    if not 1 <= n <= LIE_TRACE_LIMIT:
+        raise ValueError(f"bracket basis supported for 1 <= n <= {LIE_TRACE_LIMIT}")
     return tuple((1,) + sigma for sigma in permutations(range(2, n + 1)))
 
 
@@ -230,8 +235,8 @@ def lie_character(n: int) -> SymFunc:
     Traces over one representative per cycle type give the character; the
     result must equal the Moebius-formula construction.
     """
-    if not 1 <= n <= 7:
-        raise ValueError("lie_character supports 1 <= n <= 7")
+    if not 1 <= n <= LIE_TRACE_LIMIT:
+        raise ValueError(f"lie_character supports 1 <= n <= {LIE_TRACE_LIMIT}")
     basis = lie_bracket_basis(n)
     positions = [({x: i for i, x in enumerate(letters)}, letters) for letters in basis]
     terms = {}

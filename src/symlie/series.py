@@ -22,8 +22,13 @@ plethysm.pleth_inverse call it, and so does compose_scalar: sum_m c_m g^m is
 the plethysm (sum_m c_m p_1^m)[g].  It lives here rather than in plethysm
 because plethysm imports this module.  pleth keeps the table on g (the
 _powers slot), so a later plethysm into the same series object reads the
-rows it has and grows only the degrees they lack.  A series must therefore
-not be mutated once a plethysm has read it.
+rows it has and grows only the degrees they lack.
+
+Every series in the package is built by a constructor and never patched
+afterwards: GradedSeries(n, components) validates what a caller passes,
+and GradedSeries._of takes the list a kernel has just built as given.  A
+library caller must not mutate a series either, since the memoized named
+series are shared and the plethysm rows kept on a series would go stale.
 """
 
 from __future__ import annotations
@@ -59,9 +64,10 @@ PowerTable = Dict[Partition, List[Optional[IntegerForm]]]
 class GradedSeries:
     """components[d] for 0 <= d <= max_degree, each homogeneous of degree d.
 
-    A series must not be mutated once a plethysm has read it: pleth keeps
-    the rows it built from the components on the series (_powers), and
-    they would go stale.
+    Built once and never mutated, by the package or by a caller: named
+    series are shared, and pleth keeps rows built from the components on
+    the series (_powers).  GradedSeries(n, components) checks homogeneity;
+    _of takes the list a kernel has just built as given.
     """
 
     __slots__ = ("max_degree", "components", "_powers")
@@ -86,6 +92,15 @@ class GradedSeries:
         self.max_degree = max_degree
         self.components = comps
 
+    @classmethod
+    def _of(cls, components: List[SymFunc]) -> "GradedSeries":
+        """The series with these components, taken as given: component d is
+        homogeneous of degree d, and the bound is len(components) - 1."""
+        out = cls.__new__(cls)
+        out.max_degree = len(components) - 1
+        out.components = components
+        return out
+
     @staticmethod
     def constant(c, max_degree: int) -> "GradedSeries":
         return GradedSeries(max_degree, {0: SymFunc.constant(c)})
@@ -106,9 +121,7 @@ class GradedSeries:
         return self.components[0].coefficient(())
 
     def map_components(self, fn: Callable[[SymFunc], SymFunc]) -> "GradedSeries":
-        out = GradedSeries(self.max_degree)
-        out.components = [fn(part) for part in self.components]
-        return out
+        return GradedSeries._of([fn(part) for part in self.components])
 
     def __eq__(self, other) -> bool:
         return (
@@ -125,12 +138,7 @@ class GradedSeries:
             other = GradedSeries.constant(other, self.max_degree)
         elif not isinstance(other, GradedSeries):
             return NotImplemented
-        n = min(self.max_degree, other.max_degree)
-        out = GradedSeries(n)
-        out.components = [
-            self.components[d] + other.components[d] for d in range(n + 1)
-        ]
-        return out
+        return GradedSeries._of([a + b for a, b in zip(self.components, other.components)])
 
     __radd__ = __add__
 
@@ -158,9 +166,7 @@ class GradedSeries:
         n = min(self.max_degree, other.max_degree)
         fs = [_integer_form(part) for part in self.components[: n + 1]]
         gs = [_integer_form(part) for part in other.components[: n + 1]]
-        out = GradedSeries(n)
-        out.components = [_from_form(_convolution(fs, gs, d)) for d in range(n + 1)]
-        return out
+        return GradedSeries._of([_from_form(_convolution(fs, gs, d)) for d in range(n + 1)])
 
     __rmul__ = __mul__
 
@@ -212,9 +218,7 @@ def series_div(f: GradedSeries, g: GradedSeries) -> GradedSeries:
         if part:
             pairs.append((_integer_form(part), minus_one))
         qs.append(_form_of_products(pairs, scale))
-    out = GradedSeries(n)
-    out.components = [_from_form(q) for q in qs]
-    return out
+    return GradedSeries._of([_from_form(q) for q in qs])
 
 
 def parity_split(f: GradedSeries, parity: str, alternating: bool = False) -> GradedSeries:
@@ -223,15 +227,11 @@ def parity_split(f: GradedSeries, parity: str, alternating: bool = False) -> Gra
     if parity not in ("odd", "even"):
         raise ValueError("parity must be 'odd' or 'even'")
     want = 1 if parity == "odd" else 0
-    out = GradedSeries(f.max_degree)
-    for d in range(f.max_degree + 1):
-        if d % 2 != want:
-            continue
-        part = f.components[d]
-        if alternating and (d // 2) % 2:
-            part = -part
-        out.components[d] = part
-    return out
+    zero = SymFunc.zero()
+    return GradedSeries._of([
+        zero if d % 2 != want else -part if alternating and (d // 2) % 2 else part
+        for d, part in enumerate(f.components)
+    ])
 
 
 def omega_series(f: GradedSeries) -> GradedSeries:
@@ -316,11 +316,9 @@ def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
     cs = [coeffs(m) for m in range(1, n + 1)] if callable(coeffs) else list(coeffs)[:n]
     if not all(isinstance(c, Rational) for c in cs):
         raise TypeError("Taylor coefficients must be exact rationals")
-    out = GradedSeries(n)
-    out.components = _plethysm(
+    return GradedSeries._of(_plethysm(
         [((1,) * m, c) for m, c in enumerate(cs, 1)], n, lambda d, _: g.components[d], {}
-    )
-    return out
+    ))
 
 
 # Exact Taylor coefficients for the named wrappers.
@@ -381,9 +379,7 @@ def exp_series(g: GradedSeries) -> GradedSeries:
     for d in range(1, n + 1):
         pairs = [(dg[j], fs[d - j]) for j in range(1, d + 1) if dg[j] and fs[d - j]]
         fs.append(_form_of_products(pairs, Fraction(1, d)) if pairs else None)
-    out = GradedSeries(n)
-    out.components = [_from_form(form) for form in fs]
-    return out
+    return GradedSeries._of([_from_form(form) for form in fs])
 
 
 def log1p_series(g: GradedSeries) -> GradedSeries:

@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .lie import compose_named, hk, hk_alt_series, named_series, staircase_skew
 from .oracle import (
+    LIE_TRACE_LIMIT,
     alternating_count,
     lie_character,
     monomial_pleth_collected,
@@ -110,7 +111,7 @@ def _p1_series(n: int) -> GradedSeries:
 @lru_cache(maxsize=None)
 def _geometric_p1(n: int) -> GradedSeries:
     # 1/(1 - p_1) = sum p_1^m; shared, so never mutated.
-    return series_inverse(GradedSeries.constant(1, n) - _p1_series(n))
+    return series_inverse(1 - _p1_series(n))
 
 
 def _odd_powersum(n: int, alternating: bool = False) -> GradedSeries:
@@ -126,14 +127,11 @@ def _odd_p1_logs(n: int, alternating: bool = False) -> GradedSeries:
 
 
 def _one_minus_p2(n: int) -> GradedSeries:
-    comps = {0: SymFunc.constant(1)}
-    if n >= 2:
-        comps[2] = -p(2)
-    return GradedSeries(n, comps)
+    return 1 - GradedSeries(n, {2: p(2)})
 
 
 @lru_cache(maxsize=None)
-def _quotient(n: int, alternating: bool = False) -> GradedSeries:
+def _quotient(n: int, alternating: bool) -> GradedSeries:
     # E_odd/E_even (or its alternating analogue); shared, so never mutated.
     alt = "_alt" if alternating else ""
     return series_div(named_series("E_odd" + alt, n), named_series("E_even" + alt, n))
@@ -172,7 +170,7 @@ def _arctanh_pleth(n: int, alternating: bool = False) -> List[Pair]:
 
 def _he_restate(n: int) -> List[Pair]:
     lhs = compose_named("HE", named_series("Lie_odd", n))
-    rhs = (GradedSeries.constant(1, n) + _p1_series(n)) * _geometric_p1(n)
+    rhs = (_p1_series(n) + 1) * _geometric_p1(n)
     return [("(HE)[Lie_odd]", lhs, rhs)]
 
 
@@ -202,10 +200,9 @@ def _he_lie_even(n: int) -> List[Pair]:
     odd_part = compose_named("HE", named_series("Lie_odd", n))
     full = compose_named("HE", named_series("Lie", n))
     geom = _geometric_p1(n)
-    one = GradedSeries.constant(1, n)
     product_form = _one_minus_p2(n) * geom * geom
     thrall_form = geom * compose_named("E", named_series("Lie", n))
-    even_target = _one_minus_p2(n) * series_inverse(one - _p1_series(n) * _p1_series(n))
+    even_target = _one_minus_p2(n) * series_inverse(1 - _p1_series(n) * _p1_series(n))
     return [
         ("(HE)[Lie_even] vs (1-p_2)(1-p_1^2)^-1", even_part, even_target),
         ("(HE)[Lie_odd](HE)[Lie_even] vs (HE)[Lie]", odd_part * even_part, full),
@@ -222,26 +219,22 @@ def _hook_alt(parity: str, n: int) -> List[Pair]:
     return [(f"{parity} alternating hooks [Lie_odd^alt]", lhs, rhs)]
 
 
-def _staircase_sum(n: int, signed: bool = False, method: str = "jacobi_trudi") -> GradedSeries:
-    comps = {}
-    for stair in range(2, (n + 3) // 2 + 1):
-        term = staircase_skew(stair, method)
-        if signed:
-            term = term * ((-1) ** stair)
-        comps[2 * stair - 3] = term
-    return GradedSeries(n, comps)
+def _staircase_sum(n: int, method: str = "jacobi_trudi") -> GradedSeries:
+    # sum_{stair >= 2} s_{delta_stair/delta_{stair-2}}, the ribbon of size 2 stair - 3
+    return GradedSeries(n, {2 * stair - 3: staircase_skew(stair, method)
+                            for stair in range(2, (n + 3) // 2 + 1)})
 
 
 def _carlitz(n: int) -> List[Pair]:
     return [
-        ("E_odd^alt/E_even^alt vs staircase sum", _quotient(n, True), _staircase_sum(n, False))
+        ("E_odd^alt/E_even^alt vs staircase sum", _quotient(n, True), _staircase_sum(n))
     ]
 
 
 def _foulkes(n: int) -> List[Pair]:
     return [
         ("staircase: Euler-number formula vs determinant",
-         _staircase_sum(n, method="foulkes"), _staircase_sum(n))
+         _staircase_sum(n, "foulkes"), _staircase_sum(n))
     ]
 
 
@@ -282,12 +275,14 @@ def _hook_product_expansion(d: int) -> SymFunc:
 
 
 def _alt_carlitz(n: int) -> List[Pair]:
-    q = _quotient(n)
+    q = _quotient(n, False)
     hooks = GradedSeries(
         n, {d: _hook_product_expansion(d) for d in range(1, n + 1)}
     )
+    # the ribbon of stair s sits in degree d = 2s - 3, so (-1)^s = (-1)^{floor(d/2)}
+    signed = parity_split(_staircase_sum(n), "odd", alternating=True)
     return [
-        ("E_odd/E_even vs signed staircase sum", q, _staircase_sum(n, True)),
+        ("E_odd/E_even vs signed staircase sum", q, signed),
         ("E_odd/E_even vs hook-product expansion", q, hooks),
     ]
 
@@ -295,12 +290,11 @@ def _alt_carlitz(n: int) -> List[Pair]:
 def _tangent_sum(n: int, alternating: bool) -> GradedSeries:
     # sum_n (-1)^n T_{2n+1} Z^{2n+1}/(2n+1)!  (signs dropped in the tan case)
     z = _odd_powersum(n, alternating)
-    out = GradedSeries(n)
-    power = GradedSeries.constant(1, n)
     z2 = z * z
+    out = power = GradedSeries(n)
     for k in range(0, (n - 1) // 2 + 1):
         m = 2 * k + 1
-        power = power * (z if k == 0 else z2)
+        power = power * z2 if k else z
         tangent = alternating_count(m)
         sign = 1 if alternating else (-1) ** k
         out = out + power * Fraction(sign * tangent, factorial(m))
@@ -340,14 +334,11 @@ def _jordan(n: int) -> List[Pair]:
     h_lie_even = compose_named("H", named_series("Lie_even", n))
     rhs = series_div(_geometric_p1(n), h_lie_even)
     bound = min(n, _POSITIVITY_CAP)
-    offenders = GradedSeries(bound)
-    for d in range(1, bound + 1):
-        bad = {
-            lam: c
-            for lam, c in schur_expand(eta.components[d]).items()
-            if c < 0 or c.denominator != 1
-        }
-        offenders.components[d] = SymFunc(bad)
+    offenders = GradedSeries(bound, {
+        d: SymFunc({lam: c for lam, c in schur_expand(eta.components[d]).items()
+                    if c < 0 or c.denominator != 1})
+        for d in range(1, bound + 1)
+    })
     return [
         ("sum eta_n vs (1-p_1)^-1 / H[Lie_even]", eta, rhs),
         (f"eta Schur-expansion negative or fractional part, through degree {bound}",
@@ -359,16 +350,15 @@ def _parity_props(n: int) -> List[Pair]:
     es, he, k = named_series("E", n), named_series("HE", n), named_series("Hk", n)
     h_odd, h_even = named_series("H_odd", n), named_series("H_even", n)
     e_odd, e_even = named_series("E_odd", n), named_series("E_even", n)
-    one = GradedSeries.constant(1, n)
-    q = _quotient(n)
+    q = _quotient(n, False)
     return [
         ("H_odd E_even = H_even E_odd", h_odd * e_even, h_even * e_odd),
-        ("H_even E_even = 1 + H_odd E_odd", h_even * e_even, one + h_odd * e_odd),
+        ("H_even E_even = 1 + H_odd E_odd", h_even * e_even, h_odd * e_odd + 1),
         ("2 H_odd E = HE - 1", h_odd * es * 2, he - 1),
         ("2 H_even E = HE + 1", h_even * es * 2, he + 1),
         ("H_odd/H_even = E_odd/E_even", series_div(h_odd, h_even), q),
-        ("quotient * (HE + 1) = HE - 1", q * (he + one), he - 1),
-        ("quotient * (1 + Hk) = Hk", q * (one + k), k),
+        ("quotient * (HE + 1) = HE - 1", q * (he + 1), he - 1),
+        ("quotient * (1 + Hk) = Hk", q * (k + 1), k),
         ("omega-invariance of the quotient", omega_series(q), q),
     ]
 
@@ -376,7 +366,6 @@ def _parity_props(n: int) -> List[Pair]:
 def _alt_parity_props(n: int) -> List[Pair]:
     h_odd, h_even = named_series("H_odd_alt", n), named_series("H_even_alt", n)
     e_odd, e_even = named_series("E_odd_alt", n), named_series("E_even_alt", n)
-    one = GradedSeries.constant(1, n)
     x = hk_alt_series("even", n)
     y = hk_alt_series("odd", n)
     x2, y2 = x * x, y * y
@@ -384,7 +373,7 @@ def _alt_parity_props(n: int) -> List[Pair]:
     return [
         ("H_odd^alt E_even^alt = H_even^alt E_odd^alt", h_odd * e_even, h_even * e_odd),
         ("H_even^alt E_even^alt + H_odd^alt E_odd^alt = 1",
-         h_even * e_even + h_odd * e_odd, one),
+         h_even * e_even + h_odd * e_odd, GradedSeries.constant(1, n)),
         ("H_odd^alt/H_even^alt = E_odd^alt/E_even^alt", series_div(h_odd, h_even), q),
         ("quotient * (X^2 + Y^2) = Y", q * (x2 + y2), y),
         ("Y^2 = X - X^2", y2, x - x2),
@@ -500,8 +489,9 @@ CHECKS: List[Check] = [
     Check("alt_parity_props",
           "alternating parity identities and quotient forms, real coefficients",
           _alt_parity_props),
-    Check("lie_oracle", "Lie_n = free-Lie-algebra trace character, n <= 7",
-          _lie_oracle, cap=7),
+    Check("lie_oracle",
+          f"Lie_n = free-Lie-algebra trace character, n <= {LIE_TRACE_LIMIT}",
+          _lie_oracle, cap=LIE_TRACE_LIMIT),
     Check("pleth_oracle",
           "plethysm agrees with the monomial-alphabet oracle over the sweep",
           _pleth_oracle, cap=12),
@@ -522,39 +512,12 @@ def build_pairs(name: str, max_degree: int) -> List[Pair]:
     return check.builder(check.degree(max_degree))
 
 
-def run_check(
-    name: str,
-    max_degree: int,
-    perturb: Optional[Tuple[int, int, int, tuple, Fraction]] = None,
-) -> CheckReport:
-    """Run one registered check at the given truncation degree.
-
-    perturb, used by the fault-injection tests, is
-    (pair_index, side, degree, partition, delta): delta * p_partition is
-    added to that side before comparison.  The degree must lie within the
-    side's bound and be the size of the partition (ValueError otherwise).
-    """
+def run_check(name: str, max_degree: int) -> CheckReport:
+    """Run one registered check at the given truncation degree."""
     start = time.perf_counter()
     pairs = build_pairs(name, max_degree)
     check = _BY_NAME[name]
     n = check.degree(max_degree)
-    if perturb is not None:
-        pair_index, side, degree, lam, delta = perturb
-        label, lhs, rhs = pairs[pair_index]
-        target = lhs if side == 0 else rhs
-        if not 0 <= degree <= target.max_degree:
-            raise ValueError(
-                f"perturbation degree {degree} is outside [0, {target.max_degree}]"
-            )
-        if sum(lam) != degree:
-            raise ValueError(f"perturbation partition {lam!r} does not have size {degree}")
-        bumped = target.components[degree] + SymFunc({tuple(lam): delta})
-        patched = GradedSeries(target.max_degree)
-        patched.components = list(target.components)
-        patched.components[degree] = bumped
-        pairs[pair_index] = (
-            (label, patched, rhs) if side == 0 else (label, lhs, patched)
-        )
     first_failure = None
     mismatch = None
     partition = delta = None

@@ -9,6 +9,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
+import symlie.verify as verify
 from symlie import GradedSeries, SymFunc, compose_scalar, h
 from symlie.cli import BinOp, Call, Expr, Gen, Name, Num, Pleth
 from symlie.oracle import _cycle_type_permutation, _perm_count, lie_bracket_basis
@@ -550,6 +551,44 @@ def syt_count_reference(outer, inner=()) -> int:
 
     place(sum(outer) - sum(inner))
     return count
+
+
+# --- fault injection for the check registry in symlie.verify ---------------------
+
+
+def run_perturbed(name: str, max_degree: int, perturb) -> "verify.CheckReport":
+    """verify.run_check with one side of one pair perturbed.
+
+    perturb is (pair_index, side, degree, partition, delta): delta *
+    p_partition is added to a copy of side 0 (lhs) or 1 (rhs) of that pair,
+    so a memoized series the pair shares stays intact.  verify.build_pairs is
+    replaced for this one call.  The degree must lie within the side's bound
+    and be the size of the partition (ValueError otherwise).
+    """
+    pair_index, side, degree, lam, delta = perturb
+    build_pairs = verify.build_pairs
+
+    def perturbed_pairs(check_name: str, n: int):
+        pairs = build_pairs(check_name, n)
+        label, *sides = pairs[pair_index]
+        target = sides[side]
+        if not 0 <= degree <= target.max_degree:
+            raise ValueError(
+                f"perturbation degree {degree} is outside [0, {target.max_degree}]"
+            )
+        if sum(lam) != degree:
+            raise ValueError(f"perturbation partition {lam!r} does not have size {degree}")
+        components = list(target.components)
+        components[degree] = components[degree] + SymFunc({tuple(lam): delta})
+        sides[side] = GradedSeries(target.max_degree, components)
+        pairs[pair_index] = (label, *sides)
+        return pairs
+
+    verify.build_pairs = perturbed_pairs
+    try:
+        return verify.run_check(name, max_degree)
+    finally:
+        verify.build_pairs = build_pairs
 
 
 # --- expression rendering ------------------------------------------------------

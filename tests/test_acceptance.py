@@ -26,6 +26,7 @@ from helpers import (
     random_homogeneous,
     random_series,
     random_symfunc,
+    run_perturbed,
     valid_inverse_candidate,
 )
 
@@ -208,7 +209,7 @@ def test_criterion_10_fault_injection():
     flipped = 0
     for check in CHECKS:
         for side in (0, 1):
-            report = run_check(check.name, 5, perturb=(0, side, 1, (1,), Fraction(1)))
+            report = run_perturbed(check.name, 5, (0, side, 1, (1,), Fraction(1)))
             assert not report.passed, check.name
             assert report.first_failure_degree == 1, check.name
             flipped += 1
@@ -218,7 +219,7 @@ def test_criterion_10_fault_injection():
         ("main_inverse", 3, (3,)),
         ("parity_props", 5, (4, 1)),
     ):
-        report = run_check(name, 6, perturb=(0, 1, degree, lam, Fraction(1, 3)))
+        report = run_perturbed(name, 6, (0, 1, degree, lam, Fraction(1, 3)))
         assert not report.passed
         assert report.first_failure_degree == degree
     print(f"ACCEPTANCE 10 PASS: fault injection flipped {flipped} "

@@ -19,9 +19,9 @@ from symlie.cli import (
 )
 from symlie.series import GradedSeries
 from symlie.symfunc import SymFunc, p
-from symlie.verify import CHECKS, run_check
+from symlie.verify import CHECKS
 
-from helpers import prefix_equal, render_expr
+from helpers import prefix_equal, render_expr, run_perturbed
 
 
 def test_parse_pleth_of_generators():
@@ -438,7 +438,7 @@ def test_cli_max_degree_at_ceiling(capsys):
 
 def test_cli_verify_json_carries_mismatch(capsys, monkeypatch):
     def perturbed(name, max_degree):
-        return run_check(name, max_degree, perturb=(0, 0, 3, (3,), Fraction(1)))
+        return run_perturbed(name, max_degree, (0, 0, 3, (3,), Fraction(1)))
 
     monkeypatch.setattr(cli, "run_check", perturbed)
     code = main(["verify", "--check", "thrall_h", "--max-degree", "6", "--json"])
@@ -452,7 +452,7 @@ def test_cli_verify_json_carries_mismatch(capsys, monkeypatch):
 
 def test_cli_verify_text_names_the_first_difference(capsys, monkeypatch):
     def perturbed(name, max_degree):
-        return run_check(name, max_degree, perturb=(0, 1, 4, (2, 1, 1), Fraction(-2, 3)))
+        return run_perturbed(name, max_degree, (0, 1, 4, (2, 1, 1), Fraction(-2, 3)))
 
     monkeypatch.setattr(cli, "run_check", perturbed)
     code = main(["verify", "--check", "thrall_h", "--max-degree", "6"])

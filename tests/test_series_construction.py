@@ -1,0 +1,76 @@
+"""Every series in the package is built by a constructor and never patched.
+
+The memoized named series and the plethysm rows a series keeps (_powers)
+rely on this: a series that changed after it was built would leave both
+stale.  The scan reads the package's source with ast and flags every
+assignment to <expr>.components or <expr>.components[...] outside the two
+constructors of GradedSeries.
+"""
+
+import ast
+from pathlib import Path
+
+import symlie
+
+SOURCES = sorted(Path(symlie.__file__).parent.glob("*.py"))
+CONSTRUCTORS = {"GradedSeries.__init__", "GradedSeries._of"}
+
+
+def _leaves(target):
+    """The single targets inside a (possibly nested) tuple or list target."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [leaf for elt in target.elts for leaf in _leaves(elt)]
+    if isinstance(target, ast.Starred):
+        return _leaves(target.value)
+    return [target]
+
+
+def _writes_components(target) -> bool:
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return isinstance(target, ast.Attribute) and target.attr == "components"
+
+
+def component_writes(source: str):
+    """(line, enclosing qualified name) of every assignment to .components."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            else:
+                targets = []
+            if any(_writes_components(leaf) for t in targets for leaf in _leaves(t)):
+                found.append((child.lineno, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_scan_finds_every_form_of_assignment():
+    source = (
+        "def f(s, t):\n"
+        "    s.components = []\n"
+        "    s.components[1] = 0\n"
+        "    s.components[1] += 0\n"
+        "    a, (t.components, b) = 0, (0, 0)\n"
+        "    comps = s.components\n"
+        "    comps[1] = 0\n"
+    )
+    assert component_writes(source) == [(2, "f"), (3, "f"), (4, "f"), (5, "f")]
+
+
+def test_only_the_constructors_assign_components():
+    found = {path.name: component_writes(path.read_text()) for path in SOURCES}
+    outside = [(name, line, scope) for name, writes in found.items()
+               for line, scope in writes if scope not in CONSTRUCTORS]
+    assert outside == []
+    # the scan does see the two writes it allows
+    assert {scope for writes in found.values() for _, scope in writes} == CONSTRUCTORS

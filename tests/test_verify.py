@@ -7,6 +7,8 @@ from symlie.series import GradedSeries
 from symlie.symfunc import SymFunc
 from symlie.verify import CHECKS, Check, build_pairs, check_names, run_all, run_check
 
+from helpers import run_perturbed
+
 
 ALL_NAMES = [check.name for check in CHECKS]
 
@@ -80,7 +82,7 @@ def test_check_report_record():
 
 
 def test_check_report_record_carries_mismatch():
-    report = run_check("thrall_h", 6, perturb=(0, 0, 3, (3,), Fraction(1)))
+    report = run_perturbed("thrall_h", 6, (0, 0, 3, (3,), Fraction(1)))
     record = report.as_record()
     assert set(record) == RECORD_KEYS | {"first_failure_degree", "mismatch"}
     assert record["passed"] is False
@@ -109,7 +111,7 @@ def test_check_report_record_carries_mismatch():
 )
 def test_failing_report_carries_partition_and_delta(perturb, partition, delta):
     name = "main_inverse" if perturb[0] else "thrall_h"
-    report = run_check(name, 6, perturb=perturb)
+    report = run_perturbed(name, 6, perturb)
     assert not report.passed
     assert report.first_failure_degree == perturb[2]
     assert (report.mismatch_partition, report.mismatch_delta) == (partition, delta)
@@ -135,7 +137,7 @@ def test_check_report_counts_terms_and_denominators():
     # p_(4,3) is absent from both sides, so the perturbation adds one term,
     # with a 41-bit denominator
     plain = run_check("main_inverse", 7)
-    bumped = run_check("main_inverse", 7, perturb=(0, 0, 7, (4, 3), Fraction(1, 2**40)))
+    bumped = run_perturbed("main_inverse", 7, (0, 0, 7, (4, 3), Fraction(1, 2**40)))
     pairs = build_pairs("main_inverse", 7)
     parts = [part for _, lhs, rhs in pairs for side in (lhs, rhs) for part in side.components]
     assert plain.terms == sum(len(part.terms) for part in parts)
@@ -148,7 +150,7 @@ def test_check_report_counts_terms_and_denominators():
 
 def test_perturbing_a_shared_side_leaves_it_intact():
     # the rhs of thrall_h is the memoized 1/(1 - p_1), which six checks share
-    assert not run_check("thrall_h", 6, perturb=(0, 1, 2, (2,), Fraction(1))).passed
+    assert not run_perturbed("thrall_h", 6, (0, 1, 2, (2,), Fraction(1))).passed
     assert run_check("thrall_h", 6).passed
     assert run_check("hook_regular", 6).passed
 
@@ -158,8 +160,17 @@ def test_jordan_names_the_bound_of_its_positivity_scan():
     labels = {n: build_pairs("jordan", n)[1][0] for n in (5, 18)}
     assert labels[5].endswith("through degree 5")
     assert labels[18].endswith("through degree 8")
-    report = run_check("jordan", 18, perturb=(1, 1, 2, (2,), Fraction(1)))
+    report = run_perturbed("jordan", 18, (1, 1, 2, (2,), Fraction(1)))
     assert report.mismatch[1] == f"{labels[18]}: p[2]"
+
+
+def test_both_quotients_share_one_memo_entry_per_degree():
+    # main_inverse and parity_props both read E_odd/E_even at degree 8; the
+    # memo table divides it once, whichever check asks first
+    verify._quotient.cache_clear()
+    run_check("main_inverse", 8)
+    run_check("parity_props", 8)
+    assert verify._quotient.cache_info().currsize == 1
 
 
 def test_cap_clamps_degree():
@@ -190,18 +201,18 @@ def test_run_all_small_degree_passes_and_is_deterministic():
 @pytest.mark.parametrize("name", ALL_NAMES)
 @pytest.mark.parametrize("side", [0, 1])
 def test_fault_injection_flips_every_check(name, side):
-    report = run_check(name, 5, perturb=(0, side, 1, (1,), Fraction(1)))
+    report = run_perturbed(name, 5, (0, side, 1, (1,), Fraction(1)))
     assert not report.passed
     assert report.first_failure_degree == 1
     assert report.mismatch is not None
 
 
 def test_fault_injection_reports_perturbed_degree():
-    report = run_check("thrall_e", 8, perturb=(0, 1, 4, (3, 1), Fraction(-2)))
+    report = run_perturbed("thrall_e", 8, (0, 1, 4, (3, 1), Fraction(-2)))
     assert not report.passed
     assert report.first_failure_degree == 4
     # second pair of a multi-pair check
-    report = run_check("main_inverse", 6, perturb=(1, 0, 3, (2, 1), Fraction(1, 2)))
+    report = run_perturbed("main_inverse", 6, (1, 0, 3, (2, 1), Fraction(1, 2)))
     assert not report.passed
     assert report.first_failure_degree == 3
 
@@ -217,7 +228,7 @@ def test_fault_injection_at_the_top_degree(name, side, degree):
         i for i, (_, lhs, rhs) in enumerate(pairs)
         if min(lhs.max_degree, rhs.max_degree) >= degree
     )
-    report = run_check(name, 12, perturb=(index, side, degree, (degree,), Fraction(1)))
+    report = run_perturbed(name, 12, (index, side, degree, (degree,), Fraction(1)))
     assert not report.passed
     assert report.first_failure_degree == degree
     assert report.mismatch is not None
@@ -226,23 +237,26 @@ def test_fault_injection_at_the_top_degree(name, side, degree):
 def test_fault_injection_every_pair_of_one_check():
     pairs = build_pairs("parity_props", 5)
     for index in range(len(pairs)):
-        report = run_check("parity_props", 5, perturb=(index, 0, 2, (2,), Fraction(3)))
+        report = run_perturbed("parity_props", 5, (index, 0, 2, (2,), Fraction(3)))
         assert not report.passed
         assert report.first_failure_degree == 2
 
 
 def test_perturbation_degree_out_of_range():
+    build_pairs = verify.build_pairs
     with pytest.raises(ValueError):
-        run_check("pleth_oracle", 2, perturb=(0, 0, 9, (9,), Fraction(1)))
+        run_perturbed("pleth_oracle", 2, (0, 0, 9, (9,), Fraction(1)))
+    # the helper puts the registry's build_pairs back even when it raises
+    assert verify.build_pairs is build_pairs
 
 
 def test_perturbation_negative_degree_is_rejected():
     # index -1 would otherwise perturb the top degree
     with pytest.raises(ValueError, match="outside"):
-        run_check("thrall_h", 6, perturb=(0, 0, -1, (3,), Fraction(1)))
+        run_perturbed("thrall_h", 6, (0, 0, -1, (3,), Fraction(1)))
 
 
 def test_perturbation_partition_must_have_the_degree_as_size():
     # p[5] in the degree-2 component would break the pair's homogeneity
     with pytest.raises(ValueError, match="size 2"):
-        run_check("thrall_h", 6, perturb=(0, 0, 2, (5,), Fraction(1)))
+        run_perturbed("thrall_h", 6, (0, 0, 2, (5,), Fraction(1)))

@@ -22,7 +22,17 @@ from .oracle import alternating_count
 from .partitions import Partition, mobius, partitions_of, staircase, z_of
 from .plethysm import pleth
 from .series import GradedSeries, exp_series, parity_split
-from .symfunc import EXPONENTIAL_WEIGHTS, SymFunc, _h_product, e, exponential_part, h, p, schur
+from .symfunc import (
+    EXPONENTIAL_WEIGHTS,
+    SymFunc,
+    _bead_mask,
+    _character,
+    _h_product,
+    e,
+    exponential_part,
+    h,
+    p,
+)
 
 
 def lie(n: int) -> SymFunc:
@@ -48,14 +58,19 @@ def lie_series(max_degree: int) -> GradedSeries:
 @lru_cache(maxsize=None)
 def hk(n: int) -> SymFunc:
     """Hook sum Hk_n = sum_{k=0}^{n-1} s_{(n-k, 1^k)}, through the border-strip
-    characters.  The named series Hk comes from the closed form instead; this
-    Schur sum is its reference (the hook_he and alt_carlitz checks)."""
+    characters: for each class mu the n hook characters chi(mu) are summed
+    as ints, and one Fraction sum / z_mu is built per class.  The named
+    series Hk comes from the closed form instead; this Schur sum is its
+    reference (the hook_he and alt_carlitz checks)."""
     if n < 1:
         raise ValueError("hk(n) requires n >= 1")
-    total = SymFunc.zero()
-    for k in range(n):
-        total = total + schur((n - k,) + (1,) * k)
-    return total
+    masks = [_bead_mask((n - k,) + (1,) * k) for k in range(n)]
+    terms = {}
+    for mu in partitions_of(n):
+        chi = sum(_character(mask, mu) for mask in masks)
+        if chi:
+            terms[mu] = Fraction(chi, z_of(mu))
+    return SymFunc(terms)
 
 
 def hook_series(max_degree: int) -> GradedSeries:

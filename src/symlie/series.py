@@ -120,7 +120,9 @@ class GradedSeries:
     def constant_term(self) -> Fraction:
         return self.components[0].coefficient(())
 
-    def map_components(self, fn: Callable[[SymFunc], SymFunc]) -> "GradedSeries":
+    def _map_components(self, fn: Callable[[SymFunc], SymFunc]) -> "GradedSeries":
+        # fn's results are taken as given, so fn must keep each degree: -,
+        # scalar * and omega_series, the only callers, all do.
         return GradedSeries._of([fn(part) for part in self.components])
 
     def __eq__(self, other) -> bool:
@@ -143,7 +145,7 @@ class GradedSeries:
     __radd__ = __add__
 
     def __neg__(self) -> "GradedSeries":
-        return self.map_components(lambda part: -part)
+        return self._map_components(lambda part: -part)
 
     def __sub__(self, other) -> "GradedSeries":
         if isinstance(other, Rational):
@@ -160,7 +162,7 @@ class GradedSeries:
     def __mul__(self, other) -> "GradedSeries":
         if isinstance(other, Rational):
             scalar = SymFunc.constant(other)
-            return self.map_components(lambda part: part * scalar)
+            return self._map_components(lambda part: part * scalar)
         if not isinstance(other, GradedSeries):
             return NotImplemented
         n = min(self.max_degree, other.max_degree)
@@ -235,7 +237,7 @@ def parity_split(f: GradedSeries, parity: str, alternating: bool = False) -> Gra
 
 
 def omega_series(f: GradedSeries) -> GradedSeries:
-    return f.map_components(omega)
+    return f._map_components(omega)
 
 
 def _plethysm(

@@ -39,7 +39,7 @@ from .series import (
     tan_series,
     tanh_series,
 )
-from .symfunc import SymFunc, dimension, e, h, p, render, schur, schur_expand
+from .symfunc import SymFunc, _canonical, dimension, p, render, schur, schur_expand
 
 Pair = Tuple[str, GradedSeries, GradedSeries]
 
@@ -60,8 +60,10 @@ class CheckReport:
     requested_degree: Optional[int] = None
     # Wall time of building and comparing the pairs; not part of the result.
     elapsed_ms: Optional[float] = field(default=None, compare=False)
-    # Stored terms over both sides of every pair, and the largest bit length
-    # of a coefficient denominator among them; counted outside elapsed_ms.
+    # The number of pairs compared, the stored terms over both sides of
+    # every pair, and the largest bit length of a coefficient denominator
+    # among them; counted outside elapsed_ms.
+    pairs: Optional[int] = None
     terms: Optional[int] = None
     max_den_bits: Optional[int] = None
 
@@ -72,6 +74,7 @@ class CheckReport:
             "max_degree": self.max_degree,
             "requested_degree": self.requested_degree,
             "elapsed_ms": self.elapsed_ms,
+            "pairs": self.pairs,
             "terms": self.terms,
             "max_den_bits": self.max_den_bits,
             "passed": self.passed,
@@ -386,29 +389,35 @@ def _lie_oracle(n: int) -> List[Pair]:
     return [("Moebius formula vs free-Lie trace", named_series("Lie", n), rhs)]
 
 
+# The number of variables of the sweep's alphabets, and the oracle's cap:
+# specializing to m variables is injective on degree d only when m >= d,
+# so a cap above m would let two different plethysms compare equal.
 _SWEEP_M = 12
 
 
 def _oracle_sweep_functions():
-    fs = []
-    for k in range(1, 5):
-        fs.append((f"h[{k}]", h(k)))
-        fs.append((f"e[{k}]", e(k)))
-        fs.append((f"p[{k}]", p(k)))
-    for d in range(1, 5):
-        for lam in partitions_of(d):
-            fs.append((f"s{list(lam)}", schur(lam)))
-    gs = []
-    for k in range(1, 4):
-        gs.append((f"h[{k}]", h(k)))
-        gs.append((f"e[{k}]", e(k)))
-    for d in range(1, 4):
-        for lam in partitions_of(d):
-            gs.append((f"s{list(lam)}", schur(lam)))
+    """The sweep's distinct f and g: f is s_lam for |lam| <= 4 or p_2, p_3,
+    p_4, and g is s_lam for |lam| <= 3.  Since h_k = s_(k), e_k = s_(1^k)
+    and p_1 = s_1, they cover h_k, e_k and p_1 of the same degrees too."""
+    schurs = {d: [(f"s{list(lam)}", schur(lam)) for lam in partitions_of(d)]
+              for d in range(1, 5)}
+    fs = [f for d in range(1, 5) for f in schurs[d]]
+    fs += [(f"p[{k}]", p(k)) for k in range(2, 5)]
+    gs = [g for d in range(1, 4) for g in schurs[d]]
     return fs, gs
 
 
+def _at_degree(d: int, part: SymFunc) -> GradedSeries:
+    # the one-component series of a homogeneous part of degree d
+    return GradedSeries._of([SymFunc.zero()] * d + [part])
+
+
 def _pleth_oracle(n: int) -> List[Pair]:
+    """Each (f, g) of the sweep with deg f * deg g <= n, once: pleth(f, g)
+    specialized to _SWEEP_M variables against f evaluated on the monomials
+    of g(x_1, ..., x_m).  Both sides are orbit-form dicts, whose keys are
+    sorted exponent vectors and whose values are nonzero Fractions, so
+    they are wrapped as SymFuncs as they are."""
     fs, gs = _oracle_sweep_functions()
     pairs: List[Pair] = []
     for g_label, g in gs:
@@ -424,13 +433,8 @@ def _pleth_oracle(n: int) -> List[Pair]:
             )
             alphabet = monomial_pleth_collected(f, g, _SWEEP_M)
             label = f"f={f_label}, g={g_label}, m={_SWEEP_M} (orbit form)"
-            pairs.append(
-                (
-                    label,
-                    GradedSeries(degree, {degree: SymFunc(engine)}),
-                    GradedSeries(degree, {degree: SymFunc(alphabet)}),
-                )
-            )
+            pairs.append((label, _at_degree(degree, _canonical(engine)),
+                          _at_degree(degree, _canonical(alphabet))))
     return pairs
 
 
@@ -494,7 +498,7 @@ CHECKS: List[Check] = [
           _lie_oracle, cap=LIE_TRACE_LIMIT),
     Check("pleth_oracle",
           "plethysm agrees with the monomial-alphabet oracle over the sweep",
-          _pleth_oracle, cap=12),
+          _pleth_oracle, cap=_SWEEP_M),
 ]
 
 _BY_NAME: Dict[str, Check] = {check.name: check for check in CHECKS}
@@ -548,6 +552,7 @@ def run_check(name: str, max_degree: int) -> CheckReport:
         mismatch_delta=delta,
         requested_degree=max_degree,
         elapsed_ms=elapsed_ms,
+        pairs=len(pairs),
         terms=sum(len(part.terms) for part in parts),
         max_den_bits=max(
             (c.denominator.bit_length() for part in parts for c in part.terms.values()),

@@ -10,7 +10,7 @@ from random import Random
 from hypothesis import strategies as st
 
 import symlie.verify as verify
-from symlie import GradedSeries, SymFunc, compose_scalar, h
+from symlie import GradedSeries, SymFunc, compose_scalar, e, h, p, schur
 from symlie.cli import BinOp, Call, Expr, Gen, Name, Num, Pleth
 from symlie.oracle import _cycle_type_permutation, _perm_count, lie_bracket_basis
 from symlie.partitions import partitions_of, z_of
@@ -272,6 +272,16 @@ def character_reference(lam, mu) -> int:
         height = sum(1 for c in betas if nb < c < b)
         new_betas = [c for c in betas if c != b] + [nb]
         total += (-1) ** height * character_reference(_partition_from_betas(new_betas), rest)
+    return total
+
+
+def hk_reference(n: int) -> SymFunc:
+    """Hk_n as the sum of the n hook Schur functions s_(n-k, 1^k), one
+    schur() per hook added as SymFuncs: the reference for symlie.lie.hk,
+    which sums the hook characters per class on ints."""
+    total = SymFunc.zero()
+    for k in range(n):
+        total = total + schur((n - k,) + (1,) * k)
     return total
 
 
@@ -551,6 +561,34 @@ def syt_count_reference(outer, inner=()) -> int:
 
     place(sum(outer) - sum(inner))
     return count
+
+
+# --- reference for the plethysm sweep in symlie.verify ---------------------------
+
+
+def labelled_sweep_functions():
+    """The plethysm sweep as once labelled, repeats included: f runs over
+    h_k, e_k, p_k (k <= 4) and s_lam (|lam| <= 4), 23 in all, and g over h_k,
+    e_k (k <= 3) and s_lam (|lam| <= 3), 12 in all.  Since h_k = s_(k),
+    e_k = s_(1^k) and p_1 = s_1, many of its 276 pairs coincide; the
+    sweep of symlie.verify compares each distinct pair once, and is pinned
+    against this list."""
+    fs = []
+    for k in range(1, 5):
+        fs.append((f"h[{k}]", h(k)))
+        fs.append((f"e[{k}]", e(k)))
+        fs.append((f"p[{k}]", p(k)))
+    for d in range(1, 5):
+        for lam in partitions_of(d):
+            fs.append((f"s{list(lam)}", schur(lam)))
+    gs = []
+    for k in range(1, 4):
+        gs.append((f"h[{k}]", h(k)))
+        gs.append((f"e[{k}]", e(k)))
+    for d in range(1, 4):
+        for lam in partitions_of(d):
+            gs.append((f"s{list(lam)}", schur(lam)))
+    return fs, gs
 
 
 # --- fault injection for the check registry in symlie.verify ---------------------

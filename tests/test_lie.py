@@ -35,6 +35,7 @@ from symlie.symfunc import SymFunc, dimension, e, h, p, schur, schur_expand
 from symlie.verify import run_check
 
 from helpers import (
+    hk_reference,
     jacobi_trudi_reference,
     pleth_reference,
     prefix_equal,
@@ -95,6 +96,13 @@ def test_hk_values():
     assert hk(1) == p(1)
     assert hk(2) == p(1) * p(1)
     assert hk(3) == schur((3,)) + schur((2, 1)) + schur((1, 1, 1))
+
+
+def test_hk_matches_the_sum_of_hook_schur_functions():
+    # hk sums the hook characters per class on ints; the reference adds
+    # the n hook schur() results
+    for n in range(1, 17):
+        assert hk(n) == hk_reference(n), n
 
 
 def test_hk_he_identity():

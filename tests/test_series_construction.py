@@ -8,9 +8,11 @@ constructors of GradedSeries.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import symlie
+from symlie import GradedSeries, SymFunc, omega_series
 
 SOURCES = sorted(Path(symlie.__file__).parent.glob("*.py"))
 CONSTRUCTORS = {"GradedSeries.__init__", "GradedSeries._of"}
@@ -74,3 +76,17 @@ def test_only_the_constructors_assign_components():
     assert outside == []
     # the scan does see the two writes it allows
     assert {scope for writes in found.values() for _, scope in writes} == CONSTRUCTORS
+
+
+def test_degree_keeping_maps_give_homogeneous_components():
+    # -, scalar * and omega_series hand their mapped components to _of
+    # unchecked, so each must keep every component in its degree
+    f = GradedSeries(4, {0: 2, 1: SymFunc({(1,): 3}),
+                         3: SymFunc({(2, 1): Fraction(1, 2), (3,): -1}),
+                         4: SymFunc({(1, 1, 1, 1): 5, (4,): Fraction(2, 7)})})
+    assert not hasattr(GradedSeries, "map_components")
+    for result in (-f, f * Fraction(-3, 4), f * 0, omega_series(f)):
+        assert result.max_degree == 4
+        for d, part in enumerate(result.components):
+            assert part.degrees() <= {d}, (d, part)
+        assert result == GradedSeries(4, result.components)

@@ -7,7 +7,7 @@ from symlie.series import GradedSeries
 from symlie.symfunc import SymFunc
 from symlie.verify import CHECKS, Check, build_pairs, check_names, run_all, run_check
 
-from helpers import run_perturbed
+from helpers import labelled_sweep_functions, run_perturbed
 
 
 ALL_NAMES = [check.name for check in CHECKS]
@@ -59,6 +59,7 @@ RECORD_KEYS = {
     "max_degree",
     "requested_degree",
     "elapsed_ms",
+    "pairs",
     "terms",
     "max_den_bits",
     "passed",
@@ -75,6 +76,7 @@ def test_check_report_record():
         "paper_anchor": "(HE)[Lie_odd] = (1 + p_1)/(1 - p_1)",
         "max_degree": 6,
         "requested_degree": 6,
+        "pairs": 1,
         "terms": 14,
         "max_den_bits": 1,
         "passed": True,
@@ -140,6 +142,7 @@ def test_check_report_counts_terms_and_denominators():
     bumped = run_perturbed("main_inverse", 7, (0, 0, 7, (4, 3), Fraction(1, 2**40)))
     pairs = build_pairs("main_inverse", 7)
     parts = [part for _, lhs, rhs in pairs for side in (lhs, rhs) for part in side.components]
+    assert plain.pairs == bumped.pairs == len(pairs) == 2
     assert plain.terms == sum(len(part.terms) for part in parts)
     assert plain.max_den_bits == max(
         c.denominator.bit_length() for part in parts for c in part.terms.values()
@@ -232,6 +235,45 @@ def test_fault_injection_at_the_top_degree(name, side, degree):
     assert not report.passed
     assert report.first_failure_degree == degree
     assert report.mismatch is not None
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_fault_injection_flips_the_hook_sums_and_the_sweep_at_the_top(side):
+    # the Schur-sum pair of hook_he, and the last pair of the sweep (f of
+    # degree 4, g of degree 3)
+    report = run_perturbed("hook_he", 16, (0, side, 16, (16,), Fraction(1)))
+    assert (report.passed, report.first_failure_degree) == (False, 16)
+    last = len(build_pairs("pleth_oracle", 12)) - 1
+    report = run_perturbed("pleth_oracle", 12, (last, side, 12, (12,), Fraction(1)))
+    assert (report.passed, report.first_failure_degree) == (False, 12)
+
+
+def test_the_sweep_compares_each_pair_of_the_labelled_sweep_once():
+    # every (f, g) of the labelled sweep equals one compared pair by value,
+    # and every compared pair is one of them
+    labelled_fs, labelled_gs = labelled_sweep_functions()
+    fs, gs = verify._oracle_sweep_functions()
+    labelled = [(f, g) for _, g in labelled_gs for _, f in labelled_fs]
+    compared = [(f, g) for _, g in gs for _, f in fs]
+    assert (len(labelled), len(compared)) == (276, 84)
+    for f, g in labelled:
+        assert sum(f == f2 and g == g2 for f2, g2 in compared) == 1
+    for f2, g2 in compared:
+        assert (f2, g2) in labelled
+    # at degree 12 every compared pair is built, each under its own label
+    m = verify._SWEEP_M
+    expected = [f"f={f_label}, g={g_label}, m={m} (orbit form)"
+                for g_label, _ in gs for f_label, _ in fs]
+    assert [label for label, _, _ in build_pairs("pleth_oracle", 12)] == expected
+    assert run_check("pleth_oracle", 12).pairs == 84
+
+
+def test_the_sweep_cap_does_not_exceed_its_variables():
+    # specializing to m variables is injective on degree d only when m >= d
+    cap = verify._BY_NAME["pleth_oracle"].cap
+    assert cap is not None and cap <= verify._SWEEP_M
+    for _, lhs, rhs in build_pairs("pleth_oracle", 40):
+        assert max(lhs.max_degree, rhs.max_degree) <= verify._SWEEP_M
 
 
 def test_fault_injection_every_pair_of_one_check():

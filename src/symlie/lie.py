@@ -137,16 +137,16 @@ def staircase_skew(n: int, method: str = "foulkes") -> SymFunc:
 
 
 def h_series(max_degree: int) -> GradedSeries:
-    return GradedSeries(max_degree, [h(d) for d in range(max_degree + 1)])
+    return GradedSeries._of([h(d) for d in range(max_degree + 1)])
 
 
 def e_series(max_degree: int) -> GradedSeries:
-    return GradedSeries(max_degree, [e(d) for d in range(max_degree + 1)])
+    return GradedSeries._of([e(d) for d in range(max_degree + 1)])
 
 
 def _he_series(max_degree: int) -> GradedSeries:
     weight = EXPONENTIAL_WEIGHTS["HE"]
-    return GradedSeries(max_degree, [exponential_part(d, weight) for d in range(max_degree + 1)])
+    return GradedSeries._of([exponential_part(d, weight) for d in range(max_degree + 1)])
 
 
 def jordan_series(max_degree: int) -> GradedSeries:

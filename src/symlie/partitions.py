@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Tuple
+from typing import Tuple
 
 Partition = Tuple[int, ...]
 
@@ -26,24 +26,26 @@ def check_partition(parts) -> Partition:
     return lam
 
 
-def _gen_partitions(n: int, max_part: int) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - k, k):
-            yield (k,) + rest
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> Tuple[Partition, ...]:
     """All partitions of n, each once, in reverse-lexicographic order.
 
     E.g. partitions_of(4) = ((4,), (3,1), (2,2), (2,1,1), (1,1,1,1)).
+    The order is a contract: symfunc._solve_in_h relies on every refinement
+    of lam coming after lam.  Each partition is made from the one before:
+    the last part above 1 drops by one and the rest is refilled greedily.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(_gen_partitions(n, n))
+    lam = (n,) if n else ()
+    out = [lam]
+    while lam and lam[0] > 1:
+        ones = lam.index(1) if lam[-1] == 1 else len(lam)
+        k = lam[ones - 1] - 1
+        q, r = divmod(len(lam) - ones + 1, k)
+        lam = lam[: ones - 1] + (k,) * (q + 1) + ((r,) if r else ())
+        out.append(lam)
+    return tuple(out)
 
 
 def multiplicities(lam: Partition) -> dict:

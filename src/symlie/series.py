@@ -26,9 +26,10 @@ rows it has and grows only the degrees they lack.
 
 Every series in the package is built by a constructor and never patched
 afterwards: GradedSeries(n, components) validates what a caller passes,
-and GradedSeries._of takes the list a kernel has just built as given.  A
-library caller must not mutate a series either, since the memoized named
-series are shared and the plethysm rows kept on a series would go stale.
+and GradedSeries._of takes the list a kernel or a closed form (H, E, HE)
+has just built as given.  A library caller must not mutate a series
+either: the memoized named series are shared, and the plethysm rows kept
+on a series would go stale.
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ class GradedSeries:
     def _of(cls, components: List[SymFunc]) -> "GradedSeries":
         """The series with these components, taken as given: component d is
         homogeneous of degree d, and the bound is len(components) - 1."""
+        if not components:
+            raise ValueError("max_degree must be nonnegative")
         out = cls.__new__(cls)
         out.max_degree = len(components) - 1
         out.components = components

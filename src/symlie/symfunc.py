@@ -333,10 +333,24 @@ EXPONENTIAL_WEIGHTS: Dict[str, Callable[[int], int]] = {
 
 
 def exponential_part(n: int, weight: Callable[[int], int]) -> SymFunc:
-    """Degree-n part of exp(sum_k w(k) p_k/k): sum_{lam |- n} prod_i w(lam_i) p_lam/z_lam."""
-    return SymFunc(
-        {lam: Fraction(prod(map(weight, lam)), z_of(lam)) for lam in partitions_of(n)}
-    )
+    """Degree-n part of exp(sum_k w(k) p_k/k): sum_{lam |- n} prod_i w(lam_i) p_lam/z_lam.
+
+    One walk over lam's parts builds both products: equal parts come in runs,
+    and the j-th k of a run multiplies z_lam = prod_k k^{m_k} m_k! by k*j.
+    Zero-weight terms are dropped, so _canonical takes the terms as given."""
+    weights = [weight(k) for k in range(n + 1)]
+    terms = {}
+    for lam in partitions_of(n):
+        num = z = 1
+        prev = run = 0
+        for k in lam:
+            run = run + 1 if k == prev else 1
+            prev = k
+            num *= weights[k]
+            z *= k * run
+        if num:
+            terms[lam] = Fraction(num, z)
+    return _canonical(terms)
 
 
 def h(n: int) -> SymFunc:

@@ -158,9 +158,12 @@ def _main_inverse(n: int, alternating: bool = False) -> List[Pair]:
     q = _quotient(n, alternating)
     lo = named_series("Lie_odd_alt" if alternating else "Lie_odd", n)
     target = _p1_series(n)
+    # no later check plethysms into the memoized quotient, so the rows pleth
+    # keeps go on a fresh view of it and die with the call
+    q_view = GradedSeries._of(q.components)
     return [
         (f"(E_odd{a}/E_even{a})[Lie_odd{a}]", pleth(q, lo), target),
-        (f"Lie_odd{a}[E_odd{a}/E_even{a}]", pleth(lo, q), target),
+        (f"Lie_odd{a}[E_odd{a}/E_even{a}]", pleth(lo, q_view), target),
     ]
 
 
@@ -350,15 +353,18 @@ def _jordan(n: int) -> List[Pair]:
 
 
 def _parity_props(n: int) -> List[Pair]:
-    es, he, k = named_series("E", n), named_series("HE", n), named_series("Hk", n)
+    he, k = named_series("HE", n), named_series("Hk", n)
     h_odd, h_even = named_series("H_odd", n), named_series("H_even", n)
     e_odd, e_even = named_series("E_odd", n), named_series("E_even", n)
     q = _quotient(n, False)
+    # each quadrant product once; H_x E is then H_x E_even + H_x E_odd
+    odd_even, even_odd = h_odd * e_even, h_even * e_odd
+    even_even, odd_odd = h_even * e_even, h_odd * e_odd
     return [
-        ("H_odd E_even = H_even E_odd", h_odd * e_even, h_even * e_odd),
-        ("H_even E_even = 1 + H_odd E_odd", h_even * e_even, h_odd * e_odd + 1),
-        ("2 H_odd E = HE - 1", h_odd * es * 2, he - 1),
-        ("2 H_even E = HE + 1", h_even * es * 2, he + 1),
+        ("H_odd E_even = H_even E_odd", odd_even, even_odd),
+        ("H_even E_even = 1 + H_odd E_odd", even_even, odd_odd + 1),
+        ("2 H_odd E = HE - 1", (odd_even + odd_odd) * 2, he - 1),
+        ("2 H_even E = HE + 1", (even_even + even_odd) * 2, he + 1),
         ("H_odd/H_even = E_odd/E_even", series_div(h_odd, h_even), q),
         ("quotient * (HE + 1) = HE - 1", q * (he + 1), he - 1),
         ("quotient * (1 + Hk) = Hk", q * (k + 1), k),

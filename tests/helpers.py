@@ -4,7 +4,7 @@ hypothesis strategies."""
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, prod
 from random import Random
 
 from hypothesis import strategies as st
@@ -36,6 +36,29 @@ def pentagonal_count(n: int) -> int:
             k += 1
         counts.append(total)
     return counts[n]
+
+
+def partitions_reference(n: int, max_part: int = None):
+    """The partitions of n with parts <= max_part (n by default), in
+    reverse-lexicographic order, by recursion on the first part: the
+    reference for symlie.partitions.partitions_of."""
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, max_part), 0, -1):
+        for rest in partitions_reference(n - k, k):
+            yield (k,) + rest
+
+
+def exponential_part_reference(n: int, weight) -> SymFunc:
+    """The degree-n part of exp(sum_k w(k) p_k/k) through the validating
+    SymFunc constructor, one prod of weights and one z_lam per partition:
+    the reference for symlie.symfunc.exponential_part."""
+    return SymFunc(
+        {lam: Fraction(prod(map(weight, lam)), z_of(lam)) for lam in partitions_of(n)}
+    )
 
 
 # --- hypothesis strategies --------------------------------------------------------

@@ -10,7 +10,7 @@ from symlie.partitions import (
     z_of,
 )
 
-from helpers import pentagonal_count
+from helpers import partitions_reference, pentagonal_count
 
 
 def test_partitions_of_zero():
@@ -26,8 +26,14 @@ def test_partitions_of_ten_count():
 
 
 def test_counts_match_pentagonal_recurrence():
-    for n in range(13):
+    for n in range(31):
         assert len(partitions_of(n)) == pentagonal_count(n)
+
+
+def test_partitions_of_matches_the_recursive_reference_in_order():
+    # symfunc._solve_in_h walks this order, so the order is pinned too
+    for n in range(27):
+        assert partitions_of(n) == tuple(partitions_reference(n))
 
 
 def test_partitions_unique():

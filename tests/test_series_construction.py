@@ -11,8 +11,11 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import symlie
 from symlie import GradedSeries, SymFunc, omega_series
+from symlie.lie import e_series, h_series, named_series
 
 SOURCES = sorted(Path(symlie.__file__).parent.glob("*.py"))
 CONSTRUCTORS = {"GradedSeries.__init__", "GradedSeries._of"}
@@ -90,3 +93,21 @@ def test_degree_keeping_maps_give_homogeneous_components():
         for d, part in enumerate(result.components):
             assert part.degrees() <= {d}, (d, part)
         assert result == GradedSeries(4, result.components)
+
+
+def test_closed_form_series_pass_the_checking_constructor():
+    # H, E and HE hand their components to _of unchecked, and Hk derives
+    # from HE: rebuilt through the validating constructors, none changes
+    for name in ("H", "E", "HE", "Hk"):
+        s = named_series(name, 18)
+        rebuilt = GradedSeries(18, [SymFunc(part.terms) for part in s.components])
+        assert s == rebuilt, name
+
+
+def test_closed_form_series_reject_a_negative_bound():
+    # as GradedSeries(-1) does; an empty list is no series
+    for build in (h_series, e_series, lambda n: named_series("HE", n)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        GradedSeries(-1)

@@ -5,12 +5,14 @@ import pytest
 
 from symlie.partitions import partitions_of
 from symlie.symfunc import (
+    EXPONENTIAL_WEIGHTS,
     HomogeneityError,
     SymFunc,
     character,
     dimension,
     e,
     expand_in_basis,
+    exponential_part,
     h,
     omega,
     p,
@@ -19,7 +21,13 @@ from symlie.symfunc import (
     schur_expand,
 )
 
-from helpers import character_reference, inner, pentagonal_count, random_symfunc
+from helpers import (
+    character_reference,
+    exponential_part_reference,
+    inner,
+    pentagonal_count,
+    random_symfunc,
+)
 
 half = Fraction(1, 2)
 
@@ -57,6 +65,15 @@ def test_h_e_newton_recurrence():
             acc_e = acc_e + p(k) * e(n - k) * ((-1) ** (k - 1))
         assert h(n) * n == acc_h
         assert e(n) * n == acc_e
+
+
+def test_exponential_part_matches_the_validated_construction():
+    # the closed form takes its terms as given; the reference validates them
+    for name, weight in EXPONENTIAL_WEIGHTS.items():
+        for n in range(21):
+            f = exponential_part(n, weight)
+            assert f == exponential_part_reference(n, weight), (name, n)
+            assert all(type(c) is Fraction and c for c in f.terms.values()), (name, n)
 
 
 def test_omega():

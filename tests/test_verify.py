@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import symlie.verify as verify
+from symlie.lie import named_series
 from symlie.series import GradedSeries
 from symlie.symfunc import SymFunc
 from symlie.verify import CHECKS, Check, build_pairs, check_names, run_all, run_check
@@ -174,6 +175,28 @@ def test_both_quotients_share_one_memo_entry_per_degree():
     run_check("main_inverse", 8)
     run_check("parity_props", 8)
     assert verify._quotient.cache_info().currsize == 1
+
+
+def test_main_inverse_leaves_no_plethysm_rows_on_the_quotients():
+    # no check plethysms into a memoized quotient after main_inverse*, so
+    # the rows of Lie_odd[E_odd/E_even] must not stay on it
+    for name in ("main_inverse", "main_inverse_alt"):
+        assert run_check(name, 10).passed
+    for alternating in (False, True):
+        assert not hasattr(verify._quotient(10, alternating), "_powers")
+
+
+def test_parity_props_splits_h_times_e_into_its_quadrants():
+    # 2 H_odd E and 2 H_even E are built from the four quadrant products
+    n = 12
+    es = named_series("E", n)
+    e_odd, e_even = named_series("E_odd", n), named_series("E_even", n)
+    for h_part in (named_series("H_odd", n), named_series("H_even", n)):
+        assert h_part * es == h_part * e_even + h_part * e_odd
+    pairs = build_pairs("parity_props", n)
+    assert [label for label, _, _ in pairs][2:4] == ["2 H_odd E = HE - 1", "2 H_even E = HE + 1"]
+    for (_, lhs, _), h_part in zip(pairs[2:4], ("H_odd", "H_even")):
+        assert lhs == named_series(h_part, n) * es * 2
 
 
 def test_cap_clamps_degree():

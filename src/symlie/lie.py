@@ -4,22 +4,23 @@ staircase skew Schur functions and the Jordan characteristics.
 Lie_n is built from the Moebius sum (1/n) sum_{d|n} mu(d) p_d^{n/d}; the
 oracle module cross-checks it against an honest free-Lie-algebra trace
 computation.  Euler numbers are never hard-coded: the Foulkes-style
-staircase expansion pulls them from the alternating-permutation enumerator.
+staircase expansion pulls them from the alternating-permutation enumerator,
+and its cross-check, the ribbon Jacobi-Trudi sum over the h_lam, reads none.
 H, E, HE and Hk come from one closed form, the plethystic exponential
 symfunc.exponential_part: HE = exp(sum_{k odd} 2 p_k/k) and Hk = (HE - 1)/2.
 The sums of hook Schur functions (hk) and the product H*E are the
-references that the hook_he check compares them with.
+references that the hook_he check compares them with, and the powers of
+sum_n hk(n) are alt_carlitz's hook-product side.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import permutations as _permutations
 from typing import Callable, Dict, NamedTuple
 
 from .oracle import alternating_count
-from .partitions import Partition, mobius, partitions_of, staircase, z_of
+from .partitions import Partition, mobius, partitions_of, z_of
 from .plethysm import pleth
 from .series import GradedSeries, exp_series, parity_split
 from .symfunc import (
@@ -27,7 +28,9 @@ from .symfunc import (
     SymFunc,
     _bead_mask,
     _character,
-    _h_product,
+    _h_form,
+    _integer_form,
+    _sum_of_products,
     e,
     exponential_part,
     h,
@@ -85,44 +88,34 @@ def hk_alt_series(parity: str, max_degree: int) -> GradedSeries:
     return parity_split(named_series("Hk", max_degree) + 1, parity, alternating=True)
 
 
-def _jacobi_trudi_skew(outer: Partition, inner: Partition) -> SymFunc:
-    # det(h_{outer_i - inner_j - i + j}) over permutations; h_0 = 1, h_{<0} = 0.
-    # A product of h's only merges its indices, so the determinant is summed
-    # on integer coefficients keyed by the h-monomial h_lam, and each distinct
-    # h_lam is taken once from the memoized symfunc._h_product.
-    rows = len(outer)
-    inner = tuple(inner) + (0,) * (rows - len(inner))
-    coeffs: Dict[Partition, int] = {}
-    for sigma in _permutations(range(rows)):
-        parts = []
-        for i in range(rows):
-            d = outer[i] - inner[sigma[i]] - i + sigma[i]
-            if d < 0:
-                break
-            if d > 0:
-                parts.append(d)
-        else:
-            inversions = sum(
-                1 for i in range(rows) for j in range(i + 1, rows) if sigma[i] > sigma[j]
-            )
-            lam = tuple(sorted(parts, reverse=True))
-            coeffs[lam] = coeffs.get(lam, 0) + (-1 if inversions % 2 else 1)
-    return sum((_h_product(lam) * c for lam, c in coeffs.items() if c), SymFunc.zero())
-
-
 @lru_cache(maxsize=None)
 def staircase_skew(n: int, method: str = "foulkes") -> SymFunc:
     """The skew Schur function of the staircase ribbon, homogeneous of degree 2n-3.
 
     method='foulkes': sum over partitions of 2n-3 with all odd parts of
     (-1)^{(|lam| - len(lam))/2} * (alternating count of len(lam)) * p_lam / z_lam.
-    method='jacobi_trudi': the determinant construction, as a cross-check;
-    it never uses the Euler numbers.  Results are memoized per (n, method).
+    method='jacobi_trudi': the ribbon Jacobi-Trudi sum, as a cross-check; it
+    never uses the Euler numbers.  The ribbon's rows, top to bottom, are
+    alpha = (2^{n-2}, 1), and s_alpha = sum over the coarsenings beta of
+    alpha, each merging some runs of adjacent rows, of
+    (-1)^{len(alpha) - len(beta)} h_beta: 2^{n-2} terms, summed on integer
+    coefficients per sorted h-monomial in one pass over the memoized h_lam.
+    Results are memoized per (n, method).
     """
     if n < 2:
         raise ValueError("staircase_skew requires n >= 2")
     if method == "jacobi_trudi":
-        return _jacobi_trudi_skew(staircase(n), staircase(max(n - 2, 1)))
+        rows = (2,) * (n - 2) + (1,)
+        coeffs: Dict[Partition, int] = {}
+        # bit i of cuts ends a part of beta after row i
+        for cuts in range(1 << (n - 2)):
+            ends = [i + 1 for i in range(n - 2) if cuts >> i & 1] + [n - 1]
+            beta = (sum(rows[a:b]) for a, b in zip([0] + ends, ends))
+            lam = tuple(sorted(beta, reverse=True))
+            coeffs[lam] = coeffs.get(lam, 0) + (-1) ** (n - 1 - len(ends))
+        return _sum_of_products(
+            (_h_form(lam), _integer_form(SymFunc.constant(c))) for lam, c in coeffs.items() if c
+        )
     if method != "foulkes":
         raise ValueError(f"unknown method {method!r}")
     size = 2 * n - 3

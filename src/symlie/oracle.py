@@ -6,8 +6,8 @@ f into the monomials of g(x_1, ..., x_m) in orbit form, and specialization
 is the same substitution into the alphabet of variables x_1 + ... + x_m.
 The free Lie character comes from the traces of permuted bracketings, and
 the Euler/tangent numbers come from counting alternating permutations built
-value by value.  That count shares the completions of each prefix, keyed
-by its set of values and its last value; it uses no Entringer or
+value by value.  That count extends the prefixes one position at a time,
+keyed by their set of values and their last value; it uses no Entringer or
 boustrophedon recurrence and no tan/sec series, which the tangent checks
 compare against.  Standard skew tableaux are counted cell by cell, with
 the completions shared per frontier.  The trace reads one word's
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial, lcm
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .partitions import Partition, check_partition, multiplicities, partitions_of, z_of
 from .symfunc import SymFunc
@@ -171,7 +171,7 @@ def monomial_pleth_collected(f: SymFunc, g: SymFunc, m: int) -> CollectedPoly:
 # --- free Lie algebra character --------------------------------------------------
 
 
-def _bracket_coefficient(letters: Tuple[int, ...], position: Dict[int, int]) -> int:
+def _bracket_coefficient(letters: Sequence[int], position: Dict[int, int]) -> int:
     """Coefficient of a word in the associative expansion of the left-normed
     bracket [[..[l1,l2],..],lk] of distinct letters, the word a rearrangement
     given by the position of each letter in it.
@@ -244,7 +244,7 @@ def lie_character(n: int) -> SymFunc:
         perm = _cycle_type_permutation(lam)
         trace = 0
         for position, letters in positions:
-            trace += _bracket_coefficient(tuple(perm[x] for x in letters), position)
+            trace += _bracket_coefficient([perm[x] for x in letters], position)
         if trace:
             terms[lam] = Fraction(trace, z_of(lam))
     return SymFunc(terms)
@@ -253,48 +253,37 @@ def lie_character(n: int) -> SymFunc:
 # --- enumeration oracles ----------------------------------------------------------
 
 
-def _alternating_completions(n: int, used: int, last: int, memo: dict) -> int:
-    # Completions of a down-up prefix of {1..n} that holds the values in the
-    # bitmask `used` and ends with `last`; the prefix length fixes whether
-    # the next step goes down (even positions) or up.
-    key = (used, last)
-    count = memo.get(key)
-    if count is None:
-        position = used.bit_count() + 1
-        if position > n:
-            return 1
-        descending = position % 2 == 0
-        count = 0
-        for value in range(1, n + 1):
-            bit = 1 << value
-            if not used & bit and descending == (value < last):
-                count += _alternating_completions(n, used | bit, value, memo)
-        memo[key] = count
-    return count
-
-
 @lru_cache(maxsize=None)
 def alternating_count(n: int) -> int:
     """Number of down-up alternating permutations of {1..n}, by counting them.
 
-    The permutations are built value by value, and a prefix that breaks the
-    pattern is abandoned at once.  Two prefixes with the same set of values
-    and the same last value have the same completions, so those are counted
-    once per (set, last value), about n * 2^n states.  This counts the
-    objects themselves: no Entringer or boustrophedon recurrence and no
+    The permutations are built value by value, one position at a time, and
+    a prefix that breaks the pattern is never made.  Prefixes are counted
+    per (set of values, last value): both fix the values each next one may
+    take, the free values below the last (even positions) or above it (odd
+    ones), so the about n * 2^n states are each extended once.  This counts
+    the objects themselves: no Entringer or boustrophedon recurrence and no
     tan/sec series, which the tangent checks compare against.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > 12:
         raise ValueError("enumeration capped at n = 12")
-    if n <= 1:
-        return 1
-    memo: dict = {}
-    return sum(
-        _alternating_completions(n, 1 << first, first, memo)
-        for first in range(1, n + 1)
-    )
+    # a prefix is keyed by the bit mask of its values and the bit of its last
+    full = (1 << n) - 1
+    prefixes = {(bit, bit): 1 for bit in (1 << i for i in range(n))}
+    for position in range(2, n + 1):
+        longer: Dict[Tuple[int, int], int] = {}
+        for (used, last), count in prefixes.items():
+            free = full & ~used
+            free &= last - 1 if position % 2 == 0 else -(last << 1)
+            while free:
+                bit = free & -free
+                free ^= bit
+                key = (used | bit, bit)
+                longer[key] = longer.get(key, 0) + count
+        prefixes = longer
+    return sum(prefixes.values()) if n else 1
 
 
 def syt_count(outer, inner=()) -> int:

@@ -26,12 +26,13 @@ from .oracle import (
     specialize_collected,
     syt_count,
 )
-from .partitions import Partition, multiplicities, partitions_of, staircase
+from .partitions import Partition, partitions_of, staircase
 from .plethysm import pleth
 from .series import (
     GradedSeries,
     arctan_series,
     arctanh_series,
+    compose_scalar,
     omega_series,
     parity_split,
     series_div,
@@ -246,7 +247,7 @@ def _foulkes(n: int) -> List[Pair]:
 
 def _ribbon_dimension(n: int) -> List[Pair]:
     # dim s_{delta_m/delta_{m-2}} three ways, each carried as the coefficient
-    # of p_1^d in degree d = 2m - 3: from the Jacobi-Trudi determinant (no
+    # of p_1^d in degree d = 2m - 3: from the ribbon Jacobi-Trudi sum (no
     # Euler numbers), by counting standard tableaux of the ribbon, and by
     # counting alternating permutations of d.
     determinant, tableaux, alternating = {}, {}, {}
@@ -264,32 +265,21 @@ def _ribbon_dimension(n: int) -> List[Pair]:
     ]
 
 
-def _hook_product_expansion(d: int) -> SymFunc:
-    # sum over mu |- d of (-1)^{len(mu)-1} multinomial(len; mults) prod Hk_i^{m_i}
-    total = SymFunc.zero()
-    for mu in partitions_of(d):
-        mults = multiplicities(mu)
-        count = factorial(len(mu))
-        for mult in mults.values():
-            count //= factorial(mult)
-        term = SymFunc.constant((-1) ** (len(mu) - 1) * count)
-        for value, mult in mults.items():
-            for _ in range(mult):
-                term = term * hk(value)
-        total = total + term
-    return total
+def _hook_products(n: int) -> GradedSeries:
+    # sum over the compositions c of d of (-1)^{len(c)-1} prod_j Hk_{c_j}, from
+    # the Schur sums hk alone: the powers (-1)^{m-1} K^m of K = sum_d Hk_d,
+    # grouped by the length m.  The quotient side divides, this side composes.
+    hooks = GradedSeries(n, {d: hk(d) for d in range(1, n + 1)})
+    return compose_scalar(lambda m: (-1) ** (m - 1), hooks)
 
 
 def _alt_carlitz(n: int) -> List[Pair]:
     q = _quotient(n, False)
-    hooks = GradedSeries(
-        n, {d: _hook_product_expansion(d) for d in range(1, n + 1)}
-    )
     # the ribbon of stair s sits in degree d = 2s - 3, so (-1)^s = (-1)^{floor(d/2)}
     signed = parity_split(_staircase_sum(n), "odd", alternating=True)
     return [
         ("E_odd/E_even vs signed staircase sum", q, signed),
-        ("E_odd/E_even vs hook-product expansion", q, hooks),
+        ("E_odd/E_even vs hook-product expansion", q, _hook_products(n)),
     ]
 
 
@@ -491,8 +481,8 @@ CHECKS: List[Check] = [
           partial(_arctanh_sum, alternating=True)),
     Check("arctanh_sum", "(sum_j arctanh x_j)[Lie_odd] = arctanh p_1", _arctanh_sum),
     Check("jordan",
-          "sum_n eta_n = H[Lie_odd], with nonnegative integral Schur expansion",
-          _jordan),
+          "sum_n eta_n = H[Lie_odd], with nonnegative integral Schur expansion "
+          f"through degree {_POSITIVITY_CAP}", _jordan),
     Check("parity_props",
           "H_odd E_even = H_even E_odd, H_even E_even - H_odd E_odd = 1, "
           "2H_odd = H - 1/E, and quotient forms", _parity_props),

@@ -13,7 +13,8 @@ import symlie.verify as verify
 from symlie import GradedSeries, SymFunc, compose_scalar, e, h, p, schur
 from symlie.cli import BinOp, Call, Expr, Gen, Name, Num, Pleth
 from symlie.oracle import _cycle_type_permutation, _perm_count, lie_bracket_basis
-from symlie.partitions import partitions_of, z_of
+from symlie.lie import hk
+from symlie.partitions import multiplicities, partitions_of, z_of
 
 
 def pentagonal_count(n: int) -> int:
@@ -242,7 +243,8 @@ def exp_series_reference(g: GradedSeries) -> GradedSeries:
 def jacobi_trudi_reference(outer, inner) -> SymFunc:
     """The skew Schur function s_{outer/inner} as det(h_{outer_i - inner_j - i + j}),
     a sum over permutations of products of p-basis SymFuncs (h_0 = 1,
-    h_{<0} = 0): the reference for the h-monomial determinant in symlie.lie."""
+    h_{<0} = 0): the reference for the ribbon sum that
+    symlie.lie.staircase_skew(n, "jacobi_trudi") takes."""
     rows = len(outer)
     inner = tuple(inner) + (0,) * (rows - len(inner))
     total = SymFunc.zero()
@@ -307,6 +309,25 @@ def hk_reference(n: int) -> SymFunc:
         total = total + schur((n - k,) + (1,) * k)
     return total
 
+
+
+def hook_product_expansion_reference(d: int) -> SymFunc:
+    """sum over mu |- d of (-1)^{len(mu)-1} multinomial(len(mu); mults of mu)
+    prod_i Hk_{mu_i}, one chain of SymFunc products per partition: the
+    reference for the hook side of the alt_carlitz check in symlie.verify,
+    which takes the powers of sum_d Hk_d instead."""
+    total = SymFunc.zero()
+    for mu in partitions_of(d):
+        mults = multiplicities(mu)
+        count = factorial(len(mu))
+        for mult in mults.values():
+            count //= factorial(mult)
+        term = SymFunc.constant((-1) ** (len(mu) - 1) * count)
+        for value, mult in mults.items():
+            for _ in range(mult):
+                term = term * hk(value)
+        total = total + term
+    return total
 
 # --- references for the oracles in symlie.oracle ---------------------------------
 
@@ -434,6 +455,34 @@ def alternating_count_reference(n: int) -> int:
         extend(2, first, 1 << first)
     return count
 
+
+
+def alternating_completions_reference(n: int) -> int:
+    """Down-up alternating permutations of {1..n}, by recursive completion:
+    the completions of each prefix are counted once per (bit mask of its
+    values, last value) and shared.  The reference for the forward count in
+    symlie.oracle.alternating_count, which visits the same states."""
+    if n <= 1:
+        return 1
+    memo = {}
+
+    def completions(used: int, last: int) -> int:
+        key = (used, last)
+        count = memo.get(key)
+        if count is None:
+            position = used.bit_count() + 1
+            if position > n:
+                return 1
+            descending = position % 2 == 0
+            count = 0
+            for value in range(1, n + 1):
+                bit = 1 << value
+                if not used & bit and descending == (value < last):
+                    count += completions(used | bit, value)
+            memo[key] = count
+        return count
+
+    return sum(completions(1 << first, first) for first in range(1, n + 1))
 
 def left_normed_expansion(letters: tuple) -> dict:
     """Associative expansion of the left-normed bracket [[..[l1,l2],..],lk]:

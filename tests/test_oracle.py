@@ -19,6 +19,7 @@ from symlie.partitions import partitions_of, staircase
 from symlie.symfunc import SymFunc, e, h, p, schur
 
 from helpers import (
+    alternating_completions_reference,
     alternating_count_reference,
     collected_expand,
     collected_mul_term_reference,
@@ -216,6 +217,11 @@ def test_alternating_count_brute_force_cross_check():
 def test_alternating_count_matches_plain_backtracker():
     for n in range(11):
         assert alternating_count.__wrapped__(n) == alternating_count_reference(n)
+
+
+def test_alternating_count_matches_recursive_completion_count():
+    for n in range(13):
+        assert alternating_count.__wrapped__(n) == alternating_completions_reference(n)
 
 
 def test_alternating_count_uses_no_tangent_series(monkeypatch):

@@ -1,14 +1,17 @@
+import importlib
+import json
 from fractions import Fraction
 
 import pytest
 
 import symlie.verify as verify
-from symlie.lie import named_series
+from symlie.cli import main
+from symlie.lie import hk, named_series
 from symlie.series import GradedSeries
 from symlie.symfunc import SymFunc
 from symlie.verify import CHECKS, Check, build_pairs, check_names, run_all, run_check
 
-from helpers import labelled_sweep_functions, run_perturbed
+from helpers import hook_product_expansion_reference, labelled_sweep_functions, run_perturbed
 
 
 ALL_NAMES = [check.name for check in CHECKS]
@@ -159,13 +162,48 @@ def test_perturbing_a_shared_side_leaves_it_intact():
     assert run_check("hook_regular", 6).passed
 
 
-def test_jordan_names_the_bound_of_its_positivity_scan():
+def test_jordan_names_the_bound_of_its_positivity_scan(capsys):
     # the Schur scan stops at degree 8 whatever degree the check runs at
     labels = {n: build_pairs("jordan", n)[1][0] for n in (5, 18)}
     assert labels[5].endswith("through degree 5")
     assert labels[18].endswith("through degree 8")
     report = run_perturbed("jordan", 18, (1, 1, 2, (2,), Fraction(1)))
     assert report.mismatch[1] == f"{labels[18]}: p[2]"
+    # and its anchor names the cap in the text report, list-checks and --json
+    anchor = dict(check_names())["jordan"]
+    assert anchor.endswith("Schur expansion through degree 8")
+    assert main(["verify", "--check", "jordan", "--max-degree", "3"]) == 0
+    assert capsys.readouterr().out.startswith(f"PASS jordan (max degree 3): {anchor}\n")
+    assert main(["list-checks"]) == 0
+    assert f"jordan\t{anchor}\n" in capsys.readouterr().out
+    assert main(["verify", "--check", "jordan", "--max-degree", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["paper_anchor"] == anchor
+
+
+def test_hook_products_match_the_per_partition_expansion():
+    hooks = verify._hook_products(10)
+    assert not hooks.components[0]
+    for d in range(1, 11):
+        assert hooks.components[d] == hook_product_expansion_reference(d), d
+
+
+def test_alt_carlitz_hook_side_uses_no_closed_form(monkeypatch):
+    # the quotient side reads the closed form exponential_part through the
+    # named series E_odd and E_even, so the hook side must come from the
+    # Schur sums hk alone
+    quotient = verify._quotient(10, False)
+
+    def forbidden(*args):
+        raise AssertionError("the hook side used exponential_part")
+
+    for module in ("symlie.symfunc", "symlie.lie"):
+        monkeypatch.setattr(importlib.import_module(module), "exponential_part", forbidden)
+    named_series.cache_clear()
+    hk.cache_clear()
+    try:
+        assert verify._hook_products(10) == quotient
+    finally:
+        named_series.cache_clear()
 
 
 def test_both_quotients_share_one_memo_entry_per_degree():

@@ -42,7 +42,7 @@ from .series import (
     tan_series,
     tanh_series,
 )
-from .symfunc import SymFunc, e, expand_in_basis, h, p, render, schur
+from .symfunc import SymFunc, _term_sort_key, e, expand_in_basis, h, p, render, schur
 from .verify import check_names, run_all, run_check
 
 
@@ -374,7 +374,7 @@ def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
 
 def _component_terms(component: SymFunc, basis: str):
     coeffs = expand_in_basis(component, basis)
-    order = sorted(coeffs, key=lambda lam: (sum(lam), lam))
+    order = sorted(coeffs, key=_term_sort_key)
     return [(lam, coeffs[lam]) for lam in order]
 
 

@@ -235,8 +235,6 @@ def lie_character(n: int) -> SymFunc:
     Traces over one representative per cycle type give the character; the
     result must equal the Moebius-formula construction.
     """
-    if not 1 <= n <= LIE_TRACE_LIMIT:
-        raise ValueError(f"lie_character supports 1 <= n <= {LIE_TRACE_LIMIT}")
     basis = lie_bracket_basis(n)
     positions = [({x: i for i, x in enumerate(letters)}, letters) for letters in basis]
     terms = {}

@@ -8,14 +8,15 @@ constant term, otherwise the substitution would produce infinite sums.
 
 Both pleth and pleth_inverse go through series._plethysm, which keeps the
 partial products prod_i p_{lam_i}[g] of every prefix of f's terms in one
-integer-form table and grows each by one degree per step.  pleth reads each
-g_d off g and keeps the table on g, so every later plethysm into the same
-series object starts from the rows already built.  pleth_inverse solves
-f[g] = p_1 in the same pass with a fresh table, computing g_d as soon as
-the degree-d part of f[g] is known without it; it neither reads nor keeps
-a table on f.  Both hand the kernel's components to GradedSeries._of and
-never patch a series; a caller must not mutate g either, or the rows kept
-on it go stale.
+integer-form table and grows each by one degree per step.  pleth extends
+the table's row P_(1) = g to the bound from g's components and keeps the
+table on g, so every later plethysm into the same series object starts
+from the rows already built.  pleth_inverse solves f[g] = p_1 in the same
+pass with a fresh table whose row g holds only g_0: the kernel hands it
+the degree-d part of f[g], which does not read g_d, and it returns g_d;
+it neither reads nor keeps a table on f.  Both hand the kernel's
+components to GradedSeries._of and never patch a series; a caller must
+not mutate g either, or the rows kept on it go stale.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from typing import Union
 
 from .series import GradedSeries, _plethysm
-from .symfunc import SymFunc
+from .symfunc import SymFunc, _integer_form
 
 
 class ConstantTermError(ValueError):
@@ -51,7 +52,9 @@ def pleth(f: Union[SymFunc, GradedSeries], g: GradedSeries) -> GradedSeries:
         rows = g._powers
     except AttributeError:
         rows = g._powers = {}
-    return GradedSeries._of(_plethysm(items, n, lambda d, _: g.components[d], rows))
+    row = rows.setdefault((1,), [])
+    row += map(_integer_form, g.components[len(row): n + 1])
+    return GradedSeries._of(_plethysm(items, n, rows, None))
 
 
 def pleth_inverse(f: GradedSeries) -> GradedSeries:
@@ -70,7 +73,7 @@ def pleth_inverse(f: GradedSeries) -> GradedSeries:
         raise LeadingTermError("composition inverse requires degree-1 part p_1 exactly")
     # with F's coefficients negated, the kernel's degree-d part is g_d itself
     items = [(lam, -c) for part in f.components[2:] for lam, c in part.terms.items()]
-    comps = _plethysm(items, n, lambda d, s: s if d > 1 else p1, {})
+    comps = _plethysm(items, n, {(1,): [None]}, lambda d, s: s if d > 1 else p1)
     if n >= 1:
         comps[1] = p1
     return GradedSeries._of(comps)

@@ -5,7 +5,8 @@ homogeneous SymFunc of degree d.  Arithmetic on two series truncates to the
 minimum of the two bounds, so no result ever claims more precision than its
 inputs.  compose_scalar() substitutes a zero-constant-term series into a
 univariate Taylor series with exact rational coefficients; log(1+x), tan,
-tanh, arctan and arctanh wrappers are provided.  exp_series solves
+tanh, arctan and arctanh wrappers are provided, the tan and tanh
+coefficients solved from t' = 1 + t^2 and t' = 1 - t^2.  exp_series solves
 F = exp(g) from D F = D(g) F, D the degree operator: d F_d =
 sum_{j=1..d} j g_j F_{d-j}, one pass per degree instead of every power g^m.
 
@@ -20,9 +21,12 @@ _plethysm is the one kernel that builds f[g] = sum_lam c_lam prod_i p_{lam_i}[g]
 from one integer-form table of prefix products.  plethysm.pleth and
 plethysm.pleth_inverse call it, and so does compose_scalar: sum_m c_m g^m is
 the plethysm (sum_m c_m p_1^m)[g].  It lives here rather than in plethysm
-because plethysm imports this module.  pleth keeps the table on g (the
-_powers slot), so a later plethysm into the same series object reads the
-rows it has and grows only the degrees they lack.
+because plethysm imports this module.  g is the table's row P_(1): pleth
+and compose_scalar fill it from g's components, and pleth_inverse, which
+solves for g, passes solve to compute each g_d from the degree-d result.
+pleth keeps the table on g (the _powers slot), so a later plethysm into
+the same series object reads the rows it has and grows only the degrees
+they lack.
 
 Every series in the package is built by a constructor and never patched
 afterwards: GradedSeries(n, components) validates what a caller passes,
@@ -35,7 +39,6 @@ on a series would go stale.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from numbers import Rational
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -246,8 +249,8 @@ def omega_series(f: GradedSeries) -> GradedSeries:
 def _plethysm(
     items: Iterable[Tuple[Partition, Rational]],
     n: int,
-    g_at: Callable[[int, Optional[SymFunc]], SymFunc],
     products: PowerTable,
+    solve: Optional[Callable[[int, SymFunc], SymFunc]],
 ) -> List[SymFunc]:
     """Components 0..n of f[g] = sum_lam c_lam P_lam, P_lam = prod_i p_{lam_i}[g],
     for f's terms (lam, c_lam) in items and g with zero constant term.
@@ -258,11 +261,11 @@ def _plethysm(
     lam[:-1].  Each P_lam has valuation >= |lam|, so a term above n is
     skipped.  A row is final through its length, so rows that an earlier
     call left in the table are read as they are and only grown past it.
-    At step d only P_(1) = g reads g_d, so g_d is asked for then: g_at(d, s)
-    returns it, where s is the degree-d result when f has no p_1 term (s
-    then does not read g_d) and None otherwise.  A caller that knows g
-    returns g_d and may keep the table on g; one that solves for g computes
-    g_d from s and passes a fresh table.
+    The row P_(1) = g is g itself: a caller that knows g puts g_0..g_n
+    there.  A caller that solves for g passes a table whose P_(1) holds
+    g_0 alone, an f with no p_1 term and solve: the degree-d result s then
+    reads only g_1..g_{d-1}, and solve(d, s) returns g_d.  Every other
+    caller passes None.
     """
     terms = [
         (lam, _integer_form(SymFunc.constant(c))) for lam, c in items if c and sum(lam) <= n
@@ -270,7 +273,6 @@ def _plethysm(
     # P_() = 1 is read in every degree by a constant term of f
     one = products.setdefault((), [_integer_form(SymFunc.constant(1))])
     one += [None] * (n + 1 - len(one))
-    products.setdefault((1,), [None])
     used = {(), (1,)}
     for lam, _ in terms:
         while lam not in used:
@@ -286,11 +288,6 @@ def _plethysm(
     growing = [(lam[-1], sum(lam[:-1]), products[lam[:-1]], products[lam[-1:]], row)
                for lam in used if len(lam) > 1 and len(row := products[lam]) <= n]
     weighted = [(products[lam], c) for lam, c in terms]
-    reads_g = any(lam == (1,) for lam, _ in terms)
-
-    def total(d: int) -> SymFunc:
-        return _sum_of_products((row[d], c) for row, c in weighted if row[d])
-
     out: List[SymFunc] = []
     for d in range(n + 1):
         for k, low, prefix, column, row in growing:
@@ -302,10 +299,9 @@ def _plethysm(
         for k, row in scaled:
             if len(row) == d:
                 row.append(None if d % k else _scaled_form(g[d // k], k))
-        s = None if reads_g else total(d)
+        out.append(_sum_of_products((row[d], c) for row, c in weighted if row[d]))
         if len(g) == d:
-            g.append(_integer_form(g_at(d, s)))
-        out.append(total(d) if reads_g else s)
+            g.append(_integer_form(solve(d, out[d])))
     return out
 
 
@@ -321,9 +317,9 @@ def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
     cs = [coeffs(m) for m in range(1, n + 1)] if callable(coeffs) else list(coeffs)[:n]
     if not all(isinstance(c, Rational) for c in cs):
         raise TypeError("Taylor coefficients must be exact rationals")
-    return GradedSeries._of(_plethysm(
-        [((1,) * m, c) for m, c in enumerate(cs, 1)], n, lambda d, _: g.components[d], {}
-    ))
+    table = {(1,): [_integer_form(part) for part in g.components]}
+    items = [((1,) * m, c) for m, c in enumerate(cs, 1)]
+    return GradedSeries._of(_plethysm(items, n, table, None))
 
 
 # Exact Taylor coefficients for the named wrappers.
@@ -346,23 +342,13 @@ def _arctanh_coeff(m: int) -> Fraction:
 
 
 def _tan_like_coeffs(n: int, hyperbolic: bool) -> List[Fraction]:
-    # Coefficients 0..n of tan = sin/cos or tanh = sinh/cosh as univariate
-    # series, solved from t * cos = sin term by term.
-    def sin_c(j):
-        if j % 2 == 0:
-            return Fraction(0)
-        sign = 1 if hyperbolic else (-1) ** ((j - 1) // 2)
-        return Fraction(sign, factorial(j))
-
-    def cos_c(j):
-        if j % 2 == 1:
-            return Fraction(0)
-        sign = 1 if hyperbolic else (-1) ** (j // 2)
-        return Fraction(sign, factorial(j))
-
+    # Coefficients 0..n of tan or tanh as univariate series, from
+    # t' = 1 + t^2 (tan) or t' = 1 - t^2 (tanh): j t_j = [j = 1] +- sum t_i t_{j-1-i}.
+    sign = -1 if hyperbolic else 1
     t = [Fraction(0)] * (n + 1)
     for j in range(1, n + 1):
-        t[j] = sin_c(j) - sum(t[i] * cos_c(j - i) for i in range(1, j))
+        square = sum(t[i] * t[j - 1 - i] for i in range(1, j - 1))
+        t[j] = Fraction(int(j == 1) + sign * square, j)
     return t
 
 

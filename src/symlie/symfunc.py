@@ -469,11 +469,6 @@ def _h_form(lam: Partition) -> IntegerForm:
     return _form_of_products([(_h_form(lam[:-1]), _h_form(lam[-1:]))])
 
 
-def _h_product(lam: Partition) -> SymFunc:
-    """h_lam = prod_i h_{lam_i}."""
-    return _from_form(_h_form(lam))
-
-
 def _solve_in_h(f: SymFunc, d: int) -> Dict[Partition, Fraction]:
     """Coefficients of the degree-d SymFunc f on the products h_lam.
 

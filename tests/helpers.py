@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 import symlie.verify as verify
 from symlie import GradedSeries, SymFunc, compose_scalar, e, h, p, schur
 from symlie.cli import BinOp, Call, Expr, Gen, Name, Num, Pleth
-from symlie.oracle import _cycle_type_permutation, _perm_count, lie_bracket_basis
+from symlie.oracle import (
+    _cycle_type_permutation,
+    _perm_count,
+    alternating_count,
+    lie_bracket_basis,
+)
 from symlie.lie import hk
 from symlie.partitions import multiplicities, partitions_of, z_of
 
@@ -238,6 +243,54 @@ def exp_series_reference(g: GradedSeries) -> GradedSeries:
     the reference for symlie.series.exp_series (g must have zero constant
     term)."""
     return compose_scalar(lambda m: Fraction(1, factorial(m)), g) + 1
+
+
+def tan_like_coeffs_reference(n: int, hyperbolic: bool) -> list:
+    """Coefficients 0..n of tan = sin/cos or tanh = sinh/cosh, solved from
+    t * cos = sin term by term: the reference for
+    symlie.series._tan_like_coeffs."""
+    def sin_c(j):
+        if j % 2 == 0:
+            return Fraction(0)
+        sign = 1 if hyperbolic else (-1) ** ((j - 1) // 2)
+        return Fraction(sign, factorial(j))
+
+    def cos_c(j):
+        if j % 2 == 1:
+            return Fraction(0)
+        sign = 1 if hyperbolic else (-1) ** (j // 2)
+        return Fraction(sign, factorial(j))
+
+    t = [Fraction(0)] * (n + 1)
+    for j in range(1, n + 1):
+        t[j] = sin_c(j) - sum(t[i] * cos_c(j - i) for i in range(1, j))
+    return t
+
+
+def odd_powersum(n: int, alternating: bool = False) -> GradedSeries:
+    """sum_{d odd} (+-1)^{(d-1)/2} p_d/d, the signs taken when alternating."""
+    return GradedSeries(n, {
+        d: p(d) * Fraction((-1) ** ((d - 1) // 2) if alternating else 1, d)
+        for d in range(1, n + 1, 2)
+    })
+
+
+def tangent_series_reference(n: int, alternating: bool) -> GradedSeries:
+    """sum_k (+-1)^k T_{2k+1} Z^{2k+1}/(2k+1)! for Z = odd_powersum(n,
+    alternating), T the tangent numbers: tan(Z) when alternating (no
+    signs), tanh(Z) otherwise, one series product per power of Z.  The
+    reference for the tangent-number side of the tanh_form and tan_form
+    checks."""
+    z = odd_powersum(n, alternating)
+    total = GradedSeries(n)
+    power = GradedSeries.constant(1, n)
+    z2 = z * z
+    for k in range(0, (n - 1) // 2 + 1):
+        m = 2 * k + 1
+        power = power * (z if k == 0 else z2)
+        sign = 1 if alternating else (-1) ** k
+        total = total + power * Fraction(sign * alternating_count(m), factorial(m))
+    return total
 
 
 def jacobi_trudi_reference(outer, inner) -> SymFunc:

@@ -21,18 +21,16 @@ from symlie.series import (
     tanh_series,
 )
 from symlie.symfunc import SymFunc, e, h, p
+from symlie.verify import build_pairs
 
-from helpers import head, prefix_equal, random_series
-
-
-def odd_powersum(n, alternating=False):
-    return GradedSeries(
-        n,
-        {
-            d: p(d) * Fraction((-1) ** ((d - 1) // 2) if alternating else 1, d)
-            for d in range(1, n + 1, 2)
-        },
-    )
+from helpers import (
+    head,
+    odd_powersum,
+    prefix_equal,
+    random_series,
+    tan_like_coeffs_reference,
+    tangent_series_reference,
+)
 
 
 def test_constructor_rejects_inhomogeneous_component():
@@ -144,6 +142,12 @@ def test_tan_tanh_coefficients_vs_enumeration():
         assert tanh[m + 1] == 0
 
 
+def test_tan_tanh_coefficients_match_the_sin_cos_solve():
+    for hyperbolic in (False, True):
+        for n in range(41):
+            assert _tan_like_coeffs(n, hyperbolic) == tan_like_coeffs_reference(n, hyperbolic)
+
+
 def test_parity_identities():
     n = 12
     H, E = h_series(n), e_series(n)
@@ -203,16 +207,12 @@ def test_tangent_number_series_forms():
         q = series_div(
             parity_split(E, "odd", alternating), parity_split(E, "even", alternating)
         )
-        z = odd_powersum(n, alternating)
-        total = GradedSeries(n)
-        power = GradedSeries.constant(1, n)
-        z2 = z * z
-        for k in range(0, (n - 1) // 2 + 1):
-            m = 2 * k + 1
-            power = power * (z if k == 0 else z2)
-            sign = 1 if alternating else (-1) ** k
-            total = total + power * Fraction(sign * alternating_count(m), factorial(m))
-        assert q == total
+        assert q == tangent_series_reference(n, alternating)
+    # the checks' tangent-number side, read off the Foulkes ribbons
+    for name, alternating in (("tanh_form", False), ("tan_form", True)):
+        for n in range(13):
+            _, _, tangent = build_pairs(name, n)[1]
+            assert tangent == tangent_series_reference(n, alternating), (name, n)
 
 
 def test_truncation_consistency():

@@ -15,7 +15,7 @@ from symlie.lie import named_series
 from symlie.partitions import partitions_of
 from symlie.plethysm import pleth, pleth_inverse
 from symlie.series import GradedSeries
-from symlie.symfunc import _h_product, expand_in_basis, omega, p
+from symlie.symfunc import _from_form, _h_form, expand_in_basis, omega, p
 
 from helpers import (
     homogeneous,
@@ -44,7 +44,7 @@ def test_h_products_are_triangular_in_partition_order():
     for d in range(11):
         position = {lam: i for i, lam in enumerate(partitions_of(d))}
         for lam in partitions_of(d):
-            terms = _h_product(lam).terms
+            terms = _from_form(_h_form(lam)).terms
             assert all(position[rho] >= position[lam] for rho in terms), lam
             assert terms[lam] * prod(lam) == 1, lam
 

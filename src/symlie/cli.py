@@ -17,16 +17,18 @@ Commands: expand, pleth, inverse, verify, list-checks.  Exit codes: 0 on
 success (verify: all requested checks passed), 1 on a failed check or
 evaluation error, 2 on usage or syntax errors, including a --max-degree
 outside [0, MAX_DEGREE] and an expression nested more than MAX_EXPR_DEPTH
-levels deep.
+levels deep (each parenthesis, function call and 'o' is a level; a chain of
+binary operators of any length is not).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from .lie import SERIES_REGISTRY, compose_named, named_series
 from .partitions import check_partition, format_partition
@@ -126,14 +128,18 @@ _FUNCTIONS = {
 
 _GENERATORS = ("p", "h", "e", "s")
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
 # Ceiling on --max-degree: a series allocates one slot per degree before any
 # work, so an absurd bound would exhaust memory instead of failing fast.
 MAX_DEGREE = 40
 
 # Ceiling on how deeply an expression nests.  Each parenthesis, function
-# call, 'o' and binary operator is one level, and parsing and evaluation
-# recurse once per level, so deeper input would overflow the interpreter's
-# stack instead of failing as a syntax error.
+# call and 'o' is one level, and parsing and evaluation recurse a bounded
+# number of frames per level (at most about 510 of the default 1000 at the
+# limit), so deeper input would overflow the interpreter's stack instead of
+# failing as a syntax error.  A chain of '+', '-', '*' and '/' opens no
+# level: it is parsed in a loop and evaluated along its left spine.
 MAX_EXPR_DEPTH = 100
 
 
@@ -188,8 +194,8 @@ def _integer(token: _Token) -> int:
 
 
 class _Parser:
-    """Recursive descent.  expr, term, factor and atom return the node and
-    its height in levels; self.depth counts the levels open around it."""
+    """Recursive descent.  self.depth counts the levels open around the
+    token being parsed: each parenthesis, function call and 'o'."""
 
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
@@ -210,76 +216,66 @@ class _Parser:
             raise ParseError(token.pos, {kind})
         return self.advance()
 
-    def limit(self, token: _Token, height: int) -> int:
-        """Reject `token` if the level it closes or opens passes MAX_EXPR_DEPTH."""
-        if self.depth + height > MAX_EXPR_DEPTH:
+    def nested(self, token: _Token, parse) -> Expr:
+        """Parse one level down; `token` opens the level, which is refused
+        past MAX_EXPR_DEPTH."""
+        if self.depth == MAX_EXPR_DEPTH:
             raise ParseError(token.pos, {f"at most {MAX_EXPR_DEPTH} nested levels"})
-        return height
-
-    def nested(self, token: _Token, parse) -> Tuple[Expr, int]:
-        """Parse one level down, after checking that the level may open."""
-        self.limit(token, 1)
         self.depth += 1
-        node, height = parse()
+        node = parse()
         self.depth -= 1
-        return node, height + 1
+        return node
 
     def parse(self) -> Expr:
-        expr, _ = self.expr()
+        expr = self.expr()
         tail = self.peek()
         if tail.kind != "end":
             raise ParseError(tail.pos, {"+", "-", "*", "/", "end of input"})
         return expr
 
-    def expr(self) -> Tuple[Expr, int]:
-        node, height = self.term()
+    def expr(self) -> Expr:
+        node = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            right, right_height = self.term()
-            height = self.limit(op, max(height, right_height) + 1)
-            node = BinOp(op.kind, node, right, op.pos)
-        return node, height
+            node = BinOp(op.kind, node, self.term(), op.pos)
+        return node
 
-    def term(self) -> Tuple[Expr, int]:
-        node, height = self.factor()
+    def term(self) -> Expr:
+        node = self.factor()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
-            right, right_height = self.factor()
-            height = self.limit(op, max(height, right_height) + 1)
-            node = BinOp(op.kind, node, right, op.pos)
-        return node, height
+            node = BinOp(op.kind, node, self.factor(), op.pos)
+        return node
 
-    def factor(self) -> Tuple[Expr, int]:
-        node, height = self.atom()
+    def factor(self) -> Expr:
+        node = self.atom()
         token = self.peek()
         if token.kind == "name" and token.text == "o":
             op = self.advance()
             # right-associative: f o g o h parses as f o (g o h)
-            inner, inner_height = self.nested(op, self.factor)
-            height = self.limit(op, max(height + 1, inner_height))
-            return Pleth(node, inner, op.pos), height
-        return node, height
+            return Pleth(node, self.nested(op, self.factor), op.pos)
+        return node
 
-    def atom(self) -> Tuple[Expr, int]:
+    def atom(self) -> Expr:
         token = self.peek()
         if token.kind == "int":
-            return Num(_integer(self.advance()), token.pos), 0
+            return Num(_integer(self.advance()), token.pos)
         if token.kind == "(":
             self.advance()
-            node, height = self.nested(token, self.expr)
+            node = self.nested(token, self.expr)
             self.expect(")")
-            return node, height
+            return node
         if token.kind == "name":
             self.advance()
             text = token.text
             if text in _GENERATORS and self.peek().kind == "[":
-                return self._generator(text, token.pos), 0
+                return self._generator(text, token.pos)
             if text in _FUNCTIONS and self.peek().kind == "(":
                 self.advance()
-                arg, height = self.nested(token, self.expr)
+                arg = self.nested(token, self.expr)
                 self.expect(")")
-                return Call(text, arg, token.pos), height
-            return Name(text, token.pos), 0
+                return Call(text, arg, token.pos)
+            return Name(text, token.pos)
         raise ParseError(
             token.pos, {"integer", "generator", "name", "function", "("}
         )
@@ -327,11 +323,9 @@ def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
             # The degree is then positive, valid for every generator, so the
             # index checks below lose nothing by being skipped.
             return GradedSeries(max_degree)
-        if expr.kind == "s":
-            return GradedSeries.from_symfunc(schur(expr.arg), max_degree)
-        k = expr.arg
         try:
-            f = {"p": p, "h": h, "e": e}[expr.kind](k)
+            # built per call, so that it calls the module's current bindings
+            f = {"p": p, "h": h, "e": e, "s": schur}[expr.kind](expr.arg)
         except ValueError as exc:
             raise EvalError(expr.pos, str(exc)) from exc
         return GradedSeries.from_symfunc(f, max_degree)
@@ -354,18 +348,22 @@ def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
         except ConstantTermError as exc:
             raise EvalError(expr.pos, str(exc)) from exc
     if isinstance(expr, BinOp):
-        left = evaluate(expr.left, max_degree)
-        right = evaluate(expr.right, max_degree)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        try:
-            return left / right
-        except NonUnitConstantError as exc:
-            raise EvalError(expr.pos, str(exc)) from exc
+        # A chain such as a * b + c - d is a left-deep spine of BinOps, walked
+        # here without recursion: its leftmost operand first, then each right
+        # operand from the bottom of the spine up.
+        spine = []
+        while isinstance(expr, BinOp):
+            spine.append(expr)
+            expr = expr.left
+        value = evaluate(expr, max_degree)
+        for node in reversed(spine):
+            right = evaluate(node.right, max_degree)
+            try:
+                value = _ARITHMETIC[node.op](value, right)
+            except NonUnitConstantError as exc:
+                # raised only by '/', for a divisor with no unit constant term
+                raise EvalError(node.pos, str(exc)) from exc
+        return value
     raise TypeError(f"not an Expr: {expr!r}")
 
 

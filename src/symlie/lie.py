@@ -28,9 +28,10 @@ from .symfunc import (
     SymFunc,
     _bead_mask,
     _character,
+    _form_of_products,
+    _from_form,
     _h_form,
     _integer_form,
-    _sum_of_products,
     e,
     exponential_part,
     h,
@@ -113,9 +114,9 @@ def staircase_skew(n: int, method: str = "foulkes") -> SymFunc:
             beta = (sum(rows[a:b]) for a, b in zip([0] + ends, ends))
             lam = tuple(sorted(beta, reverse=True))
             coeffs[lam] = coeffs.get(lam, 0) + (-1) ** (n - 1 - len(ends))
-        return _sum_of_products(
+        return _from_form(_form_of_products(
             (_h_form(lam), _integer_form(SymFunc.constant(c))) for lam, c in coeffs.items() if c
-        )
+        ))
     if method != "foulkes":
         raise ValueError(f"unknown method {method!r}")
     size = 2 * n - 3

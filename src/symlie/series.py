@@ -50,7 +50,6 @@ from .symfunc import (
     _from_form,
     _integer_form,
     _scaled_form,
-    _sum_of_products,
     omega,
 )
 
@@ -299,7 +298,7 @@ def _plethysm(
         for k, row in scaled:
             if len(row) == d:
                 row.append(None if d % k else _scaled_form(g[d // k], k))
-        out.append(_sum_of_products((row[d], c) for row, c in weighted if row[d]))
+        out.append(_from_form(_form_of_products((row[d], c) for row, c in weighted if row[d])))
         if len(g) == d:
             g.append(_integer_form(solve(d, out[d])))
     return out

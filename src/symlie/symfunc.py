@@ -12,7 +12,7 @@ Coefficients are stored as Fractions but multiplied as integers: a product
 writes each factor as integer numerators over one common denominator (the
 lcm of its term denominators), sums the integer products, and builds each
 output Fraction once.  _form_of_products is that one kernel, returning the
-sum in lowest terms; _sum_of_products turns it into a SymFunc.
+sum in lowest terms, and _from_form turns its result into a SymFunc.
 SymFunc.__mul__, GradedSeries.__mul__, series_div (and with it
 series_inverse) and the plethysm kernel series._plethysm all go through it.
 Each SymFunc carries its integer form: one the kernel returns is kept on the
@@ -136,14 +136,6 @@ def _form_of_products(
     acc: Dict[int, int] = {}
     for (xs, xd), (ys, yd) in pairs:
         k = den // (xd * yd)
-        if len(xs) == 1 and xs[0][0] == 1:
-            xs, ys = ys, xs
-        if len(ys) == 1 and ys[0][0] == 1:
-            # a constant factor, put second, leaves the keys as they are
-            yk = ys[0][1] * k
-            for lam, x in xs:
-                acc[lam] = acc.get(lam, 0) + x * yk
-            continue
         for lam, x in xs:
             xk = x * k
             for mu, y in ys:
@@ -178,13 +170,6 @@ def _canonical(terms: Dict[Partition, Fraction]) -> "SymFunc":
     result = SymFunc.__new__(SymFunc)
     result.terms = terms
     return result
-
-
-def _sum_of_products(
-    pairs: Iterable[Tuple[IntegerForm, IntegerForm]], scale: Fraction = Fraction(1)
-) -> "SymFunc":
-    """scale * sum of x*y over the pairs, as a SymFunc."""
-    return _from_form(_form_of_products(pairs, scale))
 
 
 def _sorted_key(parts) -> Partition:
@@ -308,7 +293,7 @@ class SymFunc:
         elif not isinstance(other, SymFunc):
             return NotImplemented
         x, y = _integer_form(self), _integer_form(other)
-        return _sum_of_products([(x, y)] if x and y else [])
+        return _from_form(_form_of_products([(x, y)] if x and y else []))
 
     __rmul__ = __mul__
 
@@ -406,12 +391,6 @@ def _character(mask: int, mu: Partition) -> int:
             between = mask & (bead - 1) & -(target << 1)
             total += -chi if between.bit_count() & 1 else chi
     return total
-
-
-def character(lam, mu) -> int:
-    """Irreducible character chi^lam(mu) by border-strip removal on the
-    beta-set of lam; lam and mu must be partitions."""
-    return _character(_bead_mask(check_partition(lam)), check_partition(mu))
 
 
 def schur(lam) -> SymFunc:

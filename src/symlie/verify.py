@@ -33,8 +33,6 @@ from .partitions import Partition, partitions_of, staircase
 from .plethysm import pleth
 from .series import (
     GradedSeries,
-    arctan_series,
-    arctanh_series,
     compose_scalar,
     omega_series,
     parity_split,
@@ -302,17 +300,13 @@ def _tanh_form(n: int, alternating: bool = False) -> List[Pair]:
 
 
 def _arctanh_sum(n: int, alternating: bool = False) -> List[Pair]:
+    # sum[Lie_odd] = arctanh p_1 itself is arctanh_pleth's pair; this is that
+    # identity with tanh (tan) applied to both sides.
     a = "^alt" if alternating else ""
-    trig, fn, arc = (
-        ("tan", tan_series, arctan_series) if alternating
-        else ("tanh", tanh_series, arctanh_series)
-    )
+    trig, fn = ("tan", tan_series) if alternating else ("tanh", tanh_series)
     lo = named_series("Lie_odd_alt" if alternating else "Lie_odd", n)
-    z = _odd_powersum(n, alternating)
-    return [
-        (f"{trig}(sum)[Lie_odd{a}] = p_1", pleth(fn(z), lo), _p1_series(n)),
-        (f"sum[Lie_odd{a}] = arc{trig} p_1", pleth(z, lo), arc(_p1_series(n))),
-    ]
+    lhs = pleth(fn(_odd_powersum(n, alternating)), lo)
+    return [(f"{trig}(sum)[Lie_odd{a}] = p_1", lhs, _p1_series(n))]
 
 
 _POSITIVITY_CAP = 8

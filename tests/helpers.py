@@ -333,7 +333,7 @@ def _partition_from_betas(betas) -> tuple:
 def character_reference(lam, mu) -> int:
     """chi^lam(mu) by border-strip removal on a list of beta numbers: a strip
     of size k replaces a beta number b by a free b - k, with sign (-1)^(beta
-    numbers strictly between).  The reference for symlie.symfunc.character,
+    numbers strictly between).  The reference for symlie.symfunc._character,
     which works on bead masks."""
     if not mu:
         return 1 if not lam else 0

@@ -1,5 +1,8 @@
 import json
+import re
 from fractions import Fraction
+from itertools import islice
+from math import comb
 
 import pytest
 
@@ -165,6 +168,12 @@ def test_evaluate_errors_carry_positions():
         evaluate(parse("Mystery"), 5)
     assert info.value.offset == 1
 
+    # in a chain, at the '/' whose divisor has no unit constant term
+    for source, offset in [("1/p[2]/(1+p[1])", 2), ("1/(1+p[1])/p[2]", 11)]:
+        with pytest.raises(EvalError) as info:
+            evaluate(parse(source), 4)
+        assert info.value.offset == offset
+
 
 @pytest.mark.parametrize("source, offset", [("p[1] + s[1,2]", 8), ("s[2,0]", 1)])
 def test_cli_schur_shape_that_is_not_a_partition_is_an_error(source, offset, capsys):
@@ -280,29 +289,39 @@ def test_cli_oversized_integer_is_a_syntax_error(source, offset, capsys):
     assert f"offset {offset}" in capsys.readouterr().err
 
 
-# Each builder nests an expression `levels` levels deep and names the token
-# that opens a level.
+def _mixed(levels: int) -> str:
+    """`levels` levels that alternate 'o' and tanh(, each with a call, an 'o',
+    a '+' and a '*' in it; the exp( call closes before the next level opens."""
+    source = "p[1]"
+    for level in range(levels, 0, -1):
+        source = f"tanh({source})" if level % 2 == 0 else f"p[1]+p[2] o {source}*exp(p[1])"
+    return source
+
+
+# Each builder nests an expression `levels` levels deep, and the pattern
+# matches the tokens that open its levels, in order; a chain of binary
+# operators opens none, so "sums" has no pattern.
 _DEEP = {
-    "parentheses": (lambda levels: "(" * levels + "p[1]" + ")" * levels, "("),
+    "parentheses": (lambda levels: "(" * levels + "p[1]" + ")" * levels, r"\("),
     "calls": (lambda levels: "exp(" * levels + "p[1]" + ")" * levels, "exp"),
-    "plethysms": (lambda levels: " o ".join(["p[1]"] * (levels + 1)), "o"),
-    "sums": (lambda levels: "+".join(["p[1]"] * (levels + 1)), "+"),
+    "plethysms": (lambda levels: " o ".join(["p[1]"] * (levels + 1)), r"\bo\b"),
+    "mixed": (_mixed, r"\bo\b|tanh"),
+    "sums": (lambda levels: "+".join(["p[1]"] * (levels + 1)), None),
 }
 
 
-@pytest.mark.parametrize("shape", sorted(_DEEP))
+@pytest.mark.parametrize("shape", sorted(s for s in _DEEP if _DEEP[s][1]))
 def test_cli_deep_nesting_is_a_syntax_error(shape, capsys):
-    build, token = _DEEP[shape]
+    build, pattern = _DEEP[shape]
     source = build(3000)
     # the 1-based offset of the token that opens level MAX_EXPR_DEPTH + 1
-    index = -1
-    for _ in range(MAX_EXPR_DEPTH + 1):
-        index = source.index(token, index + 1)
+    openers = re.finditer(pattern, source)
+    offset = next(islice(openers, MAX_EXPR_DEPTH, None)).start() + 1
     with pytest.raises(ParseError) as info:
         parse(source)
-    assert info.value.offset == index + 1
+    assert info.value.offset == offset
     assert main(["expand", source, "--max-degree", "3"]) == 2
-    assert f"offset {index + 1}:" in capsys.readouterr().err
+    assert f"offset {offset}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shape", sorted(_DEEP))
@@ -315,6 +334,32 @@ def test_cli_nesting_at_the_limit_is_accepted(shape, capsys):
     assert parse(source) == tree and hash(parse(source)) == hash(tree)
     assert main(["expand", source, "--max-degree", "3", "--json"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "op, term, expected",
+    # 3000 p[1] summed, and 3000 factors 1 + p[1]: sum_k C(3000, k) p_1^k
+    [("+", "p[1]", [0, 3000, 0, 0]), ("*", "(1+p[1])", [comb(3000, k) for k in range(4)])],
+    ids=["sums", "products"],
+)
+def test_cli_long_chains_evaluate(op, term, expected, capsys):
+    # far longer than the interpreter's recursion limit; the tree is never
+    # compared or hashed, since both recurse once per node
+    source = op.join([term] * 3000)
+    series = evaluate(parse(source), 3)
+    assert series == GradedSeries(3, {k: SymFunc({(1,) * k: c}) for k, c in enumerate(expected)})
+    assert main(["expand", source, "--max-degree", "3", "--json"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_chains_evaluate_left_to_right():
+    one_plus = [1 + GradedSeries(4, {k: p(k)}) for k in (1, 2, 3)]
+    assert evaluate(parse("p[1]-p[2]-p[3]"), 4) == GradedSeries(
+        4, {1: p(1), 2: -p(2), 3: -p(3)}
+    )
+    assert evaluate(parse("(1+p[1])/(1+p[2])/(1+p[3])"), 4) == (
+        one_plus[0] / one_plus[1] / one_plus[2]
+    )
 
 
 def test_cli_eval_error_exit_code(capsys):

@@ -28,8 +28,8 @@ from symlie.symfunc import (
     _form_of_products,
     _integer_form,
     _key,
+    _from_form,
     _partition,
-    _sum_of_products,
     exponential_part,
     p,
 )
@@ -196,7 +196,7 @@ def test_forms_of_products_are_in_lowest_terms(pairs, scale):
     forms = [(_integer_form(x), _integer_form(y)) for x, y in pairs if x and y]
     expected = sum((x * y for x, y in pairs), SymFunc.zero()) * scale
     form = _form_of_products(forms, scale)
-    assert _sum_of_products(forms, scale) == expected
+    assert _from_form(form) == expected
     if not expected:
         assert form is None
         return

@@ -13,21 +13,20 @@ log1p, tan, tanh, arctan, arctanh, odd, even, odd_alt, even_alt.  Note that
 'o' binds tighter than '*' and '/', so quotients compose as (E_odd/E_even) o X
 only with explicit parentheses.
 
-Commands: expand, pleth, inverse, verify, list-checks.  Exit codes: 0 on
-success (verify: all requested checks passed), 1 on a failed check or
-evaluation error, 2 on usage or syntax errors, including a --max-degree
-outside [0, MAX_DEGREE] and an expression nested more than MAX_EXPR_DEPTH
-levels deep (each parenthesis, function call and 'o' is a level; a chain of
-binary operators of any length is not).
+The commands and their options are in _USAGE, which -h prints.  Exit codes:
+0 on success (verify: all requested checks passed), 1 on a failed check or
+evaluation error, 2 on a usage error, before anything is built, or a syntax
+error, including an expression nested more than MAX_EXPR_DEPTH levels deep
+(each parenthesis, function call and 'o' is a level; a chain of binary
+operators of any length is not).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import operator
 import sys
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import List, Optional, Union
 
 from .lie import SERIES_REGISTRY, compose_named, named_series
@@ -70,45 +69,61 @@ class EvalError(ValueError):
 # --- abstract syntax -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    pos: int = field(default=0, compare=False)
+class _Node:
+    """A syntax node or token: immutable, and equal and hashed by its type
+    and the fields its class lists in __slots__.  A last positional argument
+    gives pos, the 1-based offset of its first token (default 0), which
+    takes no part in equality."""
+
+    __slots__ = ("pos",)
+
+    def __init__(self, *values):
+        names = self.__slots__ + ("pos",)
+        if not len(names) - 1 <= len(values) <= len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name, value in zip(names, values + (0,)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self),) + self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._values() + (self.pos,)!r}"
 
 
-@dataclass(frozen=True)
-class Gen:
-    kind: str  # 'p' | 'h' | 'e' | 's'
-    arg: Union[int, tuple]
-    pos: int = field(default=0, compare=False)
+class Num(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
-    pos: int = field(default=0, compare=False)
+class Gen(_Node):
+    __slots__ = ("kind", "arg")  # kind is 'p' | 'h' | 'e' | 's'
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
-    pos: int = field(default=0, compare=False)
+class Name(_Node):
+    __slots__ = ("ident",)
 
 
-@dataclass(frozen=True)
-class Pleth:
-    outer: "Expr"
-    inner: "Expr"
-    pos: int = field(default=0, compare=False)
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
-    pos: int = field(default=0, compare=False)
+class Pleth(_Node):
+    __slots__ = ("outer", "inner")
+
+
+class Call(_Node):
+    __slots__ = ("fn", "arg")
 
 
 Expr = Union[Num, Gen, Name, BinOp, Pleth, Call]
@@ -146,11 +161,8 @@ MAX_EXPR_DEPTH = 100
 # --- tokenizer / parser -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int' | 'name' | symbol itself
-    text: str
-    pos: int  # 1-based byte offset of the first character
+class _Token(_Node):
+    __slots__ = ("kind", "text")  # kind is 'int' | 'name' | the symbol itself
 
 
 def _tokenize(source: str) -> List[_Token]:
@@ -433,14 +445,11 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.check is not None:
-        known = {name for name, _ in check_names()}
-        if args.check not in known:
-            print(f"usage error: unknown check {args.check!r}", file=sys.stderr)
-            return 2
-        reports = [run_check(args.check, args.max_degree)]
-    else:
-        reports = run_all(args.max_degree)
+    if args.all == (args.check is not None):
+        raise _UsageError("verify takes exactly one of --all and --check NAME")
+    if args.check is not None and args.check not in dict(check_names()):
+        raise _UsageError(f"unknown check {args.check!r}")
+    reports = run_all(args.max_degree) if args.all else [run_check(args.check, args.max_degree)]
     if args.json:
         payload = {
             "command": "verify",
@@ -469,69 +478,100 @@ def _cmd_list_checks(args) -> int:
     return 0
 
 
+# --- command line -----------------------------------------------------------------
+
+_USAGE = f"""\
+usage: symlie expand EXPR [--max-degree N] [--basis p|s|h|e] [--json]
+       symlie pleth OUTER INNER [--max-degree N] [--basis p|s|h|e] [--json]
+       symlie inverse EXPR [--max-degree N] [--basis p|s|h|e] [--json]
+       symlie verify (--all | --check NAME) [--max-degree N] [--json]
+       symlie list-checks
+--max-degree N: 0 <= N <= {MAX_DEGREE}, default 8; --basis: default p; -h, --help: this text.
+An option's value is the next argument, or follows '=' (--basis=s).
+"""
+
+
+class _UsageError(Exception):
+    """A command line the argv table does not accept: exit 2 with the usage."""
+
+
 def _max_degree(text: str) -> int:
-    """argparse type for --max-degree: an integer in [0, MAX_DEGREE], else exit 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    if value > MAX_DEGREE:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEGREE}, got {value}")
+    value = int(text)
+    if not 0 <= value <= MAX_DEGREE:
+        raise ValueError(f"must be in [0, {MAX_DEGREE}], got {value}")
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="symlie",
-        description="Exact symmetric-function engine: expand, compose and verify.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _basis(text: str) -> str:
+    if text not in ("p", "s", "h", "e"):
+        raise ValueError(f"invalid choice {text!r}")
+    return text
 
-    def common(p_):
-        p_.add_argument("--max-degree", type=_max_degree, default=8)
-        p_.add_argument("--basis", choices=("p", "s", "h", "e"), default="p")
-        p_.add_argument("--json", action="store_true")
 
-    p_expand = sub.add_parser("expand", help="print each degree of an expression")
-    p_expand.add_argument("expr")
-    common(p_expand)
-    p_expand.set_defaults(func=_cmd_expand)
+# Each option's reader of its value (None for a flag) and its default.
+_OPTIONS = {
+    "--max-degree": (_max_degree, 8),
+    "--basis": (_basis, "p"),
+    "--json": (None, False),
+    "--all": (None, False),
+    "--check": (str, None),
+}
+_SERIES_OPTIONS = ("--max-degree", "--basis", "--json")
 
-    p_pleth = sub.add_parser("pleth", help="expand (outer) o (inner)")
-    p_pleth.add_argument("outer")
-    p_pleth.add_argument("inner")
-    common(p_pleth)
-    p_pleth.set_defaults(func=_cmd_pleth)
+# Each command's positionals, the options it accepts and its handler.
+_COMMANDS = {
+    "expand": (("expr",), _SERIES_OPTIONS, _cmd_expand),
+    "pleth": (("outer", "inner"), _SERIES_OPTIONS, _cmd_pleth),
+    "inverse": (("expr",), _SERIES_OPTIONS, _cmd_inverse),
+    "verify": ((), ("--all", "--check", "--max-degree", "--json"), _cmd_verify),
+    "list-checks": ((), (), _cmd_list_checks),
+}
 
-    p_inverse = sub.add_parser("inverse", help="plethystic inverse of an expression")
-    p_inverse.add_argument("expr")
-    common(p_inverse)
-    p_inverse.set_defaults(func=_cmd_inverse)
 
-    p_verify = sub.add_parser("verify", help="run registered identity checks")
-    group = p_verify.add_mutually_exclusive_group(required=True)
-    group.add_argument("--all", action="store_true")
-    group.add_argument("--check")
-    p_verify.add_argument("--max-degree", type=_max_degree, default=8)
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_list = sub.add_parser("list-checks", help="list check names with anchors")
-    p_list.set_defaults(func=_cmd_list_checks)
-
-    return parser
+def _read_argv(argv: List[str]):
+    """The handler of a command line and its arguments, read by the tables above."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise _UsageError(f"expected a command, one of {', '.join(_COMMANDS)}")
+    command, *rest = argv
+    positionals, accepted, handler = _COMMANDS[command]
+    options = {option: _OPTIONS[option][1] for option in accepted}
+    values = []
+    items = iter(rest)
+    for item in items:
+        option, has_value, text = item.partition("=")
+        if not item.startswith("-"):
+            values.append(item)
+        elif option not in accepted or (has_value and _OPTIONS[option][0] is None):
+            raise _UsageError(f"{command} takes no option {item}")
+        elif _OPTIONS[option][0] is None:
+            options[option] = True
+        else:
+            text = text if has_value else next(items, None)
+            if text is None:
+                raise _UsageError(f"{option} needs a value")
+            try:
+                options[option] = _OPTIONS[option][0](text)
+            except ValueError as exc:
+                raise _UsageError(f"{option}: {exc}") from None
+    if len(values) != len(positionals):
+        raise _UsageError(f"{command} takes {len(positionals)} argument(s), got {len(values)}")
+    args = SimpleNamespace(command=command, **dict(zip(positionals, values)))
+    for option, value in options.items():
+        setattr(args, option[2:].replace("-", "_"), value)
+    return handler, args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_USAGE, end="")
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
+        handler, args = _read_argv(argv)
+        return handler(args)
+    except _UsageError as exc:
+        print(f"{_USAGE}error: {exc}", file=sys.stderr)
+        return 2
     except ParseError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,6 @@ moves with them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -29,7 +28,7 @@ from .oracle import (
     specialize_collected,
     syt_count,
 )
-from .partitions import Partition, partitions_of, staircase
+from .partitions import partitions_of, staircase
 from .plethysm import pleth
 from .series import (
     GradedSeries,
@@ -46,28 +45,32 @@ from .symfunc import SymFunc, _canonical, dimension, p, render, schur, schur_exp
 Pair = Tuple[str, GradedSeries, GradedSeries]
 
 
-@dataclass
 class CheckReport:
-    check_name: str
-    paper_anchor: str
-    max_degree: int
-    passed: bool
-    first_failure_degree: Optional[int] = None
-    mismatch: Optional[Tuple[str, str]] = None
-    # The first partition (in render order) where the failing components
-    # differ, and the exact coefficient of lhs - rhs there.
-    mismatch_partition: Optional[Partition] = None
-    mismatch_delta: Optional[Fraction] = None
-    # The degree asked for, before the cap; max_degree is the one compared.
-    requested_degree: Optional[int] = None
-    # Wall time of building and comparing the pairs; not part of the result.
-    elapsed_ms: Optional[float] = field(default=None, compare=False)
-    # The number of pairs compared, the stored terms over both sides of
-    # every pair, and the largest bit length of a coefficient denominator
-    # among them; counted outside elapsed_ms.
-    pairs: Optional[int] = None
-    terms: Optional[int] = None
-    max_den_bits: Optional[int] = None
+    """One check's outcome.  A failure sets first_failure_degree, mismatch
+    (both components rendered), mismatch_partition (the first partition, in
+    render order, where they differ) and mismatch_delta (lhs - rhs there).
+    max_degree is requested_degree clamped to the cap.  elapsed_ms, the time
+    to build and compare the pairs, is not part of the result, nor compared;
+    pairs, terms and max_den_bits (the pairs, their stored terms and the
+    largest bit length of a coefficient denominator) are counted outside it."""
+
+    __slots__ = ("check_name", "paper_anchor", "max_degree", "passed",
+                 "first_failure_degree", "mismatch", "mismatch_partition", "mismatch_delta",
+                 "requested_degree", "elapsed_ms", "pairs", "terms", "max_den_bits")
+
+    def __init__(self, check_name: str, paper_anchor: str, max_degree: int, passed: bool,
+                 first_failure_degree=None, mismatch=None, mismatch_partition=None,
+                 mismatch_delta=None, requested_degree=None, elapsed_ms=None, pairs=None,
+                 terms=None, max_den_bits=None):
+        arguments = locals()
+        for name in self.__slots__:
+            setattr(self, name, arguments[name])
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name != "elapsed_ms")
+
+    def __eq__(self, other):
+        return type(other) is CheckReport and self._compared() == other._compared()
 
     def as_record(self) -> dict:
         record = {
@@ -94,12 +97,14 @@ class CheckReport:
         return record
 
 
-@dataclass(frozen=True)
 class Check:
-    name: str
-    anchor: str
-    builder: Callable[[int], List[Pair]]
-    cap: Optional[int] = None
+    """A registered check: name, paper anchor, pair builder, degree cap."""
+
+    __slots__ = ("name", "anchor", "builder", "cap")
+
+    def __init__(self, name: str, anchor: str, builder: Callable[[int], List[Pair]],
+                 cap: Optional[int] = None):
+        self.name, self.anchor, self.builder, self.cap = name, anchor, builder, cap
 
     def degree(self, max_degree: int) -> int:
         """The degree the check runs at: max_degree clamped to the cap."""
@@ -227,7 +232,7 @@ def _hook_alt(parity: str, n: int) -> List[Pair]:
     return [(f"{parity} alternating hooks [Lie_odd^alt]", lhs, rhs)]
 
 
-def _staircase_sum(n: int, method: str = "jacobi_trudi") -> GradedSeries:
+def _staircase_sum(n: int, method: str) -> GradedSeries:
     # sum_{stair >= 2} s_{delta_stair/delta_{stair-2}}, the ribbon of size 2 stair - 3
     return GradedSeries(n, {2 * stair - 3: staircase_skew(stair, method)
                             for stair in range(2, (n + 3) // 2 + 1)})
@@ -235,14 +240,15 @@ def _staircase_sum(n: int, method: str = "jacobi_trudi") -> GradedSeries:
 
 def _carlitz(n: int) -> List[Pair]:
     return [
-        ("E_odd^alt/E_even^alt vs staircase sum", _quotient(n, True), _staircase_sum(n))
+        ("E_odd^alt/E_even^alt vs staircase sum", _quotient(n, True),
+         _staircase_sum(n, "jacobi_trudi"))
     ]
 
 
 def _foulkes(n: int) -> List[Pair]:
     return [
         ("staircase: Euler-number formula vs determinant",
-         _staircase_sum(n, "foulkes"), _staircase_sum(n))
+         _staircase_sum(n, "foulkes"), _staircase_sum(n, "jacobi_trudi"))
     ]
 
 
@@ -277,7 +283,7 @@ def _hook_products(n: int) -> GradedSeries:
 def _alt_carlitz(n: int) -> List[Pair]:
     q = _quotient(n, False)
     # the ribbon of stair s sits in degree d = 2s - 3, so (-1)^s = (-1)^{floor(d/2)}
-    signed = parity_split(_staircase_sum(n), "odd", alternating=True)
+    signed = parity_split(_staircase_sum(n, "jacobi_trudi"), "odd", alternating=True)
     return [
         ("E_odd/E_even vs signed staircase sum", q, signed),
         ("E_odd/E_even vs hook-product expansion", q, _hook_products(n)),
@@ -406,12 +412,13 @@ def _pleth_oracle(n: int) -> List[Pair]:
     pairs: List[Pair] = []
     for g_label, g in gs:
         dg = g.degree()
-        for f_label, f in fs:
-            degree = f.degree() * dg
+        degrees = [f.degree() * dg for _, f in fs]
+        # One inner series per g, up to the highest degree any f reads, so
+        # pleth keeps g's rows P_lam[g] across every f of this g.
+        g_series = GradedSeries(max((d for d in degrees if d <= n), default=0), {dg: g})
+        for (f_label, f), degree in zip(fs, degrees):
             if degree > n:
                 continue
-            # The engine side only reads this degree, so it stops there.
-            g_series = GradedSeries(degree, {dg: g})
             engine = specialize_collected(
                 pleth(f, g_series).components[degree], _SWEEP_M
             )

@@ -1,8 +1,11 @@
 import json
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from symlie.cli import (
     MAX_DEGREE,
     MAX_EXPR_DEPTH,
     Name,
+    Num,
     ParseError,
     Pleth,
     evaluate,
@@ -45,6 +49,18 @@ def test_parse_schur_generator():
     tree = parse("s[3,1]")
     assert tree == Gen("s", (3, 1), 1)
     assert parse("s[]") == Gen("s", (), 1)
+
+
+def test_syntax_nodes_are_immutable_values_without_position():
+    tree = parse("p[2] o (E + 1)")
+    for field in ("outer", "inner", "pos"):
+        with pytest.raises(AttributeError):
+            setattr(tree, field, Name("H"))
+    with pytest.raises(AttributeError):
+        del tree.inner
+    moved = Pleth(Gen("p", 2, 5), BinOp("+", Name("E", 9), Num(1, 3), 4), 2)
+    assert moved == tree and hash(moved) == hash(tree)
+    assert Gen("p", 2) != Gen("h", 2) and Name("H") != Num(1)
 
 
 def test_parse_error_offset():
@@ -451,6 +467,15 @@ def test_cli_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.fixture
+def nothing_built(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("built something for a usage error")
+
+    for name in ("evaluate", "run_all", "run_check"):
+        monkeypatch.setattr(cli, name, unbuilt)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -461,16 +486,77 @@ def test_cli_usage_error(capsys):
         ["expand", "h[2]", "--max-degree", "two"],
         ["expand", "H", "--max-degree", str(MAX_DEGREE + 1)],
         ["verify", "--all", "--max-degree", str(10**12)],
+        ["expand", "h[2]", "--max-degree=-1"],
+        ["expand", "h[2]", "--max-degree="],
+        ["verify", "--all", "--max-degree"],
     ],
 )
-def test_cli_bad_max_degree_is_usage_error(capsys, monkeypatch, argv):
-    def unbuilt(*args):
-        raise AssertionError("built something for a rejected --max-degree")
-
-    for name in ("evaluate", "run_all", "run_check"):
-        monkeypatch.setattr(cli, name, unbuilt)
+def test_cli_bad_max_degree_is_usage_error(capsys, nothing_built, argv):
     assert main(argv) == 2
-    assert "--max-degree" in capsys.readouterr().err
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "error:" in last and "--max-degree" in last
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["unknown-command"],
+        ["expand", "h[2]", "--bogus"],
+        ["expand", "h[2]", "--json=yes"],
+        ["list-checks", "--json"],
+        ["expand", "h[2]", "--basis"],
+        ["expand"],
+        ["pleth", "p[2]"],
+        ["expand", "h[2]", "h[3]"],
+        ["list-checks", "extra"],
+        ["verify", "--all", "--check", "thrall_h"],
+        ["verify"],
+        ["verify", "--check", "bogus"],
+        ["expand", "h[2]", "--basis", "x"],
+    ],
+)
+def test_cli_usage_error_prints_usage_and_one_error_line(capsys, nothing_built, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert lines[0].startswith("usage: symlie expand EXPR")
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["expand", "-h"], ["verify", "--all", "--help"]]
+)
+def test_cli_help_prints_usage(capsys, nothing_built, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: symlie") and captured.err == ""
+    for command in ("expand", "pleth", "inverse", "verify", "list-checks"):
+        assert f"symlie {command}" in captured.out
+
+
+def test_cli_option_value_may_follow_equals(capsys):
+    assert main(["expand", "h[2]*e[1]", "--max-degree", "5", "--basis", "s"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["expand", "h[2]*e[1]", "--max-degree=5", "--basis=s"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert spaced.splitlines()[-1].startswith("deg 5: ")
+
+
+def test_cold_import_loads_no_dataclasses_inspect_or_argparse():
+    # Only the modules the import adds count, not those a site hook preloads.
+    src = str(Path(cli.__file__).parents[1])
+    code = (
+        f"import json, sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import symlie, symlie.cli, symlie.verify; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    added = set(json.loads(run.stdout))
+    assert "symlie.cli" in added
+    assert not added & {"dataclasses", "inspect", "argparse"}
 
 
 def test_cli_max_degree_at_ceiling(capsys):

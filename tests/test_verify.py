@@ -9,7 +9,7 @@ from symlie.cli import main
 from symlie.lie import hk, named_series
 from symlie.series import GradedSeries
 from symlie.symfunc import SymFunc
-from symlie.verify import CHECKS, Check, build_pairs, check_names, run_all, run_check
+from symlie.verify import CHECKS, Check, CheckReport, build_pairs, check_names, run_all, run_check
 
 from helpers import hook_product_expansion_reference, labelled_sweep_functions, run_perturbed
 
@@ -235,6 +235,16 @@ def test_parity_props_splits_h_times_e_into_its_quadrants():
     assert [label for label, _, _ in pairs][2:4] == ["2 H_odd E = HE - 1", "2 H_even E = HE + 1"]
     for (_, lhs, _), h_part in zip(pairs[2:4], ("H_odd", "H_even")):
         assert lhs == named_series(h_part, n) * es * 2
+
+
+def test_check_reports_compare_without_elapsed_ms():
+    first, second = run_check("thrall_h", 5), run_check("thrall_h", 5)
+    assert first == second and first != run_check("thrall_h", 6)
+    keywords = CheckReport(check_name="c", paper_anchor="a", max_degree=3, passed=True,
+                           elapsed_ms=1.0, pairs=2)
+    assert keywords == CheckReport("c", "a", 3, True, elapsed_ms=2.0, pairs=2)
+    assert keywords != CheckReport("c", "a", 3, True, elapsed_ms=1.0, pairs=1)
+    assert keywords.first_failure_degree is keywords.mismatch is keywords.terms is None
 
 
 def test_cap_clamps_degree():

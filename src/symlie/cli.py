@@ -14,17 +14,19 @@ log1p, tan, tanh, arctan, arctanh, odd, even, odd_alt, even_alt.  Note that
 only with explicit parentheses.
 
 The commands and their options are in _USAGE, which -h prints.  Exit codes:
-0 on success (verify: all requested checks passed), 1 on a failed check or
-evaluation error, 2 on a usage error, before anything is built, or a syntax
-error, including an expression nested more than MAX_EXPR_DEPTH levels deep
-(each parenthesis, function call and 'o' is a level; a chain of binary
-operators of any length is not).
+0 on success (verify: all requested checks passed), 1 on a failed check,
+an evaluation error or a reader that closed stdout early (| head), 2 on a
+usage error, before anything is built, or a syntax error, including an
+expression nested more than MAX_EXPR_DEPTH levels deep (each parenthesis,
+function call and 'o' is a level; a chain of binary operators of any
+length is not).
 """
 
 from __future__ import annotations
 
 import json
 import operator
+import os
 import sys
 from types import SimpleNamespace
 from typing import List, Optional, Union
@@ -568,7 +570,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     try:
         handler, args = _read_argv(argv)
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"{_USAGE}error: {exc}", file=sys.stderr)
         return 2
@@ -577,6 +581,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early (| head); the flush above makes
+        # that raise here, and what is left in the buffer goes to devnull,
+        # so the interpreter's final flush cannot hit the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -19,14 +19,13 @@ encoded once.
 
 _plethysm is the one kernel that builds f[g] = sum_lam c_lam prod_i p_{lam_i}[g]
 from one integer-form table of prefix products.  plethysm.pleth and
-plethysm.pleth_inverse call it, and so does compose_scalar: sum_m c_m g^m is
-the plethysm (sum_m c_m p_1^m)[g].  It lives here rather than in plethysm
-because plethysm imports this module.  g is the table's row P_(1): pleth
-and compose_scalar fill it from g's components, and pleth_inverse, which
-solves for g, passes solve to compute each g_d from the degree-d result.
-pleth keeps the table on g (the _powers slot), so a later plethysm into
-the same series object reads the rows it has and grows only the degrees
-they lack.
+compose_scalar call it: sum_m c_m g^m is the plethysm (sum_m c_m p_1^m)[g].
+It lives here rather than in plethysm because plethysm imports this
+module.  g is the table's row P_(1), filled by the caller from g's
+components.  pleth keeps the table on g (the _powers slot), so a later
+plethysm into the same series object reads the rows it has and grows only
+the degrees they lack.  plethysm.pleth_inverse, which solves for g, does
+not use it: it has its own Horner pass over the same integer-form kernel.
 
 Every series in the package is built by a constructor and never patched
 afterwards: GradedSeries(n, components) validates what a caller passes,
@@ -46,6 +45,7 @@ from .partitions import Partition
 from .symfunc import (
     IntegerForm,
     SymFunc,
+    _constant_form,
     _form_of_products,
     _from_form,
     _integer_form,
@@ -217,7 +217,7 @@ def series_div(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     n = min(f.max_degree, g.max_degree)
     gs = [_integer_form(part) for part in g.components[: n + 1]]
     # f_d enters as f_d * (-1) under the common scale -1/c
-    minus_one = _integer_form(SymFunc.constant(-1))
+    minus_one = _constant_form(-1)
     scale = -1 / c
     qs: List[Optional[IntegerForm]] = []
     for d, part in enumerate(f.components[: n + 1]):
@@ -249,7 +249,6 @@ def _plethysm(
     items: Iterable[Tuple[Partition, Rational]],
     n: int,
     products: PowerTable,
-    solve: Optional[Callable[[int, SymFunc], SymFunc]],
 ) -> List[SymFunc]:
     """Components 0..n of f[g] = sum_lam c_lam P_lam, P_lam = prod_i p_{lam_i}[g],
     for f's terms (lam, c_lam) in items and g with zero constant term.
@@ -260,17 +259,11 @@ def _plethysm(
     lam[:-1].  Each P_lam has valuation >= |lam|, so a term above n is
     skipped.  A row is final through its length, so rows that an earlier
     call left in the table are read as they are and only grown past it.
-    The row P_(1) = g is g itself: a caller that knows g puts g_0..g_n
-    there.  A caller that solves for g passes a table whose P_(1) holds
-    g_0 alone, an f with no p_1 term and solve: the degree-d result s then
-    reads only g_1..g_{d-1}, and solve(d, s) returns g_d.  Every other
-    caller passes None.
+    The row P_(1) = g is g itself, and the caller puts g_0..g_n there.
     """
-    terms = [
-        (lam, _integer_form(SymFunc.constant(c))) for lam, c in items if c and sum(lam) <= n
-    ]
+    terms = [(lam, _constant_form(c)) for lam, c in items if c and sum(lam) <= n]
     # P_() = 1 is read in every degree by a constant term of f
-    one = products.setdefault((), [_integer_form(SymFunc.constant(1))])
+    one = products.setdefault((), [_constant_form(1)])
     one += [None] * (n + 1 - len(one))
     used = {(), (1,)}
     for lam, _ in terms:
@@ -299,8 +292,6 @@ def _plethysm(
             if len(row) == d:
                 row.append(None if d % k else _scaled_form(g[d // k], k))
         out.append(_from_form(_form_of_products((row[d], c) for row, c in weighted if row[d])))
-        if len(g) == d:
-            g.append(_integer_form(solve(d, out[d])))
     return out
 
 
@@ -318,7 +309,7 @@ def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
         raise TypeError("Taylor coefficients must be exact rationals")
     table = {(1,): [_integer_form(part) for part in g.components]}
     items = [((1,) * m, c) for m, c in enumerate(cs, 1)]
-    return GradedSeries._of(_plethysm(items, n, table, None))
+    return GradedSeries._of(_plethysm(items, n, table))
 
 
 # Exact Taylor coefficients for the named wrappers.
@@ -365,7 +356,7 @@ def exp_series(g: GradedSeries) -> GradedSeries:
     # D(g)_j = j g_j: each numerator of g_j times j, over g_j's denominator
     dg = [form and (tuple([(key, c * j) for key, c in form[0]]), form[1])
           for j, form in enumerate(map(_integer_form, g.components))]
-    fs: List[Optional[IntegerForm]] = [_integer_form(SymFunc.constant(1))]
+    fs: List[Optional[IntegerForm]] = [_constant_form(1)]
     for d in range(1, n + 1):
         pairs = [(dg[j], fs[d - j]) for j in range(1, d + 1) if dg[j] and fs[d - j]]
         fs.append(_form_of_products(pairs, Fraction(1, d)) if pairs else None)

@@ -14,7 +14,8 @@ lcm of its term denominators), sums the integer products, and builds each
 output Fraction once.  _form_of_products is that one kernel, returning the
 sum in lowest terms, and _from_form turns its result into a SymFunc.
 SymFunc.__mul__, GradedSeries.__mul__, series_div (and with it
-series_inverse) and the plethysm kernel series._plethysm all go through it.
+series_inverse), the plethysm kernel series._plethysm and the Horner solve
+in plethysm.pleth_inverse all go through it.
 Each SymFunc carries its integer form: one the kernel returns is kept on the
 SymFunc built from it, and any other is computed at most once, the first
 time a product asks for it, so a shared operand such as a named series
@@ -81,7 +82,7 @@ def _prime(k: int) -> int:
 @lru_cache(maxsize=None)
 def _key(lam: Partition) -> int:
     """The integer-form key of lam: prod_i P(lam_i), 1 for the empty partition."""
-    return prod(_prime(k) for k in lam)
+    return prod(map(_prime, lam))
 
 
 @lru_cache(maxsize=None)
@@ -115,6 +116,12 @@ def _integer_form(f: "SymFunc") -> Optional[IntegerForm]:
         ]), den
     f._form = form
     return form
+
+
+def _constant_form(c: Rational) -> Optional[IntegerForm]:
+    """The integer form of the constant c, one term keyed 1 like the empty
+    partition, with no SymFunc built; None for 0."""
+    return (((1, c.numerator),), c.denominator) if c else None
 
 
 def _scaled_form(form: Optional[IntegerForm], k: int) -> Optional[IntegerForm]:

@@ -19,6 +19,7 @@ from symlie.oracle import (
     lie_bracket_basis,
 )
 from symlie.lie import hk
+from symlie.symfunc import _form_of_products, _from_form, _integer_form, _scaled_form
 from symlie.partitions import multiplicities, partitions_of, z_of
 
 
@@ -659,6 +660,43 @@ def pleth_inverse_reference(f: GradedSeries) -> GradedSeries:
         remainder = pleth_reference(head(f, d), head(out, d))
         out.components[d] = -remainder.components[d]
     return out
+
+
+def pleth_inverse_prefix_reference(f: GradedSeries) -> GradedSeries:
+    """The composition inverse by the one-pass prefix solve that Horner's
+    rule replaced in symlie.plethysm.pleth_inverse (f must have zero
+    constant term and degree-1 part p_1).
+
+    Write f = p_1 + F.  The products P_lam = prod_i p_{lam_i}[g] of every
+    prefix lam of F's terms are rows grown one degree per step through the
+    full bound n, P_lam[d] = sum_j P_lam'[d - k*j] * p_k[g_j] for lam =
+    (lam', k), and degree d of -F[g] = -sum_lam c_lam P_lam, which reads
+    only g_1 .. g_{d-1}, is g_d."""
+    n = f.max_degree
+    p1 = _integer_form(SymFunc({(1,): 1}))
+    terms = [(lam, _integer_form(SymFunc.constant(-c)))
+             for part in f.components[2:] for lam, c in part.terms.items()]
+    rows = {(): [_integer_form(SymFunc.constant(1))] + [None] * n, (1,): [None]}
+    for lam, _ in terms:
+        for i in range(1, len(lam) + 1):
+            rows.setdefault(lam[:i], [None] * sum(lam[:i]))
+            rows.setdefault(lam[i - 1:i], [None] * lam[i - 1])
+    g = rows[(1,)]
+    growing = [(lam[-1], rows[lam[:-1]], rows[lam[-1:]], row)
+               for lam, row in rows.items() if len(lam) > 1]
+    scaled = [(lam[0], row) for lam, row in rows.items() if len(lam) == 1 and lam != (1,)]
+    for d in range(1, n + 1):
+        for k, prefix, column, row in growing:
+            if len(row) == d:
+                pairs = [(prefix[d - k * j], column[k * j]) for j in range(1, d // k + 1)
+                         if prefix[d - k * j] and column[k * j]]
+                row.append(_form_of_products(pairs) if pairs else None)
+        for k, row in scaled:
+            if len(row) == d:
+                row.append(None if d % k else _scaled_form(g[d // k], k))
+        s = _form_of_products((rows[lam][d], c) for lam, c in terms if rows[lam][d])
+        g.append(p1 if d == 1 else s)
+    return GradedSeries._of([_from_form(form) for form in g])
 
 
 def syt_count_reference(outer, inner=()) -> int:

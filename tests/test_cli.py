@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -595,3 +596,20 @@ def test_cli_verify_text_names_the_first_difference(capsys, monkeypatch):
         "  rhs: H[Lie]: p[1,1,1,1] - 2/3*p[2,1,1]",
         "  first difference at p[2,1,1]: lhs - rhs = 2/3",
     ]
+
+
+def test_cli_reader_closing_the_pipe_exits_1_without_a_traceback():
+    # the degree-30 line is about 190 KB, more than a pipe holds, so the
+    # writer is still printing when the reader goes away
+    src = str(Path(cli.__file__).parents[1])
+    run = subprocess.Popen(
+        [sys.executable, "-m", "symlie.cli", "expand", "h[30]", "--max-degree", "30"],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert run.stdout.readline() == b"deg 0: 0\n"
+    run.stdout.close()
+    stderr = run.stderr.read()
+    assert run.wait(timeout=60) == 1
+    assert stderr == b""

@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from symlie.lie import e_series, h_series, lie_series, named_series
+from symlie.lie import e_series, h_series, lie, lie_series, named_series
 from symlie.plethysm import (
     ConstantTermError,
     LeadingTermError,
@@ -204,6 +204,13 @@ def test_pleth_inverse_of_quotient_is_lie_odd():
     E = e_series(n)
     q = series_div(parity_split(E, "odd"), parity_split(E, "even"))
     assert pleth_inverse(q) == named_series("Lie_odd", n)
+
+
+def test_pleth_inverse_of_h_minus_one_is_cadogans_series():
+    # Cadogan (1971): (H - 1)^{-1} = sum_n (-1)^{n-1} omega(Lie_n), Lie_n by Moebius
+    n = 22
+    expected = GradedSeries(n, {d: omega(lie(d)) * (-1) ** (d - 1) for d in range(1, n + 1)})
+    assert pleth_inverse(h_series(n) - 1) == expected
 
 
 def test_min_bound_truncation():

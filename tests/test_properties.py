@@ -25,6 +25,7 @@ from symlie.symfunc import (
     _PRIMES,
     EXPONENTIAL_WEIGHTS,
     SymFunc,
+    _constant_form,
     _form_of_products,
     _integer_form,
     _key,
@@ -223,6 +224,7 @@ def test_kept_forms_match_the_terms(f, g, c):
     # one would show
     assert _integer_form(f) == _recomputed_form(f)
     assert _integer_form(g) == _recomputed_form(g)
+    assert _constant_form(c) == _integer_form(SymFunc.constant(c))
     for x in (f + g, f - g, -f, f * g, f * c, f * f):
         assert _integer_form(x) == _recomputed_form(x)
         assert _integer_form(x) is _integer_form(x)

@@ -1,7 +1,7 @@
 """The benchmark's tracer binds names inside symlie (benchmarks/tracing.py).
 A refactor that renames or inlines one of them would make `--trace 1` count
-nothing without failing, so this runs the tracer on two checks, one
-`symlie inverse` command, and two plethysms and a tanh through
+nothing without failing, so this runs the tracer on two checks, two
+`symlie inverse` commands, and two plethysms and a tanh through
 `symlie expand`.  It runs in a subprocess, since installing the tracer
 patches symlie's modules for good."""
 
@@ -39,6 +39,13 @@ assert cli.main(["inverse", "H-1", "--max-degree", "5", "--basis", "e"]) == 0
 metrics = tracer.metrics()
 assert metrics["plethysm.pleth_inverse.calls"] == 1, metrics["plethysm.pleth_inverse.calls"]
 assert metrics["symfunc.expand_in_basis.s"] > 0, metrics["symfunc.expand_in_basis.s"]
+
+# the solve runs whole inside the pleth_inverse span: no plethysm of its own
+calls = metrics["plethysm.pleth.calls"]
+assert cli.main(["inverse", "E_odd/E_even", "--max-degree", "8"]) == 0
+metrics = tracer.metrics()
+assert metrics["plethysm.pleth_inverse.calls"] == 2, metrics["plethysm.pleth_inverse.calls"]
+assert metrics["plethysm.pleth.calls"] == calls, (calls, metrics["plethysm.pleth.calls"])
 
 # the generic plethysm, then the exponential behind a bare name, whose one
 # plethysm is its log

@@ -17,22 +17,22 @@ is series_div(1, g).  Every series kernel reads its operands' components
 through the integer form each SymFunc carries, so a shared component is
 encoded once.
 
-_plethysm is the one kernel that builds f[g] = sum_lam c_lam prod_i p_{lam_i}[g]
-from one integer-form table of prefix products.  plethysm.pleth and
-compose_scalar call it: sum_m c_m g^m is the plethysm (sum_m c_m p_1^m)[g].
-It lives here rather than in plethysm because plethysm imports this
-module.  g is the table's row P_(1), filled by the caller from g's
-components.  pleth keeps the table on g (the _powers slot), so a later
-plethysm into the same series object reads the rows it has and grows only
-the degrees they lack.  plethysm.pleth_inverse, which solves for g, does
-not use it: it has its own Horner pass over the same integer-form kernel.
+_horner is the one plethysm kernel: f[g] = sum_lam c_lam prod_i p_{lam_i}[g]
+by Horner's rule over the trie of f's terms with their parts in
+increasing order (_trie), each node kept only to the degree its prefix
+leaves.  plethysm.pleth and compose_scalar call it: sum_m c_m g^m is the
+plethysm (sum_m c_m p_1^m)[g], whose trie is a chain, so compose_scalar
+is classical Horner.  plethysm.pleth_inverse builds the same trie and
+reads g_d off the root as it goes, through the same _horner_degree.  The
+kernel lives here rather than in plethysm because plethysm imports this
+module.  It builds the columns p_k[g] for each call and keeps nothing on
+g, so a plethysm's work does not depend on which plethysms ran before it.
 
 Every series in the package is built by a constructor and never patched
 afterwards: GradedSeries(n, components) validates what a caller passes,
 and GradedSeries._of takes the list a kernel or a closed form (H, E, HE)
 has just built as given.  A library caller must not mutate a series
-either: the memoized named series are shared, and the plethysm rows kept
-on a series would go stale.
+either: the memoized named series are shared.
 """
 
 from __future__ import annotations
@@ -58,22 +58,15 @@ class NonUnitConstantError(ValueError):
     """Raised when inverting or dividing by a series whose constant term is zero."""
 
 
-# The rows P_lam = prod_i p_{lam_i}[g] of a plethysm into g, keyed by lam:
-# P_lam[m] is the degree-m component in integer form (None for 0), and a
-# row's length is the number of its degrees computed so far.
-PowerTable = Dict[Partition, List[Optional[IntegerForm]]]
-
-
 class GradedSeries:
     """components[d] for 0 <= d <= max_degree, each homogeneous of degree d.
 
     Built once and never mutated, by the package or by a caller: named
-    series are shared, and pleth keeps rows built from the components on
-    the series (_powers).  GradedSeries(n, components) checks homogeneity;
+    series are shared.  GradedSeries(n, components) checks homogeneity;
     _of takes the list a kernel has just built as given.
     """
 
-    __slots__ = ("max_degree", "components", "_powers")
+    __slots__ = ("max_degree", "components")
 
     def __init__(self, max_degree: int, components=None):
         if max_degree < 0:
@@ -245,54 +238,62 @@ def omega_series(f: GradedSeries) -> GradedSeries:
     return f._map_components(omega)
 
 
-def _plethysm(
-    items: Iterable[Tuple[Partition, Rational]],
-    n: int,
-    products: PowerTable,
-) -> List[SymFunc]:
-    """Components 0..n of f[g] = sum_lam c_lam P_lam, P_lam = prod_i p_{lam_i}[g],
-    for f's terms (lam, c_lam) in items and g with zero constant term.
+def _trie(items: Iterable[Tuple[Partition, Rational]], n: int, columns: Dict[int, list]):
+    """The trie of f = sum_lam c_lam p_lam, (lam, c_lam) in items, with the
+    parts of each lam in increasing order, for Horner's rule
+    S_nu = c_nu + sum_{k >= last(nu)} p_k[g] S_(nu,k), f[g] = S_().
 
-    The products P_lam of every prefix lam of f's terms are rows of the
-    table products, each grown by one degree per step: P_lam[d] = sum_j
-    P_lam'[d - k*j] * p_k[g_j], with k the last part of lam and lam' =
-    lam[:-1].  Each P_lam has valuation >= |lam|, so a term above n is
-    skipped.  A row is final through its length, so rows that an earlier
-    call left in the table are read as they are and only grown past it.
-    The row P_(1) = g is g itself, and the caller puts g_0..g_n there.
+    Each node is (n - |nu|, S_nu by degree, children (k, p_k[g_j] by j,
+    S_(nu,k))): S_nu is multiplied by prod_i p_{nu_i}[g], of valuation
+    |nu|, so it is needed only through degree n - |nu|, and a term above n
+    is skipped.  S_nu[0] = c_nu, and the caller appends degrees 1 onwards.
+    The column p_k[g_j] by j is columns[k], made [None] (g_0 = 0) unless
+    the caller put it there.  Nodes come root first, each after its parent.
     """
-    terms = [(lam, _constant_form(c)) for lam, c in items if c and sum(lam) <= n]
-    # P_() = 1 is read in every degree by a constant term of f
-    one = products.setdefault((), [_constant_form(1)])
-    one += [None] * (n + 1 - len(one))
-    used = {(), (1,)}
-    for lam, _ in terms:
-        while lam not in used:
-            used.update((lam, lam[-1:]))
-            # P_lam is zero below degree |lam|, so a new row is final there
-            products.setdefault(lam, [None] * sum(lam))
-            products.setdefault(lam[-1:], [None] * lam[-1])
-            lam = lam[:-1]
-    g = products[(1,)]
-    # rows already final through n take no part in the steps
-    scaled = [(lam[0], row) for lam in used
-              if len(lam) == 1 and lam != (1,) and len(row := products[lam]) <= n]
-    growing = [(lam[-1], sum(lam[:-1]), products[lam[:-1]], products[lam[-1:]], row)
-               for lam in used if len(lam) > 1 and len(row := products[lam]) <= n]
-    weighted = [(products[lam], c) for lam, c in terms]
-    out: List[SymFunc] = []
-    for d in range(n + 1):
-        for k, low, prefix, column, row in growing:
-            if len(row) == d:
-                pairs = [(prefix[d - k * j], column[k * j])
-                         for j in range(1, (d - low) // k + 1)
-                         if prefix[d - k * j] and column[k * j]]
-                row.append(_form_of_products(pairs) if pairs else None)
-        for k, row in scaled:
-            if len(row) == d:
-                row.append(None if d % k else _scaled_form(g[d // k], k))
-        out.append(_from_form(_form_of_products((row[d], c) for row, c in weighted if row[d])))
-    return out
+    nodes = {(): (n, [None], [])}
+    for lam, c in items:
+        if not c or sum(lam) > n:
+            continue
+        nu = ()
+        for k in reversed(lam):
+            bound, _, children = nodes[nu]
+            nu += (k,)
+            if nu not in nodes:
+                nodes[nu] = (bound - k, [None], [])
+                children.append((k, columns.setdefault(k, [None]), nodes[nu][1]))
+        nodes[nu][1][0] = _constant_form(c)
+    return list(nodes.values())
+
+
+def _horner_degree(children, d: int) -> Optional[IntegerForm]:
+    """Degree d of sum_k p_k[g] S_k over a trie node's children
+    (k, p_k[g_j] by j, S_k), reading each S_k below degree d only.  S_k is
+    read before p_k[g]: at the root of plethysm.pleth_inverse the p_1
+    child is zero in degree 0, so degree d does not read g_d."""
+    pairs = [(s[d - k * j], column[j])
+             for k, column, s in children
+             for j in range(1, d // k + 1)
+             if s[d - k * j] and column[j]]
+    return _form_of_products(pairs) if pairs else None
+
+
+def _horner(
+    items: Iterable[Tuple[Partition, Rational]], n: int, g: GradedSeries
+) -> List[SymFunc]:
+    """Components 0..n of f[g] = sum_lam c_lam prod_i p_{lam_i}[g], for f's
+    terms (lam, c_lam) in items and g with zero constant term, by Horner's
+    rule over _trie.  The columns p_k[g] are built for this call and
+    nothing is kept on g.  A child comes after its parent, so in reverse
+    order each node reads only finished children."""
+    gs = [_integer_form(part) for part in g.components[: n + 1]]
+    columns = {1: gs}
+    nodes = _trie(items, n, columns)
+    for k, column in columns.items():
+        if k > 1:
+            column += [_scaled_form(form, k) for form in gs[1: n // k + 1]]
+    for bound, s, children in reversed(nodes):
+        s += [_horner_degree(children, d) for d in range(1, bound + 1)]
+    return [_from_form(form) for form in nodes[0][1]]
 
 
 def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
@@ -307,9 +308,9 @@ def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
     cs = [coeffs(m) for m in range(1, n + 1)] if callable(coeffs) else list(coeffs)[:n]
     if not all(isinstance(c, Rational) for c in cs):
         raise TypeError("Taylor coefficients must be exact rationals")
-    table = {(1,): [_integer_form(part) for part in g.components]}
+    # the chain trie of sum_m c_m p_1^m: classical Horner, S_m = c_m + g S_(m+1)
     items = [((1,) * m, c) for m, c in enumerate(cs, 1)]
-    return GradedSeries._of(_plethysm(items, n, table))
+    return GradedSeries._of(_horner(items, n, g))
 
 
 # Exact Taylor coefficients for the named wrappers.

@@ -14,8 +14,8 @@ lcm of its term denominators), sums the integer products, and builds each
 output Fraction once.  _form_of_products is that one kernel, returning the
 sum in lowest terms, and _from_form turns its result into a SymFunc.
 SymFunc.__mul__, GradedSeries.__mul__, series_div (and with it
-series_inverse), the plethysm kernel series._plethysm and the Horner solve
-in plethysm.pleth_inverse all go through it.
+series_inverse) and the Horner plethysm kernel series._horner_degree,
+which pleth, compose_scalar and pleth_inverse share, all go through it.
 Each SymFunc carries its integer form: one the kernel returns is kept on the
 SymFunc built from it, and any other is computed at most once, the first
 time a product asks for it, so a shared operand such as a named series

@@ -165,12 +165,9 @@ def _main_inverse(n: int, alternating: bool = False) -> List[Pair]:
     q = _quotient(n, alternating)
     lo = named_series("Lie_odd_alt" if alternating else "Lie_odd", n)
     target = _p1_series(n)
-    # no later check plethysms into the memoized quotient, so the rows pleth
-    # keeps go on a fresh view of it and die with the call
-    q_view = GradedSeries._of(q.components)
     return [
         (f"(E_odd{a}/E_even{a})[Lie_odd{a}]", pleth(q, lo), target),
-        (f"Lie_odd{a}[E_odd{a}/E_even{a}]", pleth(lo, q_view), target),
+        (f"Lie_odd{a}[E_odd{a}/E_even{a}]", pleth(lo, q), target),
     ]
 
 
@@ -413,8 +410,6 @@ def _pleth_oracle(n: int) -> List[Pair]:
     for g_label, g in gs:
         dg = g.degree()
         degrees = [f.degree() * dg for _, f in fs]
-        # One inner series per g, up to the highest degree any f reads, so
-        # pleth keeps g's rows P_lam[g] across every f of this g.
         g_series = GradedSeries(max((d for d in degrees if d <= n), default=0), {dg: g})
         for (f_label, f), degree in zip(fs, degrees):
             if degree > n:

@@ -295,25 +295,30 @@ def tangent_series_reference(n: int, alternating: bool) -> GradedSeries:
 
 
 def jacobi_trudi_reference(outer, inner) -> SymFunc:
-    """The skew Schur function s_{outer/inner} as det(h_{outer_i - inner_j - i + j}),
-    a sum over permutations of products of p-basis SymFuncs (h_0 = 1,
-    h_{<0} = 0): the reference for the ribbon sum that
+    """The skew Schur function s_{outer/inner} as det(h_{outer_i - inner_j - i + j})
+    by the Leibniz sum over permutations (h_0 = 1, h_{<0} = 0): the signs
+    of the permutations are summed per sorted multiset of h-degrees, and
+    each product h_lam is then expanded once as a product of p-basis
+    SymFuncs.  The reference for the ribbon sum that
     symlie.lie.staircase_skew(n, "jacobi_trudi") takes."""
     rows = len(outer)
     inner = tuple(inner) + (0,) * (rows - len(inner))
-    total = SymFunc.zero()
+    signs = {}
     for sigma in permutations(range(rows)):
+        degrees = [outer[i] - inner[sigma[i]] - i + sigma[i] for i in range(rows)]
+        if min(degrees) < 0:
+            continue
         inversions = sum(
             1 for i in range(rows) for j in range(i + 1, rows) if sigma[i] > sigma[j]
         )
-        prod = SymFunc.constant(-1 if inversions % 2 else 1)
-        for i in range(rows):
-            d = outer[i] - inner[sigma[i]] - i + sigma[i]
-            if d < 0:
-                break
-            if d > 0:
+        lam = tuple(sorted((d for d in degrees if d), reverse=True))
+        signs[lam] = signs.get(lam, 0) + (-1 if inversions % 2 else 1)
+    total = SymFunc.zero()
+    for lam, sign in signs.items():
+        if sign:
+            prod = SymFunc.constant(sign)
+            for d in lam:
                 prod = prod * h(d)
-        else:
             total = total + prod
     return total
 

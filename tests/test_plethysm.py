@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 
+import symlie.series as series
+from symlie import verify
 from symlie.lie import e_series, h_series, lie, lie_series, named_series
 from symlie.plethysm import (
     ConstantTermError,
@@ -12,7 +14,7 @@ from symlie.plethysm import (
     pleth_inverse,
 )
 from symlie.series import GradedSeries, exp_series, parity_split, series_div, series_inverse
-from symlie.symfunc import SymFunc, e, h, omega, p, schur, schur_expand
+from symlie.symfunc import SymFunc, _form_of_products, e, h, omega, p, schur, schur_expand
 
 from helpers import (
     monomial_pleth,
@@ -239,8 +241,8 @@ def test_oracle_equivalence_small_sweep():
 
 
 def test_pleth_frees_partial_products_without_the_cycle_collector():
-    # The rows pleth builds stay on g and die with it; a reference cycle
-    # would keep them until a generation-2 collection.
+    # The trie and columns pleth builds die with the call; a reference
+    # cycle would keep them until a generation-2 collection.
     f, g = h_series(8), lie_series(8)
     gc.collect()
     gc.disable()
@@ -264,31 +266,30 @@ def test_pleth_inverse_frees_partial_products_without_the_cycle_collector():
         gc.enable()
 
 
-# --- rows kept on the inner series ------------------------------------------------
+# --- nothing kept on the inner series ----------------------------------------------
 
 
 def _fresh_copy(g):
-    """g's values in a new series object, which carries no kept rows."""
+    """g's values in a new series object."""
     return GradedSeries(g.max_degree, g.components)
 
 
-def _kept_rows_inner():
+def _shared_inner():
     return GradedSeries(12, {1: p(1), 2: p(2) * Fraction(1, 2) - p(1) * p(1),
                              3: p(3) * Fraction(-2, 3), 5: p(3) * p(2) + p(5)})
 
 
-def test_plethysms_with_overlapping_prefixes_share_rows():
-    g = _kept_rows_inner()
-    # the rows (2, 1), (2, 1, 1) and (3, 2) are prefixes of terms of both
+def test_plethysms_with_overlapping_prefixes_into_one_series():
+    g = _shared_inner()
+    # the prefixes (2, 1), (2, 1, 1) and (3, 2) are shared by terms of both
     first = p(2) * p(1) * p(1) * 3 + p(3) * p(2) - p(4)
     second = p(2) * p(1) * p(1) * p(1) + p(3) * p(2) * p(2) * Fraction(1, 5) + p(2) * p(1)
     for f in (first, second, first):
         assert pleth(f, g) == pleth_reference(f, g) == pleth(f, _fresh_copy(g))
-    assert {(2, 1), (2, 1, 1), (3, 2)} <= set(g._powers)
 
 
-def test_a_plethysm_at_a_higher_bound_grows_the_kept_rows():
-    g = _kept_rows_inner()
+def test_plethysms_at_a_lower_and_a_higher_bound_into_one_series():
+    g = _shared_inner()
     low = GradedSeries(6, {2: p(1) * p(1) - p(2), 3: p(2) * p(1), 4: p(2) * p(1) * p(1)})
     high = GradedSeries(12, {
         **dict(enumerate(low.components)),
@@ -300,21 +301,40 @@ def test_a_plethysm_at_a_higher_bound_grows_the_kept_rows():
     assert pleth(low, g) == pleth_reference(low, g)
 
 
-def test_a_constant_term_after_rows_are_kept():
-    g = _kept_rows_inner()
+def test_a_constant_term_after_an_earlier_plethysm_into_one_series():
+    g = _shared_inner()
     pleth(GradedSeries(4, {2: p(1) * p(1), 3: p(2) * p(1)}), g)
-    # f's constant term reads the row P_() in every degree up to 12
+    # f's constant term is the root's degree 0, and no child reaches it
     f = GradedSeries(12, {0: Fraction(-5, 2), 3: p(2) * p(1), 6: p(3) * p(3)})
     assert pleth(f, g) == pleth_reference(f, g) == pleth(f, _fresh_copy(g))
     assert pleth(SymFunc.constant(7), g) == GradedSeries.constant(7, 12)
 
 
-def test_pleth_inverse_neither_reads_nor_keeps_rows_on_its_argument():
+def test_pleth_kernel_keeps_each_node_only_to_the_degree_its_prefix_leaves(monkeypatch):
+    # S_nu is built through degree n - |nu| and no further, which fixes the
+    # kernel's work: the prefix-product table it replaced took 215 calls
+    # and 1,441 term pairs
+    work = []
+
+    def counted(pairs, *scale):
+        pairs = list(pairs)
+        work.append(sum(len(x[0]) * len(y[0]) for x, y in pairs))
+        return _form_of_products(pairs, *scale)
+
+    f, g = verify._quotient(14, False), named_series("Lie_odd", 14)
+    monkeypatch.setattr(series, "_form_of_products", counted)
+    first = pleth(f, g)
+    assert (len(work), sum(work)) == (77, 602)
+    del work[:]
+    # a second plethysm into the same series does the same work
+    assert pleth(f, g) == first
+    assert (len(work), sum(work)) == (77, 602)
+
+
+def test_pleth_inverse_leaves_its_argument_as_it_was():
     f = valid_inverse_candidate(Random(5), 8)
+    before = _fresh_copy(f)
     expected = pleth_inverse_reference(f)
     assert pleth_inverse(f) == expected
-    assert not hasattr(f, "_powers")
-    # rows that do not belong to f are not read either
-    f._powers = {(1,): [None] * 9, (2,): [None] * 9, (1, 1): [None] * 9}
     assert pleth_inverse(f) == expected
-    assert f._powers == {(1,): [None] * 9, (2,): [None] * 9, (1, 1): [None] * 9}
+    assert f == before

@@ -1,8 +1,8 @@
 """Every series in the package is built by a constructor and never patched.
 
-The memoized named series and the plethysm rows a series keeps (_powers)
-rely on this: a series that changed after it was built would leave both
-stale.  The scan reads the package's source with ast and flags every
+The memoized named series rely on this: a series that changed after it
+was built would leave every later reader of the shared entry with stale
+values.  The scan reads the package's source with ast and flags every
 assignment to <expr>.components or <expr>.components[...] outside the two
 constructors of GradedSeries.
 """

@@ -215,15 +215,6 @@ def test_both_quotients_share_one_memo_entry_per_degree():
     assert verify._quotient.cache_info().currsize == 1
 
 
-def test_main_inverse_leaves_no_plethysm_rows_on_the_quotients():
-    # no check plethysms into a memoized quotient after main_inverse*, so
-    # the rows of Lie_odd[E_odd/E_even] must not stay on it
-    for name in ("main_inverse", "main_inverse_alt"):
-        assert run_check(name, 10).passed
-    for alternating in (False, True):
-        assert not hasattr(verify._quotient(10, alternating), "_powers")
-
-
 def test_parity_props_splits_h_times_e_into_its_quadrants():
     # 2 H_odd E and 2 H_even E are built from the four quadrant products
     n = 12

@@ -331,10 +331,11 @@ def test_pleth_kernel_keeps_each_node_only_to_the_degree_its_prefix_leaves(monke
     assert (len(work), sum(work)) == (77, 602)
 
 
-def test_pleth_inverse_leaves_its_argument_as_it_was():
+def test_pleth_inverse_neither_reads_nor_keeps_rows_on_its_argument():
     f = valid_inverse_candidate(Random(5), 8)
     before = _fresh_copy(f)
     expected = pleth_inverse_reference(f)
     assert pleth_inverse(f) == expected
     assert pleth_inverse(f) == expected
+    assert not hasattr(f, "_powers")
     assert f == before

@@ -215,6 +215,18 @@ def test_both_quotients_share_one_memo_entry_per_degree():
     assert verify._quotient.cache_info().currsize == 1
 
 
+def test_main_inverse_leaves_no_plethysm_rows_on_the_quotients():
+    # no plethysm keeps rows on a series, so main_inverse* leave the memoized
+    # quotients E_odd/E_even as they were
+    quotients = [verify._quotient(10, alternating) for alternating in (False, True)]
+    before = [GradedSeries(10, dict(enumerate(q.components))) for q in quotients]
+    for name in ("main_inverse", "main_inverse_alt"):
+        assert run_check(name, 10).passed
+    for q, copy in zip(quotients, before):
+        assert not hasattr(q, "_powers")
+        assert q == copy
+
+
 def test_parity_props_splits_h_times_e_into_its_quadrants():
     # 2 H_odd E and 2 H_even E are built from the four quadrant products
     n = 12

@@ -33,10 +33,9 @@ from typing import List, Optional, Union
 
 from .lie import SERIES_REGISTRY, compose_named, named_series
 from .partitions import check_partition, format_partition
-from .plethysm import ConstantTermError, LeadingTermError, pleth, pleth_inverse
+from .plethysm import pleth, pleth_inverse
 from .series import (
     GradedSeries,
-    NonUnitConstantError,
     arctan_series,
     arctanh_series,
     exp_series,
@@ -45,7 +44,7 @@ from .series import (
     tan_series,
     tanh_series,
 )
-from .symfunc import SymFunc, _term_sort_key, e, expand_in_basis, h, p, render, schur
+from .symfunc import BASES, SymFunc, _term_sort_key, e, expand_in_basis, h, p, render, schur
 from .verify import check_names, run_all, run_check
 
 
@@ -66,6 +65,15 @@ class EvalError(ValueError):
     def __init__(self, offset: int, message: str):
         self.offset = offset
         super().__init__(f"error at offset {offset}: {message}")
+
+
+def _at(pos: int, fn, *args):
+    """fn(*args), a library call, with its ValueError made an EvalError at
+    the node whose offset is pos: the one place that maps library errors."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise EvalError(pos, str(exc)) from exc
 
 
 # --- abstract syntax -------------------------------------------------------------
@@ -304,11 +312,7 @@ class _Parser:
                     self.advance()
                     parts.append(_integer(self.expect("int")))
             self.expect("]")
-            try:
-                lam = check_partition(parts)
-            except ValueError as exc:
-                raise EvalError(pos, str(exc)) from exc
-            return Gen("s", lam, pos)
+            return Gen("s", _at(pos, check_partition, parts), pos)
         value = _integer(self.expect("int"))
         self.expect("]")
         return Gen(kind, value, pos)
@@ -337,30 +341,19 @@ def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
             # The degree is then positive, valid for every generator, so the
             # index checks below lose nothing by being skipped.
             return GradedSeries(max_degree)
-        try:
-            # built per call, so that it calls the module's current bindings
-            f = {"p": p, "h": h, "e": e, "s": schur}[expr.kind](expr.arg)
-        except ValueError as exc:
-            raise EvalError(expr.pos, str(exc)) from exc
+        # built per call, so that it calls the module's current bindings
+        f = _at(expr.pos, {"p": p, "h": h, "e": e, "s": schur}[expr.kind], expr.arg)
         return GradedSeries.from_symfunc(f, max_degree)
     if isinstance(expr, Name):
         return named_series(_registered(expr), max_degree)
     if isinstance(expr, Call):
-        arg = evaluate(expr.arg, max_degree)
-        try:
-            return _FUNCTIONS[expr.fn](arg)
-        except NonUnitConstantError as exc:
-            raise EvalError(expr.pos, str(exc)) from exc
+        return _at(expr.pos, _FUNCTIONS[expr.fn], evaluate(expr.arg, max_degree))
     if isinstance(expr, Pleth):
         # A bare name is never built as a series: H, E and HE compose
         # through the plethystic exponential in lie.compose_named.
         name = _registered(expr.outer) if isinstance(expr.outer, Name) else None
-        outer = None if name else evaluate(expr.outer, max_degree)
-        inner = evaluate(expr.inner, max_degree)
-        try:
-            return compose_named(name, inner) if name else pleth(outer, inner)
-        except ConstantTermError as exc:
-            raise EvalError(expr.pos, str(exc)) from exc
+        fn, outer = (compose_named, name) if name else (pleth, evaluate(expr.outer, max_degree))
+        return _at(expr.pos, fn, outer, evaluate(expr.inner, max_degree))
     if isinstance(expr, BinOp):
         # A chain such as a * b + c - d is a left-deep spine of BinOps, walked
         # here without recursion: its leftmost operand first, then each right
@@ -371,12 +364,7 @@ def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
             expr = expr.left
         value = evaluate(expr, max_degree)
         for node in reversed(spine):
-            right = evaluate(node.right, max_degree)
-            try:
-                value = _ARITHMETIC[node.op](value, right)
-            except NonUnitConstantError as exc:
-                # raised only by '/', for a divisor with no unit constant term
-                raise EvalError(node.pos, str(exc)) from exc
+            value = _at(node.pos, _ARITHMETIC[node.op], value, evaluate(node.right, max_degree))
         return value
     raise TypeError(f"not an Expr: {expr!r}")
 
@@ -437,13 +425,8 @@ def _cmd_pleth(args) -> int:
 
 
 def _cmd_inverse(args) -> int:
-    series = evaluate(parse(args.expr), args.max_degree)
-    try:
-        inverse = pleth_inverse(series)
-    except LeadingTermError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _print_series(args, inverse)
+    # a LeadingTermError is main's ValueError: "error: ..." and exit 1
+    return _print_series(args, pleth_inverse(evaluate(parse(args.expr), args.max_degree)))
 
 
 def _cmd_verify(args) -> int:
@@ -482,10 +465,11 @@ def _cmd_list_checks(args) -> int:
 
 # --- command line -----------------------------------------------------------------
 
+_SERIES_USAGE = f"[--max-degree N] [--basis {'|'.join(BASES)}] [--json]"
 _USAGE = f"""\
-usage: symlie expand EXPR [--max-degree N] [--basis p|s|h|e] [--json]
-       symlie pleth OUTER INNER [--max-degree N] [--basis p|s|h|e] [--json]
-       symlie inverse EXPR [--max-degree N] [--basis p|s|h|e] [--json]
+usage: symlie expand EXPR {_SERIES_USAGE}
+       symlie pleth OUTER INNER {_SERIES_USAGE}
+       symlie inverse EXPR {_SERIES_USAGE}
        symlie verify (--all | --check NAME) [--max-degree N] [--json]
        symlie list-checks
 --max-degree N: 0 <= N <= {MAX_DEGREE}, default 8; --basis: default p; -h, --help: this text.
@@ -505,7 +489,7 @@ def _max_degree(text: str) -> int:
 
 
 def _basis(text: str) -> str:
-    if text not in ("p", "s", "h", "e"):
+    if text not in BASES:
         raise ValueError(f"invalid choice {text!r}")
     return text
 

@@ -28,10 +28,10 @@ from .symfunc import (
     SymFunc,
     _bead_mask,
     _character,
+    _constant_form,
     _form_of_products,
     _from_form,
     _h_form,
-    _integer_form,
     e,
     exponential_part,
     h,
@@ -115,7 +115,7 @@ def staircase_skew(n: int, method: str = "foulkes") -> SymFunc:
             lam = tuple(sorted(beta, reverse=True))
             coeffs[lam] = coeffs.get(lam, 0) + (-1) ** (n - 1 - len(ends))
         return _from_form(_form_of_products(
-            (_h_form(lam), _integer_form(SymFunc.constant(c))) for lam, c in coeffs.items() if c
+            (_h_form(lam), _constant_form(c)) for lam, c in coeffs.items() if c
         ))
     if method != "foulkes":
         raise ValueError(f"unknown method {method!r}")

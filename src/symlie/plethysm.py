@@ -4,7 +4,8 @@ The defining substitution is p_k[g] = g with every p_j replaced by p_{jk},
 i.e. a partition-scaling map that leaves coefficients alone.  Plethysm
 extends to arbitrary first arguments as a ring map: for f = sum c_lam p_lam,
 f[g] = sum c_lam prod_i p_{lam_i}[g].  The second argument must have zero
-constant term, otherwise the substitution would produce infinite sums.
+constant term, otherwise the substitution would produce infinite sums:
+series._horner raises series.ConstantTermError, which this module exports.
 
 pleth goes through series._horner, which evaluates f[g] by Horner's rule
 over the trie of f's terms with their parts in increasing order, each
@@ -19,12 +20,8 @@ from __future__ import annotations
 
 from typing import Union
 
-from .series import GradedSeries, _horner, _horner_degree, _trie
+from .series import ConstantTermError, GradedSeries, _horner, _horner_degree, _trie
 from .symfunc import SymFunc, _from_form, _integer_form, _scaled_form
-
-
-class ConstantTermError(ValueError):
-    """Second plethysm argument has a nonzero constant term."""
 
 
 class LeadingTermError(ValueError):
@@ -32,11 +29,8 @@ class LeadingTermError(ValueError):
 
 
 def pleth(f: Union[SymFunc, GradedSeries], g: GradedSeries) -> GradedSeries:
-    """f[g] truncated at the minimum bound; g must have zero constant term."""
-    if g.components[0]:
-        raise ConstantTermError(
-            "plethysm into a series with nonzero constant term is undefined"
-        )
+    """f[g] truncated at the minimum bound; g must have zero constant term
+    (ConstantTermError, raised by series._horner, otherwise)."""
     if isinstance(f, GradedSeries):
         n = min(f.max_degree, g.max_degree)
         items = [(lam, c) for part in f.components[: n + 1] for lam, c in part.terms.items()]

@@ -27,6 +27,8 @@ reads g_d off the root as it goes, through the same _horner_degree.  The
 kernel lives here rather than in plethysm because plethysm imports this
 module.  It builds the columns p_k[g] for each call and keeps nothing on
 g, so a plethysm's work does not depend on which plethysms ran before it.
+_horner and exp_series are the two places that check that g has zero
+constant term (ConstantTermError); NonUnitConstantError is series_div's.
 
 Every series in the package is built by a constructor and never patched
 afterwards: GradedSeries(n, components) validates what a caller passes,
@@ -56,6 +58,19 @@ from .symfunc import (
 
 class NonUnitConstantError(ValueError):
     """Raised when inverting or dividing by a series whose constant term is zero."""
+
+
+class ConstantTermError(ValueError):
+    """A series composed into (f[g], exp(g), a Taylor series in g) has a
+    nonzero constant term, so the substitution would produce infinite sums."""
+
+
+def _require_zero_constant(g: GradedSeries) -> None:
+    """The one guard of every composition into g: _horner and exp_series."""
+    if g.components[0]:
+        raise ConstantTermError(
+            "plethysm into a series with nonzero constant term is undefined"
+        )
 
 
 class GradedSeries:
@@ -201,9 +216,6 @@ def series_div(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """f/g for g with invertible (nonzero rational) constant term c,
     truncated at the smaller bound: q_d = (1/c)(f_d - sum_{j=1..d} g_j q_{d-j}),
     each q_d summed in one pass over integer forms."""
-    c0 = g.components[0]
-    if c0.terms and set(c0.terms) != {()}:
-        raise NonUnitConstantError("constant component is not a scalar")
     c = g.constant_term()
     if not c:
         raise NonUnitConstantError("cannot divide by a series with zero constant term")
@@ -281,10 +293,12 @@ def _horner(
     items: Iterable[Tuple[Partition, Rational]], n: int, g: GradedSeries
 ) -> List[SymFunc]:
     """Components 0..n of f[g] = sum_lam c_lam prod_i p_{lam_i}[g], for f's
-    terms (lam, c_lam) in items and g with zero constant term, by Horner's
-    rule over _trie.  The columns p_k[g] are built for this call and
-    nothing is kept on g.  A child comes after its parent, so in reverse
-    order each node reads only finished children."""
+    terms (lam, c_lam) in items and g with zero constant term
+    (ConstantTermError otherwise), by Horner's rule over _trie.  The
+    columns p_k[g] are built for this call and nothing is kept on g.  A
+    child comes after its parent, so in reverse order each node reads only
+    finished children."""
+    _require_zero_constant(g)
     gs = [_integer_form(part) for part in g.components[: n + 1]]
     columns = {1: gs}
     nodes = _trie(items, n, columns)
@@ -302,8 +316,6 @@ def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
     coeffs is a sequence or callable giving the exact rational c_m (m >= 1);
     a float raises TypeError.  The sum is the plethysm (sum_m c_m p_1^m)[g].
     """
-    if g.components[0]:
-        raise NonUnitConstantError("composition requires zero constant term")
     n = g.max_degree
     cs = [coeffs(m) for m in range(1, n + 1)] if callable(coeffs) else list(coeffs)[:n]
     if not all(isinstance(c, Rational) for c in cs):
@@ -351,8 +363,7 @@ def exp_series(g: GradedSeries) -> GradedSeries:
     F_d = (1/d) sum_{j=1..d} j g_j F_{d-j}: one sum of products per degree
     over integer forms, where the powers g^m would take one per power.
     """
-    if g.components[0]:
-        raise NonUnitConstantError("composition requires zero constant term")
+    _require_zero_constant(g)
     n = g.max_degree
     # D(g)_j = j g_j: each numerator of g_j times j, over g_j's denominator
     dg = [form and (tuple([(key, c * j) for key, c in form[0]]), form[1])

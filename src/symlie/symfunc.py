@@ -499,12 +499,15 @@ def _solve_in_h(f: SymFunc, d: int) -> Dict[Partition, Fraction]:
     return coords
 
 
-def expand_in_basis(f: SymFunc, basis: str) -> Dict[Partition, Fraction]:
-    """Coefficients of f on the chosen basis: p (identity), s, h or e.
+# The bases expand_in_basis knows, which the CLI's --basis accepts and lists.
+BASES = ("p", "s", "h", "e")
 
-    Inhomogeneous input is handled degree by degree.
+
+def expand_in_basis(f: SymFunc, basis: str) -> Dict[Partition, Fraction]:
+    """Coefficients of f on the chosen basis, one of BASES: p (identity),
+    s, h or e.  Inhomogeneous input is handled degree by degree.
     """
-    if basis not in ("p", "s", "h", "e"):
+    if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     if basis == "p":
         return dict(f.terms)

@@ -8,8 +8,8 @@ A check may declare a degree cap, and run_check clamps the requested degree
 to it: the free-Lie trace oracle (lie_oracle) is factorial-cost, and the
 plethysm sweep (pleth_oracle) is exact only up to its number of variables.
 The six staircase checks (carlitz, foulkes, ribbon_dimension, alt_carlitz,
-tanh_form, tan_form) keep cap 12 until CHECK_CAPS in benchmarks/run.py
-moves with them.
+tanh_form, tan_form) keep cap 12.  CHECK_CAPS in benchmarks/run.py pins
+five of those caps, all but ribbon_dimension's, and must move with them.
 """
 
 from __future__ import annotations

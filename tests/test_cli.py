@@ -26,7 +26,7 @@ from symlie.cli import (
     parse,
 )
 from symlie.series import GradedSeries
-from symlie.symfunc import SymFunc, p
+from symlie.symfunc import BASES, SymFunc, p
 from symlie.verify import CHECKS
 
 from helpers import prefix_equal, render_expr, run_perturbed
@@ -408,6 +408,34 @@ def test_cli_pleth_bare_name_keeps_constant_term_error(capsys):
         "error: error at offset 1: "
         "plethysm into a series with nonzero constant term is undefined\n"
     )
+
+
+CONSTANT_TERM = "plethysm into a series with nonzero constant term is undefined"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "tan(1+p[1])"], f"error at offset 1: {CONSTANT_TERM}"),
+    (["expand", "exp(1+p[1])"], f"error at offset 1: {CONSTANT_TERM}"),
+    (["expand", "H o (1+p[1])"], f"error at offset 3: {CONSTANT_TERM}"),
+    (["expand", "(H+0) o (1+p[1])"], f"error at offset 7: {CONSTANT_TERM}"),
+    (["expand", "p[2]/p[1]"],
+     "error at offset 5: cannot divide by a series with zero constant term"),
+    (["expand", "p[0]"], "error at offset 1: p_k requires k >= 1"),
+    # pleth_inverse runs on the whole expression, so there is no node to point at
+    (["inverse", "p[2]"], "composition inverse requires degree-1 part p_1 exactly"),
+])
+def test_cli_library_error_exits_1_at_the_offset_of_its_node(argv, message, capsys):
+    assert main(argv + ["--max-degree", "4"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_cli_help_is_the_usage_the_readme_shows(capsys):
+    assert main(["-h"]) == 0
+    usage = capsys.readouterr().out
+    assert f"```\n{usage}```\n" in (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # the three series commands list the bases expand_in_basis knows
+    assert usage.count(f"[--basis {'|'.join(BASES)}]") == 3
 
 
 def test_cli_verify_single_check(capsys):

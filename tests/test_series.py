@@ -4,11 +4,14 @@ from random import Random
 
 import pytest
 
-from symlie.lie import e_series, h_series, hk, hook_series
+from symlie.lie import compose_named, e_series, h_series, hk, hook_series, named_series
 from symlie.oracle import alternating_count
+from symlie.plethysm import pleth
 from symlie.series import (
+    ConstantTermError,
     GradedSeries,
     NonUnitConstantError,
+    arctan_series,
     arctanh_series,
     compose_scalar,
     exp_series,
@@ -18,6 +21,7 @@ from symlie.series import (
     series_div,
     series_inverse,
     _tan_like_coeffs,
+    tan_series,
     tanh_series,
 )
 from symlie.symfunc import SymFunc, e, h, p
@@ -116,8 +120,44 @@ def test_tanh_arctanh_inverse_pair():
 
 
 def test_compose_scalar_rejects_constant():
-    with pytest.raises(NonUnitConstantError):
+    with pytest.raises(ConstantTermError):
         compose_scalar(lambda m: Fraction(1), GradedSeries.constant(1, 4))
+
+
+# Every way of composing into g: f[g], the exponential behind H, E and HE,
+# the generic pleth behind any other name, and the Taylor series in g.
+COMPOSITIONS = {
+    "pleth": lambda g: pleth(p(2), g),
+    "pleth of a series": lambda g: pleth(named_series("Lie", g.max_degree), g),
+    **{f"compose_named {name}": (lambda g, name=name: compose_named(name, g))
+       for name in ("H", "E", "HE", "Hk")},
+    "compose_scalar": lambda g: compose_scalar([Fraction(1)] * g.max_degree, g),
+    "log1p_series": log1p_series,
+    "tan_series": tan_series,
+    "tanh_series": tanh_series,
+    "arctan_series": arctan_series,
+    "arctanh_series": arctanh_series,
+    "exp_series": exp_series,
+}
+
+
+@pytest.mark.parametrize("name", COMPOSITIONS)
+def test_every_composition_rejects_a_constant_term_with_one_error(name):
+    g = GradedSeries(5, {0: SymFunc.constant(1), 1: p(1)})
+    with pytest.raises(ConstantTermError) as info:
+        COMPOSITIONS[name](g)
+    assert type(info.value) is ConstantTermError
+    assert str(info.value) == "plethysm into a series with nonzero constant term is undefined"
+    # the same guard passes the same g with its constant term taken off
+    COMPOSITIONS[name](g - 1)
+
+
+@pytest.mark.parametrize("divide", [series_inverse, lambda g: series_div(h_series(5), g)])
+def test_division_alone_raises_non_unit_constant_error(divide):
+    with pytest.raises(NonUnitConstantError) as info:
+        divide(GradedSeries(5, {1: p(1)}))
+    assert type(info.value) is NonUnitConstantError
+    assert not isinstance(info.value, ConstantTermError)
 
 
 def test_compose_scalar_sequence_argument():

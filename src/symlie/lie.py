@@ -1,13 +1,15 @@
 """Constructors for the named series: Lie characteristics, hook sums,
 staircase skew Schur functions and the Jordan characteristics.
 
-Lie_n is built from the Moebius sum (1/n) sum_{d|n} mu(d) p_d^{n/d}; the
-oracle module cross-checks it against an honest free-Lie-algebra trace
-computation.  Euler numbers are never hard-coded: the Foulkes-style
-staircase expansion pulls them from the alternating-permutation enumerator,
-and its cross-check, the ribbon Jacobi-Trudi sum over the h_lam, reads none.
+Lie_n is the Moebius sum (1/n) sum_{d|n} mu(d) p_d^{n/d} over divisors;
+the oracle module cross-checks it against an honest free-Lie-algebra trace
+computation.  hk and the Foulkes-style staircase are symfunc.frobenius of
+their characters.  Euler numbers are never hard-coded: the Foulkes
+staircase pulls them from the alternating-permutation enumerator, and its
+cross-check, the ribbon Jacobi-Trudi sum over the h_lam, reads none.
 H, E, HE and Hk come from one closed form, the plethystic exponential
 symfunc.exponential_part: HE = exp(sum_{k odd} 2 p_k/k) and Hk = (HE - 1)/2.
+lie and exponential_part keep loops of their own; their docstrings say why.
 The sums of hook Schur functions (hk) and the product H*E are the
 references that the hook_he check compares them with, and the powers of
 sum_n hk(n) are alt_carlitz's hook-product side.
@@ -20,7 +22,7 @@ from functools import lru_cache, partial
 from typing import Callable, Dict, NamedTuple
 
 from .oracle import alternating_count
-from .partitions import Partition, mobius, partitions_of, z_of
+from .partitions import Partition, mobius
 from .plethysm import pleth
 from .series import GradedSeries, exp_series, parity_split
 from .symfunc import (
@@ -34,13 +36,15 @@ from .symfunc import (
     _h_form,
     e,
     exponential_part,
+    frobenius,
     h,
     p,
 )
 
 
 def lie(n: int) -> SymFunc:
-    """Lie_n = (1/n) sum_{d|n} mu(d) p_d^{n/d}, homogeneous of degree n."""
+    """Lie_n = (1/n) sum_{d|n} mu(d) p_d^{n/d}, homogeneous of degree n, over
+    divisors: 8 at n = 40, where frobenius would visit p(40) = 37,338 classes."""
     if n < 1:
         raise ValueError("lie(n) requires n >= 1")
     terms: Dict[Partition, Fraction] = {}
@@ -61,20 +65,14 @@ def lie_series(max_degree: int) -> GradedSeries:
 
 @lru_cache(maxsize=None)
 def hk(n: int) -> SymFunc:
-    """Hook sum Hk_n = sum_{k=0}^{n-1} s_{(n-k, 1^k)}, through the border-strip
-    characters: for each class mu the n hook characters chi(mu) are summed
-    as ints, and one Fraction sum / z_mu is built per class.  The named
-    series Hk comes from the closed form instead; this Schur sum is its
-    reference (the hook_he and alt_carlitz checks)."""
+    """Hook sum Hk_n = sum_{k=0}^{n-1} s_{(n-k, 1^k)}: the characteristic
+    (symfunc.frobenius) of the sum of the n hook characters, added as ints
+    per class.  The named series Hk comes from the closed form instead;
+    this Schur sum is its reference (the hook_he and alt_carlitz checks)."""
     if n < 1:
         raise ValueError("hk(n) requires n >= 1")
     masks = [_bead_mask((n - k,) + (1,) * k) for k in range(n)]
-    terms = {}
-    for mu in partitions_of(n):
-        chi = sum(_character(mask, mu) for mask in masks)
-        if chi:
-            terms[mu] = Fraction(chi, z_of(mu))
-    return SymFunc(terms)
+    return frobenius(n, lambda mu: sum(_character(mask, mu) for mask in masks))
 
 
 def hook_series(max_degree: int) -> GradedSeries:
@@ -83,18 +81,21 @@ def hook_series(max_degree: int) -> GradedSeries:
 
 
 def hk_alt_series(parity: str, max_degree: int) -> GradedSeries:
-    """Alternating hook sums at t = 1:
+    """Alternating hook sums at t = 1, Hk_even_alt + 1 and Hk_odd_alt:
     even: sum_{n even >= 0} (-1)^{n/2} Hk_n  (with Hk_0 = 1),
     odd:  sum_{n odd  >= 1} (-1)^{(n-1)/2} Hk_n."""
-    return parity_split(named_series("Hk", max_degree) + 1, parity, alternating=True)
+    if parity not in ("odd", "even"):
+        raise ValueError("parity must be 'odd' or 'even'")
+    hooks = named_series(f"Hk_{parity}_alt", max_degree)
+    return hooks + 1 if parity == "even" else hooks
 
 
 @lru_cache(maxsize=None)
 def staircase_skew(n: int, method: str = "foulkes") -> SymFunc:
     """The skew Schur function of the staircase ribbon, homogeneous of degree 2n-3.
 
-    method='foulkes': sum over partitions of 2n-3 with all odd parts of
-    (-1)^{(|lam| - len(lam))/2} * (alternating count of len(lam)) * p_lam / z_lam.
+    method='foulkes': frobenius of (-1)^{(|lam| - len(lam))/2} times the
+    alternating count of len(lam) on all-odd lam |- 2n-3, and 0 elsewhere.
     method='jacobi_trudi': the ribbon Jacobi-Trudi sum, as a cross-check; it
     never uses the Euler numbers.  The ribbon's rows, top to bottom, are
     alpha = (2^{n-2}, 1), and s_alpha = sum over the coarsenings beta of
@@ -120,14 +121,8 @@ def staircase_skew(n: int, method: str = "foulkes") -> SymFunc:
     if method != "foulkes":
         raise ValueError(f"unknown method {method!r}")
     size = 2 * n - 3
-    terms: Dict[Partition, Fraction] = {}
-    for lam in partitions_of(size):
-        if any(part % 2 == 0 for part in lam):
-            continue
-        length = len(lam)
-        sign = (-1) ** ((size - length) // 2)
-        terms[lam] = Fraction(sign * alternating_count(length), z_of(lam))
-    return SymFunc(terms)
+    return frobenius(size, lambda lam: 0 if any(part % 2 == 0 for part in lam)
+                     else (-1) ** ((size - len(lam)) // 2) * alternating_count(len(lam)))
 
 
 def h_series(max_degree: int) -> GradedSeries:
@@ -167,7 +162,8 @@ def _registry() -> Dict[str, NamedSeries]:
         "Jordan": jordan_series,
     }
     parities = (("odd", False), ("even", False), ("odd", True), ("even", True))
-    for base, variants in (("Lie", parities[:3]), ("H", parities), ("E", parities)):
+    for base, variants in (("Lie", parities[:3]), ("H", parities), ("E", parities),
+                           ("Hk", parities[2:])):
         for parity, alternating in variants:
             name = f"{base}_{parity}{'_alt' if alternating else ''}"
             entries[name] = partial(_parity_variant, base, parity, alternating)

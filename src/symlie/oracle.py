@@ -4,8 +4,9 @@ Nothing in here goes through the plethysm substitution or the Moebius
 formula: plethysm is replayed on explicit monomial alphabets, substituting
 f into the monomials of g(x_1, ..., x_m) in orbit form, and specialization
 is the same substitution into the alphabet of variables x_1 + ... + x_m.
-The free Lie character comes from the traces of permuted bracketings, and
-the Euler/tangent numbers come from counting alternating permutations built
+The free Lie character comes from the traces of permuted bracketings (its
+characteristic from symfunc.frobenius, which divides by z_mu), and the
+Euler/tangent numbers come from counting alternating permutations built
 value by value.  That count extends the prefixes one position at a time,
 keyed by their set of values and their last value; it uses no Entringer or
 boustrophedon recurrence and no tan/sec series, which the tangent checks
@@ -23,8 +24,8 @@ from itertools import permutations
 from math import comb, factorial, lcm
 from typing import Dict, List, Sequence, Tuple
 
-from .partitions import Partition, check_partition, multiplicities, partitions_of, z_of
-from .symfunc import SymFunc
+from .partitions import Partition, check_partition, multiplicities
+from .symfunc import SymFunc, frobenius
 
 
 # --- orbit-collected symmetric polynomials --------------------------------------
@@ -237,15 +238,13 @@ def lie_character(n: int) -> SymFunc:
     """
     basis = lie_bracket_basis(n)
     positions = [({x: i for i, x in enumerate(letters)}, letters) for letters in basis]
-    terms = {}
-    for lam in partitions_of(n):
+
+    def trace(lam: Partition) -> int:
         perm = _cycle_type_permutation(lam)
-        trace = 0
-        for position, letters in positions:
-            trace += _bracket_coefficient([perm[x] for x in letters], position)
-        if trace:
-            terms[lam] = Fraction(trace, z_of(lam))
-    return SymFunc(terms)
+        return sum(_bracket_coefficient([perm[x] for x in letters], position)
+                   for position, letters in positions)
+
+    return frobenius(n, trace)
 
 
 # --- enumeration oracles ----------------------------------------------------------

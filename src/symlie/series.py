@@ -34,12 +34,14 @@ Every series in the package is built by a constructor and never patched
 afterwards: GradedSeries(n, components) validates what a caller passes,
 and GradedSeries._of takes the list a kernel or a closed form (H, E, HE)
 has just built as given.  A library caller must not mutate a series
-either: the memoized named series are shared.
+either: the memoized named series are shared, and a rational added to a
+series changes component 0 only, sharing the operand's others.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from numbers import Rational
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -93,6 +95,8 @@ class GradedSeries:
             else:
                 items = enumerate(components)
             for d, part in items:
+                if d < 0:
+                    raise ValueError(f"component {d} has a negative degree")
                 if d > max_degree:
                     continue
                 if not isinstance(part, SymFunc):
@@ -150,8 +154,8 @@ class GradedSeries:
 
     def __add__(self, other) -> "GradedSeries":
         if isinstance(other, Rational):
-            other = GradedSeries.constant(other, self.max_degree)
-        elif not isinstance(other, GradedSeries):
+            return GradedSeries._of([self.components[0] + other] + self.components[1:])
+        if not isinstance(other, GradedSeries):
             return NotImplemented
         return GradedSeries._of([a + b for a, b in zip(self.components, other.components)])
 
@@ -161,16 +165,10 @@ class GradedSeries:
         return self._map_components(lambda part: -part)
 
     def __sub__(self, other) -> "GradedSeries":
-        if isinstance(other, Rational):
-            other = GradedSeries.constant(other, self.max_degree)
-        elif not isinstance(other, GradedSeries):
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other) -> "GradedSeries":
-        if not isinstance(other, Rational):
-            return NotImplemented
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other) -> "GradedSeries":
         if isinstance(other, Rational):
@@ -313,11 +311,12 @@ def _horner(
 def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
     """sum_{m>=1} c_m g^m truncated at g's bound; g must have zero constant term.
 
-    coeffs is a sequence or callable giving the exact rational c_m (m >= 1);
-    a float raises TypeError.  The sum is the plethysm (sum_m c_m p_1^m)[g].
+    coeffs is a callable or an iterable, read up to c_n only, giving the exact
+    rational c_m (m >= 1); a float raises TypeError.  The sum is the
+    plethysm (sum_m c_m p_1^m)[g].
     """
     n = g.max_degree
-    cs = [coeffs(m) for m in range(1, n + 1)] if callable(coeffs) else list(coeffs)[:n]
+    cs = [coeffs(m) for m in range(1, n + 1)] if callable(coeffs) else list(islice(coeffs, n))
     if not all(isinstance(c, Rational) for c in cs):
         raise TypeError("Taylor coefficients must be exact rationals")
     # the chain trie of sum_m c_m p_1^m: classical Horner, S_m = c_m + g S_(m+1)

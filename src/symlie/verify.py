@@ -222,9 +222,8 @@ def _he_lie_even(n: int) -> List[Pair]:
 
 
 def _hook_alt(parity: str, n: int) -> List[Pair]:
-    # sum_{m in parity} (+-1)^{floor(m/2)} Hk_m, composed with Lie_odd^alt
-    hooks = parity_split(named_series("Hk", n), parity, alternating=True)
-    lhs = pleth(hooks, named_series("Lie_odd_alt", n))
+    # sum_{m in parity, m >= 1} (+-1)^{floor(m/2)} Hk_m, composed with Lie_odd^alt
+    lhs = pleth(named_series(f"Hk_{parity}_alt", n), named_series("Lie_odd_alt", n))
     rhs = parity_split(_geometric_p1(n) - 1, parity, alternating=True)
     return [(f"{parity} alternating hooks [Lie_odd^alt]", lhs, rhs)]
 

@@ -278,6 +278,7 @@ def test_registry_names():
         "H", "E", "HE", "Lie", "Lie_odd", "Lie_even", "Lie_odd_alt", "Hk",
         "E_odd", "E_even", "E_odd_alt", "E_even_alt",
         "H_odd", "H_even", "H_odd_alt", "H_even_alt", "Jordan",
+        "Hk_odd_alt", "Hk_even_alt",
     }
     assert set(SERIES_REGISTRY) == expected
     with pytest.raises(KeyError):
@@ -289,6 +290,8 @@ PARITY_NAMES = {
     "Lie_odd": ("Lie", "odd", False),
     "Lie_even": ("Lie", "even", False),
     "Lie_odd_alt": ("Lie", "odd", True),
+    "Hk_odd_alt": ("Hk", "odd", True),
+    "Hk_even_alt": ("Hk", "even", True),
     **{
         f"{base}_{parity}{suffix}": (base, parity, bool(suffix))
         for base in ("H", "E")
@@ -299,7 +302,7 @@ PARITY_NAMES = {
 
 
 def test_parity_names_split_their_base():
-    assert len(PARITY_NAMES) == 11
+    assert len(PARITY_NAMES) == 13
     assert {name for name in SERIES_REGISTRY if "_" in name} == set(PARITY_NAMES)
     for name, (base, parity, alternating) in PARITY_NAMES.items():
         split = parity_split(named_series(base, 14), parity, alternating)

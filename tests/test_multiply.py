@@ -3,6 +3,7 @@ replaced (tests/helpers.py), plus the ring axioms and a plethystic round trip
 on random sparse elements with mixed denominators."""
 
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from symlie.series import (
     GradedSeries,
     compose_scalar,
     exp_series,
+    log1p_series,
     series_div,
     series_inverse,
 )
@@ -181,6 +183,37 @@ def test_graded_series_rejects_nonzero_scalar_above_degree_zero():
     assert GradedSeries(3, {0: 5}) == GradedSeries.constant(5, 3)
 
 
+def test_graded_series_rejects_a_negative_degree():
+    # comps[-1] would be the top component, so degree 3 would be lost
+    with pytest.raises(ValueError, match="component -1 has a negative degree"):
+        GradedSeries(3, {3: p(3), -1: 0})
+
+
+def test_compose_scalar_reads_only_the_coefficients_it_needs():
+    n = 5
+
+    def coefficients():
+        for m in count(1):
+            assert m <= n, f"coefficient c_{m} read past the bound {n}"
+            yield Fraction((-1) ** (m - 1), m)
+
+    g = GradedSeries(n, {1: p(1), 2: p(2)})
+    assert compose_scalar(coefficients(), g) == log1p_series(g)
+    assert compose_scalar(count(1), g) == compose_scalar(lambda m: m, g)
+
+
+@pytest.mark.parametrize("c", [Fraction(3, 2), -2, 0, True])
+def test_a_scalar_sum_keeps_the_components_above_degree_zero(c):
+    s = GradedSeries(4, {0: 5, 1: p(1), 2: h(2), 4: p(2) * p(2)})
+    for result, zero in ((s + c, 5 + c), (c + s, 5 + c), (s - c, 5 - c)):
+        assert result.max_degree == 4
+        assert result.components[0] == SymFunc.constant(zero)
+        assert all(a is b for a, b in zip(result.components[1:], s.components[1:]))
+    negated = c - s
+    assert negated == -(s - c)
+    assert negated.components[0] == SymFunc.constant(c - 5)
+
+
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
         SymFunc({(1,): 0.1})
@@ -205,9 +238,19 @@ def test_floats_are_rejected():
         lambda: GradedSeries.constant(1, 3) + 0.5,
         lambda: GradedSeries.constant(1, 3) - 0.5,
         lambda: GradedSeries.constant(1, 3) / 0.5,
+        lambda: 1.5 * GradedSeries.constant(1, 3),
+        lambda: 0.5 + GradedSeries.constant(1, 3),
+        lambda: 0.5 - GradedSeries.constant(1, 3),
+        lambda: p(1) - "1",
+        lambda: "1" - p(1),
+        lambda: "1" - GradedSeries.constant(1, 3),
+        lambda: p(1) - GradedSeries.constant(1, 3),
+        lambda: GradedSeries.constant(1, 3) - p(1),
     ):
         with pytest.raises(TypeError):
             operate()
     # exact rationals of every kind still work
+    assert Fraction(1, 2) - p(1) == SymFunc({(): Fraction(1, 2), (1,): -1})
+    assert 2 - GradedSeries.constant(1, 3) == GradedSeries.constant(1, 3)
     assert p(1) * True == p(1)
     assert (h(2) * Fraction(2)).terms == {(1, 1): 1, (2,): 1}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial, prod
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from symlie.symfunc import (
     e,
     expand_in_basis,
     exponential_part,
+    frobenius,
     h,
     omega,
     p,
@@ -125,6 +127,27 @@ def test_schur_and_character_reject_shapes_that_are_not_partitions(lam):
     # schur checks the shape before _character reads its bead mask
     with pytest.raises(ValueError, match="partition parts"):
         schur(lam)
+
+
+def test_frobenius_matches_a_hand_built_sum():
+    # sum_mu chi(mu) p_mu / z_mu added up term by term through the validating
+    # constructor, z_mu counted from the multiplicities of mu
+    rng = Random(7)
+    for n in range(9):
+        classes = partitions_of(n)
+        for trial in range(4):
+            chi = {mu: 0 if trial == 0 else rng.choice([0, 0, 1, -1, 7, -24])
+                   for mu in classes}
+            expected = SymFunc()
+            for mu, c in chi.items():
+                z = prod(k ** mu.count(k) * factorial(mu.count(k)) for k in set(mu))
+                expected = expected + SymFunc({mu: Fraction(c, z)})
+            f = frobenius(n, chi.__getitem__)
+            assert f == expected, (n, chi)
+            assert f == SymFunc(f.terms)
+            assert set(f.terms) == {mu for mu, c in chi.items() if c}
+    zero = frobenius(6, lambda mu: 0)
+    assert zero == SymFunc() and not zero.terms
 
 
 def test_schur_trivial_and_sign():

@@ -44,12 +44,12 @@ from .series import (
     tan_series,
     tanh_series,
 )
-from .symfunc import BASES, SymFunc, _term_sort_key, e, expand_in_basis, h, p, render, schur
+from .symfunc import BASES, _term_sort_key, e, expand_in_basis, h, p, render, schur
 from .verify import check_names, run_all, run_check
 
 
 class ParseError(ValueError):
-    """Syntax error with a 1-based byte offset and the expected token set."""
+    """Syntax error with a 1-based character offset and the expected token set."""
 
     def __init__(self, offset: int, expected):
         self.offset = offset
@@ -372,31 +372,17 @@ def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
 # --- output -----------------------------------------------------------------------
 
 
-def _component_terms(component: SymFunc, basis: str):
-    coeffs = expand_in_basis(component, basis)
-    order = sorted(coeffs, key=_term_sort_key)
-    return [(lam, coeffs[lam]) for lam in order]
-
-
-def _render_component(component: SymFunc, basis: str) -> str:
-    coeffs = expand_in_basis(component, basis)
-    return render(component, symbol=basis, terms=coeffs)
-
-
 def _series_lines(series: GradedSeries, basis: str) -> List[str]:
-    return [
-        f"deg {d}: {_render_component(series.components[d], basis)}"
-        for d in range(series.max_degree + 1)
-    ]
+    return [f"deg {d}: {render(part, basis, expand_in_basis(part, basis))}"
+            for d, part in enumerate(series.components)]
 
 
 def _series_json(command: str, series: GradedSeries, basis: str) -> dict:
     results = []
-    for d in range(series.max_degree + 1):
-        terms = [
-            {"partition": list(lam), "num": coeff.numerator, "den": coeff.denominator}
-            for lam, coeff in _component_terms(series.components[d], basis)
-        ]
+    for d, part in enumerate(series.components):
+        coeffs = expand_in_basis(part, basis)
+        terms = [{"partition": list(lam), "num": coeffs[lam].numerator,
+                  "den": coeffs[lam].denominator} for lam in sorted(coeffs, key=_term_sort_key)]
         results.append({"degree": d, "terms": terms})
     return {"command": command, "max_degree": series.max_degree, "results": results}
 
@@ -449,11 +435,10 @@ def _cmd_verify(args) -> int:
                   f"{report.paper_anchor}")
             if not report.passed:
                 print(f"  first failure at degree {report.first_failure_degree}")
-                if report.mismatch:
-                    print(f"  lhs: {report.mismatch[0]}")
-                    print(f"  rhs: {report.mismatch[1]}")
-                    print(f"  first difference at p{format_partition(report.mismatch_partition)}: "
-                          f"lhs - rhs = {report.mismatch_delta}")
+                print(f"  lhs: {report.mismatch[0]}")
+                print(f"  rhs: {report.mismatch[1]}")
+                print(f"  first difference at p{format_partition(report.mismatch_partition)}: "
+                      f"lhs - rhs = {report.mismatch_delta}")
     return 0 if all(report.passed for report in reports) else 1
 
 

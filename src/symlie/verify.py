@@ -52,11 +52,15 @@ class CheckReport:
     max_degree is requested_degree clamped to the cap.  elapsed_ms, the time
     to build and compare the pairs, is not part of the result, nor compared;
     pairs, terms and max_den_bits (the pairs, their stored terms and the
-    largest bit length of a coefficient denominator) are counted outside it."""
+    largest bit length of a coefficient denominator) are counted outside it.
 
-    __slots__ = ("check_name", "paper_anchor", "max_degree", "passed",
-                 "first_failure_degree", "mismatch", "mismatch_partition", "mismatch_delta",
-                 "requested_degree", "elapsed_ms", "pairs", "terms", "max_den_bits")
+    __slots__ is the one declaration of a field, read by __init__, by __eq__
+    (all but elapsed_ms) and by as_record (the first nine always, in order,
+    and the last four, as first_failure_degree and mismatch, on a failure)."""
+
+    __slots__ = ("check_name", "paper_anchor", "max_degree", "requested_degree", "elapsed_ms",
+                 "pairs", "terms", "max_den_bits", "passed",
+                 "first_failure_degree", "mismatch", "mismatch_partition", "mismatch_delta")
 
     def __init__(self, check_name: str, paper_anchor: str, max_degree: int, passed: bool,
                  first_failure_degree=None, mismatch=None, mismatch_partition=None,
@@ -66,24 +70,13 @@ class CheckReport:
         for name in self.__slots__:
             setattr(self, name, arguments[name])
 
-    def _compared(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name != "elapsed_ms")
-
     def __eq__(self, other):
-        return type(other) is CheckReport and self._compared() == other._compared()
+        return type(other) is CheckReport and all(
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__ if name != "elapsed_ms")
 
     def as_record(self) -> dict:
-        record = {
-            "check_name": self.check_name,
-            "paper_anchor": self.paper_anchor,
-            "max_degree": self.max_degree,
-            "requested_degree": self.requested_degree,
-            "elapsed_ms": self.elapsed_ms,
-            "pairs": self.pairs,
-            "terms": self.terms,
-            "max_den_bits": self.max_den_bits,
-            "passed": self.passed,
-        }
+        record = {name: getattr(self, name) for name in self.__slots__[:-4]}
         if self.first_failure_degree is not None:
             record["first_failure_degree"] = self.first_failure_degree
         if self.mismatch is not None:
@@ -507,34 +500,25 @@ def run_check(name: str, max_degree: int) -> CheckReport:
     pairs = build_pairs(name, max_degree)
     check = _BY_NAME[name]
     n = check.degree(max_degree)
-    first_failure = None
-    mismatch = None
-    partition = delta = None
-    for d in range(n + 1):
-        for label, lhs, rhs in pairs:
-            if d > min(lhs.max_degree, rhs.max_degree):
-                continue
-            left, right = lhs.components[d], rhs.components[d]
-            if left != right:
-                first_failure = d
-                mismatch = (f"{label}: {render(left)}", f"{label}: {render(right)}")
-                diff = (left - right).terms
-                partition = min(diff)
-                delta = diff[partition]
-                break
-        if first_failure is not None:
-            break
+    failure = next(((d, label, lhs.components[d], rhs.components[d])
+                    for d in range(n + 1) for label, lhs, rhs in pairs
+                    if d <= min(lhs.max_degree, rhs.max_degree)
+                    and lhs.components[d] != rhs.components[d]), None)
+    found = {}
+    if failure is not None:
+        d, label, left, right = failure
+        diff = (left - right).terms
+        partition = min(diff)
+        found = dict(first_failure_degree=d,
+                     mismatch=(f"{label}: {render(left)}", f"{label}: {render(right)}"),
+                     mismatch_partition=partition, mismatch_delta=diff[partition])
     elapsed_ms = (time.perf_counter() - start) * 1000
     parts = [part for _, lhs, rhs in pairs for side in (lhs, rhs) for part in side.components]
     return CheckReport(
         check_name=name,
         paper_anchor=check.anchor,
         max_degree=n,
-        passed=first_failure is None,
-        first_failure_degree=first_failure,
-        mismatch=mismatch,
-        mismatch_partition=partition,
-        mismatch_delta=delta,
+        passed=failure is None,
         requested_degree=max_degree,
         elapsed_ms=elapsed_ms,
         pairs=len(pairs),
@@ -543,6 +527,7 @@ def run_check(name: str, max_degree: int) -> CheckReport:
             (c.denominator.bit_length() for part in parts for c in part.terms.values()),
             default=0,
         ),
+        **found,
     )
 
 

@@ -762,32 +762,32 @@ def labelled_sweep_functions():
 # --- fault injection for the check registry in symlie.verify ---------------------
 
 
-def run_perturbed(name: str, max_degree: int, perturb) -> "verify.CheckReport":
-    """verify.run_check with one side of one pair perturbed.
+def run_perturbed(name: str, max_degree: int, *perturbs) -> "verify.CheckReport":
+    """verify.run_check with one side of one pair perturbed, or several.
 
-    perturb is (pair_index, side, degree, partition, delta): delta *
+    Each perturb is (pair_index, side, degree, partition, delta): delta *
     p_partition is added to a copy of side 0 (lhs) or 1 (rhs) of that pair,
     so a memoized series the pair shares stays intact.  verify.build_pairs is
     replaced for this one call.  The degree must lie within the side's bound
     and be the size of the partition (ValueError otherwise).
     """
-    pair_index, side, degree, lam, delta = perturb
     build_pairs = verify.build_pairs
 
     def perturbed_pairs(check_name: str, n: int):
         pairs = build_pairs(check_name, n)
-        label, *sides = pairs[pair_index]
-        target = sides[side]
-        if not 0 <= degree <= target.max_degree:
-            raise ValueError(
-                f"perturbation degree {degree} is outside [0, {target.max_degree}]"
-            )
-        if sum(lam) != degree:
-            raise ValueError(f"perturbation partition {lam!r} does not have size {degree}")
-        components = list(target.components)
-        components[degree] = components[degree] + SymFunc({tuple(lam): delta})
-        sides[side] = GradedSeries(target.max_degree, components)
-        pairs[pair_index] = (label, *sides)
+        for pair_index, side, degree, lam, delta in perturbs:
+            label, *sides = pairs[pair_index]
+            target = sides[side]
+            if not 0 <= degree <= target.max_degree:
+                raise ValueError(
+                    f"perturbation degree {degree} is outside [0, {target.max_degree}]"
+                )
+            if sum(lam) != degree:
+                raise ValueError(f"perturbation partition {lam!r} does not have size {degree}")
+            components = list(target.components)
+            components[degree] = components[degree] + SymFunc({tuple(lam): delta})
+            sides[side] = GradedSeries(target.max_degree, components)
+            pairs[pair_index] = (label, *sides)
         return pairs
 
     verify.build_pairs = perturbed_pairs

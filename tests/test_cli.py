@@ -245,6 +245,9 @@ def test_cli_expand_json(capsys):
     code = main(["expand", "e[2]", "--max-degree", "2", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
+    assert list(payload) == ["command", "max_degree", "results"]
+    assert list(payload["results"][2]) == ["degree", "terms"]
+    assert list(payload["results"][2]["terms"][0]) == ["partition", "num", "den"]
     assert payload == {
         "command": "expand",
         "max_degree": 2,
@@ -289,6 +292,12 @@ def test_cli_syntax_error_exit_code(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "offset 7" in captured.err
+
+
+def test_cli_syntax_error_offset_counts_characters_not_bytes(capsys):
+    # '!' is the 7th character of "abé + !" but its 8th byte in UTF-8
+    assert main(["expand", "abé + !"]) == 2
+    assert "syntax error at offset 7:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

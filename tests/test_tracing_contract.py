@@ -1,9 +1,9 @@
 """The benchmark's tracer binds names inside symlie (benchmarks/tracing.py).
 A refactor that renames or inlines one of them would make `--trace 1` count
 nothing without failing, so this runs the tracer on two checks, two
-`symlie inverse` commands, and two plethysms and a tanh through
-`symlie expand`.  It runs in a subprocess, since installing the tracer
-patches symlie's modules for good."""
+`symlie inverse` commands, two plethysms and a tanh through
+`symlie expand`, and one `expand --json`.  It runs in a subprocess, since
+installing the tracer patches symlie's modules for good."""
 
 import os
 import subprocess
@@ -63,6 +63,13 @@ seconds = metrics["series.compose_scalar.s"]
 assert cli.main(["expand", "tanh(p[1])", "--max-degree", "5"]) == 0
 metrics = tracer.metrics()
 assert metrics["series.compose_scalar.s"] > seconds, (seconds, metrics["series.compose_scalar.s"])
+
+# both printouts run under the cli.output span, the text and the --json one
+seconds = metrics["cli.output.s"]
+assert seconds > 0, seconds
+assert cli.main(["expand", "Hk", "--max-degree", "5", "--basis", "s", "--json"]) == 0
+metrics = tracer.metrics()
+assert metrics["cli.output.s"] > seconds, (seconds, metrics["cli.output.s"])
 print("ok")
 """
 

@@ -57,7 +57,8 @@ def test_run_check_passes():
     assert report.mismatch is None
 
 
-RECORD_KEYS = {
+# the keys of every record, in the order as_record writes them
+RECORD_KEYS = [
     "check_name",
     "paper_anchor",
     "max_degree",
@@ -67,12 +68,12 @@ RECORD_KEYS = {
     "terms",
     "max_den_bits",
     "passed",
-}
+]
 
 
 def test_check_report_record():
     record = run_check("he_restate", 6).as_record()
-    assert set(record) == RECORD_KEYS
+    assert list(record) == RECORD_KEYS
     elapsed = record.pop("elapsed_ms")
     assert isinstance(elapsed, float) and elapsed >= 0
     assert record == {
@@ -90,7 +91,9 @@ def test_check_report_record():
 def test_check_report_record_carries_mismatch():
     report = run_perturbed("thrall_h", 6, (0, 0, 3, (3,), Fraction(1)))
     record = report.as_record()
-    assert set(record) == RECORD_KEYS | {"first_failure_degree", "mismatch"}
+    assert list(record) == RECORD_KEYS + ["first_failure_degree", "mismatch"]
+    assert list(record["mismatch"]) == ["lhs", "rhs", "partition", "delta"]
+    assert list(record["mismatch"]["delta"]) == ["num", "den"]
     assert record["passed"] is False
     assert record["first_failure_degree"] == 3
     assert record["mismatch"] == {
@@ -125,6 +128,22 @@ def test_failing_report_carries_partition_and_delta(perturb, partition, delta):
     assert mismatch["partition"] == list(partition)
     assert Fraction(mismatch["delta"]["num"], mismatch["delta"]["den"]) == delta
     assert run_check(name, 6).mismatch_partition is None
+
+
+def test_report_names_the_lowest_degree_then_the_first_pair_in_build_order():
+    labels = [label for label, _, _ in build_pairs("he_lie_even", 6)]
+    # pair 0 fails at degree 4 and pair 1 at degree 2: the lower degree wins
+    report = run_perturbed("he_lie_even", 6, (0, 0, 4, (4,), Fraction(1)),
+                           (1, 1, 2, (2,), Fraction(1)))
+    assert report.first_failure_degree == 2
+    assert report.mismatch[0].startswith(f"{labels[1]}: ")
+    assert (report.mismatch_partition, report.mismatch_delta) == ((2,), Fraction(-1))
+    # pairs 2 and 1 both fail at degree 3: pair 1, built first, is named
+    report = run_perturbed("he_lie_even", 6, (2, 0, 3, (3,), Fraction(1)),
+                           (1, 0, 3, (2, 1), Fraction(1, 2)))
+    assert report.first_failure_degree == 3
+    assert report.mismatch[0].startswith(f"{labels[1]}: ")
+    assert (report.mismatch_partition, report.mismatch_delta) == ((2, 1), Fraction(1, 2))
 
 
 def test_first_mismatching_partition_is_the_first_in_render_order(monkeypatch):

@@ -2,16 +2,16 @@
 with plethysm, plethystic inversion, the Lie characteristics, and a registry
 of machine-checked identities.
 
-The package keeps 14 memo tables (functools.lru_cache with no size limit):
+The package keeps 13 memo tables (functools.lru_cache with no size limit):
 lie.hk, lie.staircase_skew and lie.named_series; oracle._perm_count,
 oracle._collected_mul_term, oracle._power_product and
 oracle.alternating_count; partitions.partitions_of; symfunc._key,
 symfunc._partition, symfunc._character and symfunc._h_form; and
-verify._geometric_p1 and verify._quotient.  They are unbounded for library
-callers, since every distinct argument stays cached for the life of the
-process; call cache_clear() on the functions a long sweep drives.  Through
-the CLI they are bounded, because it runs one command per process and
-refuses a --max-degree above symlie.cli.MAX_DEGREE = 40.
+verify._quotient.  They are unbounded for library callers, since every
+distinct argument stays cached for the life of the process; call
+cache_clear() on the functions a long sweep drives.  Through the CLI they
+are bounded, because it runs one command per process and refuses a
+--max-degree above symlie.cli.MAX_DEGREE = 40.
 """
 
 from .partitions import (

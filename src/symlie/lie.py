@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Dict, NamedTuple
 
-from .oracle import alternating_count
+from .oracle import ALTERNATING_COUNT_LIMIT, alternating_count
 from .partitions import Partition, mobius
 from .plethysm import pleth
 from .series import GradedSeries, exp_series, parity_split
@@ -95,7 +95,8 @@ def staircase_skew(n: int, method: str = "foulkes") -> SymFunc:
     """The skew Schur function of the staircase ribbon, homogeneous of degree 2n-3.
 
     method='foulkes': frobenius of (-1)^{(|lam| - len(lam))/2} times the
-    alternating count of len(lam) on all-odd lam |- 2n-3, and 0 elsewhere.
+    alternating count of len(lam) on all-odd lam |- 2n-3, and 0 elsewhere,
+    for 2n - 3 up to the enumeration cap oracle.ALTERNATING_COUNT_LIMIT.
     method='jacobi_trudi': the ribbon Jacobi-Trudi sum, as a cross-check; it
     never uses the Euler numbers.  The ribbon's rows, top to bottom, are
     alpha = (2^{n-2}, 1), and s_alpha = sum over the coarsenings beta of
@@ -121,6 +122,9 @@ def staircase_skew(n: int, method: str = "foulkes") -> SymFunc:
     if method != "foulkes":
         raise ValueError(f"unknown method {method!r}")
     size = 2 * n - 3
+    if size > ALTERNATING_COUNT_LIMIT:
+        raise ValueError(f"staircase_skew at n = {n}: 'foulkes' needs 2n - 3 <= "
+                         f"{ALTERNATING_COUNT_LIMIT}; use method='jacobi_trudi'")
     return frobenius(size, lambda lam: 0 if any(part % 2 == 0 for part in lam)
                      else (-1) ** ((size - len(lam)) // 2) * alternating_count(len(lam)))
 

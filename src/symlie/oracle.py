@@ -250,6 +250,10 @@ def lie_character(n: int) -> SymFunc:
 # --- enumeration oracles ----------------------------------------------------------
 
 
+# The largest n alternating_count enumerates: about n * 2^n prefix states.
+ALTERNATING_COUNT_LIMIT = 12
+
+
 @lru_cache(maxsize=None)
 def alternating_count(n: int) -> int:
     """Number of down-up alternating permutations of {1..n}, by counting them.
@@ -264,8 +268,8 @@ def alternating_count(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > 12:
-        raise ValueError("enumeration capped at n = 12")
+    if n > ALTERNATING_COUNT_LIMIT:
+        raise ValueError(f"enumeration capped at n = {ALTERNATING_COUNT_LIMIT}")
     # a prefix is keyed by the bit mask of its values and the bit of its last
     full = (1 << n) - 1
     prefixes = {(bit, bit): 1 for bit in (1 << i for i in range(n))}

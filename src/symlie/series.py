@@ -17,18 +17,17 @@ is series_div(1, g).  Every series kernel reads its operands' components
 through the integer form each SymFunc carries, so a shared component is
 encoded once.
 
-_horner is the one plethysm kernel: f[g] = sum_lam c_lam prod_i p_{lam_i}[g]
+_horner is the one plethysm driver: f[g] = sum_lam c_lam prod_i p_{lam_i}[g]
 by Horner's rule over the trie of f's terms with their parts in
-increasing order (_trie), each node kept only to the degree its prefix
-leaves.  plethysm.pleth and compose_scalar call it: sum_m c_m g^m is the
-plethysm (sum_m c_m p_1^m)[g], whose trie is a chain, so compose_scalar
-is classical Horner.  plethysm.pleth_inverse builds the same trie and
-reads g_d off the root as it goes, through the same _horner_degree.  The
-kernel lives here rather than in plethysm because plethysm imports this
-module.  It builds the columns p_k[g] for each call and keeps nothing on
-g, so a plethysm's work does not depend on which plethysms ran before it.
-_horner and exp_series are the two places that check that g has zero
-constant term (ConstantTermError); NonUnitConstantError is series_div's.
+increasing order, each node kept only to the degree its prefix leaves.
+plethysm.pleth and compose_scalar reach it through _composed: sum_m c_m g^m
+is the plethysm (sum_m c_m p_1^m)[g], whose trie is a chain.
+plethysm.pleth_inverse feeds it g_1 alone and it reads each later g_d off
+the root.  Only this module knows the trie and its columns p_k[g], built
+for each call with nothing kept on g, so a plethysm's work does not depend
+on which plethysms ran before it.  _composed and exp_series are the two
+places that check that g has zero constant term (ConstantTermError);
+NonUnitConstantError is series_div's.
 
 Every series in the package is built by a constructor and never patched
 afterwards: GradedSeries(n, components) validates what a caller passes,
@@ -43,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from numbers import Rational
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .partitions import Partition
 from .symfunc import (
@@ -68,7 +67,7 @@ class ConstantTermError(ValueError):
 
 
 def _require_zero_constant(g: GradedSeries) -> None:
-    """The one guard of every composition into g: _horner and exp_series."""
+    """The one guard of every composition into g: _composed and exp_series."""
     if g.components[0]:
         raise ConstantTermError(
             "plethysm into a series with nonzero constant term is undefined"
@@ -179,7 +178,10 @@ class GradedSeries:
         n = min(self.max_degree, other.max_degree)
         fs = [_integer_form(part) for part in self.components[: n + 1]]
         gs = [_integer_form(part) for part in other.components[: n + 1]]
-        return GradedSeries._of([_from_form(_convolution(fs, gs, d)) for d in range(n + 1)])
+        # degree d of the product: sum_{0 <= a <= d} f_a g_{d-a}
+        return GradedSeries._of([_from_form(_form_of_products(
+            (fs[a], gs[d - a]) for a in range(d + 1) if fs[a] and gs[d - a]
+        )) for d in range(n + 1)])
 
     __rmul__ = __mul__
 
@@ -195,13 +197,6 @@ class GradedSeries:
     def __repr__(self):
         parts = ", ".join(f"{d}: {part!r}" for d, part in enumerate(self.components) if part)
         return f"GradedSeries(N={self.max_degree}, {{{parts}}})"
-
-
-def _convolution(fs, gs, d: int) -> Optional[IntegerForm]:
-    """sum_{0 <= a <= d} f_a g_{d-a} over integer forms (None for 0)."""
-    return _form_of_products(
-        (fs[a], gs[d - a]) for a in range(d + 1) if fs[a] and gs[d - a]
-    )
 
 
 def series_inverse(g: GradedSeries) -> GradedSeries:
@@ -248,38 +243,11 @@ def omega_series(f: GradedSeries) -> GradedSeries:
     return f._map_components(omega)
 
 
-def _trie(items: Iterable[Tuple[Partition, Rational]], n: int, columns: Dict[int, list]):
-    """The trie of f = sum_lam c_lam p_lam, (lam, c_lam) in items, with the
-    parts of each lam in increasing order, for Horner's rule
-    S_nu = c_nu + sum_{k >= last(nu)} p_k[g] S_(nu,k), f[g] = S_().
-
-    Each node is (n - |nu|, S_nu by degree, children (k, p_k[g_j] by j,
-    S_(nu,k))): S_nu is multiplied by prod_i p_{nu_i}[g], of valuation
-    |nu|, so it is needed only through degree n - |nu|, and a term above n
-    is skipped.  S_nu[0] = c_nu, and the caller appends degrees 1 onwards.
-    The column p_k[g_j] by j is columns[k], made [None] (g_0 = 0) unless
-    the caller put it there.  Nodes come root first, each after its parent.
-    """
-    nodes = {(): (n, [None], [])}
-    for lam, c in items:
-        if not c or sum(lam) > n:
-            continue
-        nu = ()
-        for k in reversed(lam):
-            bound, _, children = nodes[nu]
-            nu += (k,)
-            if nu not in nodes:
-                nodes[nu] = (bound - k, [None], [])
-                children.append((k, columns.setdefault(k, [None]), nodes[nu][1]))
-        nodes[nu][1][0] = _constant_form(c)
-    return list(nodes.values())
-
-
 def _horner_degree(children, d: int) -> Optional[IntegerForm]:
     """Degree d of sum_k p_k[g] S_k over a trie node's children
     (k, p_k[g_j] by j, S_k), reading each S_k below degree d only.  S_k is
-    read before p_k[g]: at the root of plethysm.pleth_inverse the p_1
-    child is zero in degree 0, so degree d does not read g_d."""
+    read before p_k[g]: with no p_1 term the p_1 child of the root is zero
+    in degree 0, so the root's degree d does not read g_d."""
     pairs = [(s[d - k * j], column[j])
              for k, column, s in children
              for j in range(1, d // k + 1)
@@ -287,25 +255,59 @@ def _horner_degree(children, d: int) -> Optional[IntegerForm]:
     return _form_of_products(pairs) if pairs else None
 
 
-def _horner(
-    items: Iterable[Tuple[Partition, Rational]], n: int, g: GradedSeries
-) -> List[SymFunc]:
-    """Components 0..n of f[g] = sum_lam c_lam prod_i p_{lam_i}[g], for f's
-    terms (lam, c_lam) in items and g with zero constant term
-    (ConstantTermError otherwise), by Horner's rule over _trie.  The
-    columns p_k[g] are built for this call and nothing is kept on g.  A
-    child comes after its parent, so in reverse order each node reads only
-    finished children."""
-    _require_zero_constant(g)
-    gs = [_integer_form(part) for part in g.components[: n + 1]]
+def _horner(items: Iterable[Tuple[Partition, Rational]], n: int, gs: list) -> list:
+    """Degrees 0..n of f[g] as integer forms, for f's terms (lam, c_lam) in
+    items and g's forms g_0 = None, g_1, ... in gs, by Horner's rule
+    S_nu = c_nu + sum_{k >= last(nu)} p_k[g] S_(nu,k), f[g] = S_(), over the
+    trie of f's terms with the parts of each lam in increasing order.
+
+    A node is (n - |nu|, S_nu by degree, children (k, p_k[g_j] by j,
+    S_(nu,k))): S_nu is multiplied by prod_i p_{nu_i}[g], of valuation
+    |nu|, so it is kept only through degree n - |nu|, and a term above n is
+    skipped.  The column p_k[g] is columns[k], built for this call from gs.
+    Degrees run outermost: the root's degree d, then the columns through
+    g_d, then degree d of every other node that keeps it, in any order,
+    since each reads its children below degree d only.  Where gs stops at
+    degree d - 1, g_d is appended as the root's degree d: fed g_0 and g_1
+    alone, gs ends as the fixed point g = g_1 + f[g].  That needs f to have
+    no constant term and no p_1 term, so that degree d of f[g] reads
+    g_1 .. g_{d-1} only."""
     columns = {1: gs}
-    nodes = _trie(items, n, columns)
-    for k, column in columns.items():
-        if k > 1:
-            column += [_scaled_form(form, k) for form in gs[1: n // k + 1]]
-    for bound, s, children in reversed(nodes):
-        s += [_horner_degree(children, d) for d in range(1, bound + 1)]
-    return [_from_form(form) for form in nodes[0][1]]
+    trie = {(): (n, [None], [])}
+    for lam, c in items:
+        if not c or sum(lam) > n:
+            continue
+        nu = ()
+        for k in reversed(lam):
+            bound, _, children = trie[nu]
+            nu += (k,)
+            if nu not in trie:
+                trie[nu] = (bound - k, [None], [])
+                children.append((k, columns.setdefault(k, [None]), trie[nu][1]))
+        trie[nu][1][0] = _constant_form(c)
+    (_, root, top), *nodes = trie.values()
+    # largest bound first, so each degree stops at the first node past its bound
+    nodes.sort(key=lambda node: -node[0])
+    for d in range(1, n + 1):
+        root.append(_horner_degree(top, d))
+        if d == len(gs):
+            gs.append(root[d])
+        for k, column in columns.items():
+            if k > 1 and k * d <= n:
+                column.append(_scaled_form(gs[d], k))
+        for bound, s, children in nodes:
+            if bound < d:
+                break
+            s.append(_horner_degree(children, d))
+    return root
+
+
+def _composed(items, n: int, g: GradedSeries) -> GradedSeries:
+    """f[g] through degree n for f's terms in items, g with zero constant
+    term (ConstantTermError otherwise): _horner on a fresh list of g's forms."""
+    _require_zero_constant(g)
+    forms = _horner(items, n, [_integer_form(part) for part in g.components[: n + 1]])
+    return GradedSeries._of([_from_form(form) for form in forms])
 
 
 def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
@@ -321,7 +323,7 @@ def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
         raise TypeError("Taylor coefficients must be exact rationals")
     # the chain trie of sum_m c_m p_1^m: classical Horner, S_m = c_m + g S_(m+1)
     items = [((1,) * m, c) for m, c in enumerate(cs, 1)]
-    return GradedSeries._of(_horner(items, n, g))
+    return _composed(items, n, g)
 
 
 # Exact Taylor coefficients for the named wrappers.

@@ -111,9 +111,8 @@ def _p1_series(n: int) -> GradedSeries:
     return GradedSeries(n, {1: p(1)})
 
 
-@lru_cache(maxsize=None)
 def _geometric_p1(n: int) -> GradedSeries:
-    # 1/(1 - p_1) = sum p_1^m; shared, so never mutated.
+    # 1/(1 - p_1) = sum p_1^m
     return series_inverse(1 - _p1_series(n))
 
 

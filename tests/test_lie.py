@@ -145,6 +145,11 @@ def test_staircase_skew_small():
         staircase_skew(1)
     with pytest.raises(ValueError):
         staircase_skew(3, "guesswork")
+    # 2n - 3 = 13 is past the alternating-count enumeration: the error names
+    # n and the method that has no cap, not alternating_count's argument
+    with pytest.raises(ValueError, match=r"n = 8: .*method='jacobi_trudi'"):
+        staircase_skew(8)
+    assert len(staircase_skew(8, "jacobi_trudi").terms) == 18
 
 
 def test_staircase_methods_agree():

@@ -29,7 +29,7 @@ MEMO_TABLES = {
     "oracle._power_product", "oracle.alternating_count",
     "partitions.partitions_of",
     "symfunc._key", "symfunc._partition", "symfunc._character", "symfunc._h_form",
-    "verify._geometric_p1", "verify._quotient",
+    "verify._quotient",
 }
 
 

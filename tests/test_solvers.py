@@ -1,7 +1,9 @@
 """The two triangular solvers, pinned exactly to the algorithms they replaced
 (tests/helpers.py): back-substitution into the h and e bases against dense
 Gaussian elimination, and the Horner solve of pleth_inverse against the
-one-pass prefix solve it replaced and against one full pleth per degree."""
+one-pass prefix solve it replaced and against one full pleth per degree.
+The kernel work of the Horner driver is pinned for pleth_inverse and for
+compose_scalar's chain trie."""
 
 from math import prod
 
@@ -14,8 +16,9 @@ from symlie.lie import named_series
 from symlie.partitions import partitions_of
 from symlie.plethysm import pleth, pleth_inverse
 import symlie.series as series
-from symlie.series import GradedSeries
+from symlie.series import GradedSeries, log1p_series, tan_series, tanh_series
 from symlie.symfunc import _form_of_products, _from_form, _h_form, expand_in_basis, omega, p
+from symlie.verify import _odd_powersum
 
 from helpers import (
     head,
@@ -78,9 +81,8 @@ def test_pleth_inverse_matches_reference_on_named_quotients(source, n):
         assert pleth_inverse(head(f, d)) == head(g, d) == pleth_inverse_prefix_reference(head(f, d)), d
 
 
-def test_horner_solve_keeps_each_node_only_to_the_degree_its_prefix_leaves(monkeypatch):
-    # S_nu is built through degree n - |nu| and no further, which fixes the
-    # kernel's work: the prefix solve took 1,505 calls and 30,685 term pairs
+def _kernel_work(monkeypatch, run):
+    """(calls, term pairs) of the Horner kernel's _form_of_products during run()."""
     work = []
 
     def counted(pairs, *scale):
@@ -88,7 +90,30 @@ def test_horner_solve_keeps_each_node_only_to_the_degree_its_prefix_leaves(monke
         work.append(sum(len(x[0]) * len(y[0]) for x, y in pairs))
         return _form_of_products(pairs, *scale)
 
-    f = evaluate(parse("H-1"), 14)
-    monkeypatch.setattr(series, "_form_of_products", counted)
-    pleth_inverse(f)
-    assert (len(work), sum(work)) == (506, 7995)
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_form_of_products", counted)
+        run()
+    return len(work), sum(work)
+
+
+def test_horner_solve_keeps_each_node_only_to_the_degree_its_prefix_leaves(monkeypatch):
+    # S_nu is built through degree n - |nu| and no further, which fixes the
+    # kernel's work: the prefix solve took 1,505 calls and 30,685 term pairs
+    # at 14, and 5,439 calls and 197,697 term pairs at 18
+    for n, expected in [(14, (506, 7995)), (18, (1595, 31423))]:
+        f = evaluate(parse("H-1"), n)
+        assert _kernel_work(monkeypatch, lambda: pleth_inverse(f)) == expected, n
+
+
+@pytest.mark.parametrize("compose, alternating, expected", [
+    (tanh_series, False, (81, 1062)),
+    (tan_series, True, (81, 1062)),
+    (log1p_series, False, (171, 2434)),
+])
+def test_chain_trie_keeps_each_node_only_to_the_degree_its_prefix_leaves(
+    monkeypatch, compose, alternating, expected
+):
+    # compose_scalar's trie of sum_m c_m p_1^m is a chain whose node m is
+    # kept through degree 18 - m
+    z = _odd_powersum(18, alternating)
+    assert _kernel_work(monkeypatch, lambda: compose(z)) == expected

@@ -4,9 +4,11 @@ staircase skew Schur functions and the Jordan characteristics.
 Lie_n is the Moebius sum (1/n) sum_{d|n} mu(d) p_d^{n/d} over divisors;
 the oracle module cross-checks it against an honest free-Lie-algebra trace
 computation.  hk and the Foulkes-style staircase are symfunc.frobenius of
-their characters.  Euler numbers are never hard-coded: the Foulkes
-staircase pulls them from the alternating-permutation enumerator, and its
-cross-check, the ribbon Jacobi-Trudi sum over the h_lam, reads none.
+their characters; hk's come from Murnaghan-Nakayama on hook shapes alone,
+whose rim hooks leave hooks, so it reads no character from symfunc.
+Euler numbers are never hard-coded: the Foulkes staircase pulls them from
+the alternating-permutation enumerator, and its cross-check, the ribbon
+Jacobi-Trudi sum over the h_lam, reads none.
 H, E, HE and Hk come from one closed form, the plethystic exponential
 symfunc.exponential_part: HE = exp(sum_{k odd} 2 p_k/k) and Hk = (HE - 1)/2.
 lie and exponential_part keep loops of their own; their docstrings say why.
@@ -28,8 +30,6 @@ from .series import GradedSeries, exp_series, parity_split
 from .symfunc import (
     EXPONENTIAL_WEIGHTS,
     SymFunc,
-    _bead_mask,
-    _character,
     _constant_form,
     _form_of_products,
     _from_form,
@@ -66,13 +66,39 @@ def lie_series(max_degree: int) -> GradedSeries:
 @lru_cache(maxsize=None)
 def hk(n: int) -> SymFunc:
     """Hook sum Hk_n = sum_{k=0}^{n-1} s_{(n-k, 1^k)}: the characteristic
-    (symfunc.frobenius) of the sum of the n hook characters, added as ints
-    per class.  The named series Hk comes from the closed form instead;
-    this Schur sum is its reference (the hook_he and alt_carlitz checks)."""
+    (symfunc.frobenius) of the sum of the n hook characters, by
+    Murnaghan-Nakayama on hook shapes only.  The named series Hk comes from
+    the closed form instead; this Schur sum is its reference (the hook_he
+    and alt_carlitz checks).
+
+    A class mu starts from the n hooks (a, 1^b), a + b = n, counted once
+    each, and takes mu's parts one at a time.  A rim hook of size m comes
+    off a hook in one of three ways: off the arm, giving (a - m, 1^b) if
+    a - m >= 1, with sign +; off the leg, giving (a, 1^(b - m)), with sign
+    (-1)^(m-1); or as the whole hook, with sign (-1)^b.  What is left is a
+    hook again, so a state is its leg b; only the last part can take the
+    whole hook, and the signed count that reaches the empty shape is the
+    class function."""
     if n < 1:
         raise ValueError("hk(n) requires n >= 1")
-    masks = [_bead_mask((n - k,) + (1,) * k) for k in range(n)]
-    return frobenius(n, lambda mu: sum(_character(mask, mu) for mask in masks))
+
+    def chi(mu: Partition) -> int:
+        size = n
+        counts = [1] * n  # counts[b]: signed ways to reach (size - b, 1^b)
+        for m in mu[:-1]:
+            size -= m
+            leg_sign = 1 if m % 2 else -1
+            moved = [0] * size
+            for b, count in enumerate(counts):
+                if count:
+                    if b < size:
+                        moved[b] += count
+                    if b >= m:
+                        moved[b - m] += leg_sign * count
+            counts = moved
+        return sum(counts[0::2]) - sum(counts[1::2])
+
+    return frobenius(n, chi)
 
 
 def hook_series(max_degree: int) -> GradedSeries:

@@ -8,12 +8,15 @@ The free Lie character comes from the traces of permuted bracketings (its
 characteristic from symfunc.frobenius, which divides by z_mu), and the
 Euler/tangent numbers come from counting alternating permutations built
 value by value.  That count extends the prefixes one position at a time,
-keyed by their set of values and their last value; it uses no Entringer or
+keyed by their set of values and their last value, each set in one pass
+over the values with a running sum of its counts; it uses no Entringer or
 boustrophedon recurrence and no tan/sec series, which the tangent checks
 compare against.  Standard skew tableaux are counted cell by cell, with
 the completions shared per frontier.  The trace reads one word's
 coefficient per permuted bracket, without expanding the bracket into its
-2^(n-1) words.
+2^(n-1) words: one walk over the bracket's letters, mapped in place
+through the class's permutation and the word's positions, both lists
+indexed by letter.
 """
 
 from __future__ import annotations
@@ -172,20 +175,23 @@ def monomial_pleth_collected(f: SymFunc, g: SymFunc, m: int) -> CollectedPoly:
 # --- free Lie algebra character --------------------------------------------------
 
 
-def _bracket_coefficient(letters: Sequence[int], position: Dict[int, int]) -> int:
+def _bracket_coefficient(letters: Sequence[int], perm: Sequence[int],
+                         position: Sequence[int]) -> int:
     """Coefficient of a word in the associative expansion of the left-normed
-    bracket [[..[l1,l2],..],lk] of distinct letters, the word a rearrangement
-    given by the position of each letter in it.
+    bracket [[..[p(l1),p(l2)],..],p(lk)] of distinct letters, p = perm, the
+    word a rearrangement given by the position of each letter in it; perm
+    and position are indexed by letter, and the walk reads p(li) in place.
 
     The expansion puts each new letter at the right end (+) or the left end
-    (-) of every word so far, so the words that reach the word keep l1..li on
-    a contiguous interval of it.  Each letter must extend that interval by
-    one on the right or on the left, which fixes a single path: the
-    coefficient is 0 or +-1."""
-    left = right = position[letters[0]]
+    (-) of every word so far, so the words that reach the word keep
+    p(l1)..p(li) on a contiguous interval of it.  Each letter must extend
+    that interval by one on the right or on the left, which fixes a single
+    path: the coefficient is 0 or +-1."""
+    walk = iter(letters)
+    left = right = position[perm[next(walk)]]
     sign = 1
-    for x in letters[1:]:
-        i = position[x]
+    for x in walk:
+        i = position[perm[x]]
         if i == right + 1:
             right = i
         elif i == left - 1:
@@ -196,14 +202,15 @@ def _bracket_coefficient(letters: Sequence[int], position: Dict[int, int]) -> in
     return sign
 
 
-def _cycle_type_permutation(lam: Partition) -> Dict[int, int]:
-    # one permutation per class: disjoint cycles on consecutive blocks
-    perm = {}
+def _cycle_type_permutation(lam: Partition) -> List[int]:
+    # one permutation per class: disjoint cycles on consecutive blocks,
+    # indexed by letter 1..n (index 0 unused)
+    perm = [0] * (sum(lam) + 1)
     start = 1
     for part in lam:
-        block = list(range(start, start + part))
-        for i, value in enumerate(block):
-            perm[value] = block[(i + 1) % part]
+        for value in range(start, start + part - 1):
+            perm[value] = value + 1
+        perm[start + part - 1] = start
         start += part
     return perm
 
@@ -237,12 +244,17 @@ def lie_character(n: int) -> SymFunc:
     result must equal the Moebius-formula construction.
     """
     basis = lie_bracket_basis(n)
-    positions = [({x: i for i, x in enumerate(letters)}, letters) for letters in basis]
+    positions = []
+    for letters in basis:
+        position = [0] * (n + 1)
+        for i, x in enumerate(letters):
+            position[x] = i
+        positions.append((letters, position))
 
     def trace(lam: Partition) -> int:
         perm = _cycle_type_permutation(lam)
-        return sum(_bracket_coefficient([perm[x] for x in letters], position)
-                   for position, letters in positions)
+        return sum(_bracket_coefficient(letters, perm, position)
+                   for letters, position in positions)
 
     return frobenius(n, trace)
 
@@ -262,7 +274,11 @@ def alternating_count(n: int) -> int:
     a prefix that breaks the pattern is never made.  Prefixes are counted
     per (set of values, last value): both fix the values each next one may
     take, the free values below the last (even positions) or above it (odd
-    ones), so the about n * 2^n states are each extended once.  This counts
+    ones).  Each set of values is extended in one pass over the n values,
+    descending when the next value must be smaller and ascending when it
+    must be larger, with a running sum of the set's counts over the last
+    values passed so far: a free value v takes that sum as the count of
+    (set + v, v).  So the about 2^n sets cost n steps each.  This counts
     the objects themselves: no Entringer or boustrophedon recurrence and no
     tan/sec series, which the tangent checks compare against.
     """
@@ -270,21 +286,24 @@ def alternating_count(n: int) -> int:
         raise ValueError("n must be nonnegative")
     if n > ALTERNATING_COUNT_LIMIT:
         raise ValueError(f"enumeration capped at n = {ALTERNATING_COUNT_LIMIT}")
-    # a prefix is keyed by the bit mask of its values and the bit of its last
-    full = (1 << n) - 1
-    prefixes = {(bit, bit): 1 for bit in (1 << i for i in range(n))}
+    # a prefix's set of values is a bit mask; its counts are listed by last value
+    prefixes = {1 << v: [int(v == last) for last in range(n)] for v in range(n)}
     for position in range(2, n + 1):
-        longer: Dict[Tuple[int, int], int] = {}
-        for (used, last), count in prefixes.items():
-            free = full & ~used
-            free &= last - 1 if position % 2 == 0 else -(last << 1)
-            while free:
-                bit = free & -free
-                free ^= bit
-                key = (used | bit, bit)
-                longer[key] = longer.get(key, 0) + count
+        order = range(n - 1, -1, -1) if position % 2 == 0 else range(n)
+        longer: Dict[int, List[int]] = {}
+        for used, counts in prefixes.items():
+            running = 0
+            for v in order:
+                if used >> v & 1:
+                    running += counts[v]
+                elif running:
+                    key = used | 1 << v
+                    row = longer.get(key)
+                    if row is None:
+                        row = longer[key] = [0] * n
+                    row[v] += running
         prefixes = longer
-    return sum(prefixes.values()) if n else 1
+    return sum(map(sum, prefixes.values())) if n else 1
 
 
 def syt_count(outer, inner=()) -> int:

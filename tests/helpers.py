@@ -19,7 +19,15 @@ from symlie.oracle import (
     lie_bracket_basis,
 )
 from symlie.lie import hk
-from symlie.symfunc import _form_of_products, _from_form, _integer_form, _scaled_form
+from symlie.symfunc import (
+    _bead_mask,
+    _character,
+    _form_of_products,
+    _from_form,
+    _integer_form,
+    _scaled_form,
+    frobenius,
+)
 from symlie.partitions import multiplicities, partitions_of, z_of
 
 
@@ -362,11 +370,19 @@ def character_reference(lam, mu) -> int:
 def hk_reference(n: int) -> SymFunc:
     """Hk_n as the sum of the n hook Schur functions s_(n-k, 1^k), one
     schur() per hook added as SymFuncs: the reference for symlie.lie.hk,
-    which sums the hook characters per class on ints."""
+    which runs Murnaghan-Nakayama on hook states."""
     total = SymFunc.zero()
     for k in range(n):
         total = total + schur((n - k,) + (1,) * k)
     return total
+
+
+def hk_character_sum_reference(n: int) -> SymFunc:
+    """Hk_n as the characteristic of the n hook characters of
+    symlie.symfunc._character, added as ints per class: the reference for
+    symlie.lie.hk, whose rule on hook states reads no _character."""
+    masks = [_bead_mask((n - k,) + (1,) * k) for k in range(n)]
+    return frobenius(n, lambda mu: sum(_character(mask, mu) for mask in masks))
 
 
 

@@ -34,6 +34,7 @@ from symlie.symfunc import SymFunc, dimension, e, h, p, schur, schur_expand
 from symlie.verify import run_check
 
 from helpers import (
+    hk_character_sum_reference,
     hk_reference,
     jacobi_trudi_reference,
     pleth_reference,
@@ -102,6 +103,13 @@ def test_hk_matches_the_sum_of_hook_schur_functions():
     # the n hook schur() results
     for n in range(1, 17):
         assert hk(n) == hk_reference(n), n
+
+
+def test_hk_matches_the_sum_of_hook_characters():
+    # the rule on hook states against the general Murnaghan-Nakayama
+    # character of each of the n hooks
+    for n in range(1, 21):
+        assert hk(n) == hk_character_sum_reference(n), n
 
 
 def test_hk_he_identity():

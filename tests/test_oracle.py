@@ -5,9 +5,11 @@ from random import Random
 
 import pytest
 
+from symlie.lie import hk
 from symlie.oracle import (
     _bracket_coefficient,
     _collected_mul_term,
+    _cycle_type_permutation,
     alternating_count,
     collected_mul,
     lie_character,
@@ -23,6 +25,7 @@ from helpers import (
     alternating_count_reference,
     collected_expand,
     collected_mul_term_reference,
+    hk_character_sum_reference,
     left_normed_expansion,
     lie_character_reference,
     monomial_pleth,
@@ -230,16 +233,43 @@ def test_alternating_count_uses_no_tangent_series(monkeypatch):
     assert alternating_count.__wrapped__(11) == 353792
 
 
+def _positions(word):
+    position = [0] * (len(word) + 1)
+    for i, x in enumerate(word):
+        position[x] = i
+    return position
+
+
 def test_bracket_coefficient_matches_full_expansion():
+    # the walk maps each letter through the class's permutation in place:
+    # every class through n = 5, and the identity, class 1^n, at n = 6
     for n in range(1, 7):
         words = list(permutations(range(1, n + 1)))
-        for letters in words:
-            expansion = left_normed_expansion(letters)
-            read = {
-                word: _bracket_coefficient(letters, {x: i for i, x in enumerate(word)})
-                for word in words
-            }
-            assert read == {word: expansion.get(word, 0) for word in words}
+        positions = [(word, _positions(word)) for word in words]
+        for lam in partitions_of(n) if n <= 5 else [(1,) * n]:
+            perm = _cycle_type_permutation(lam)
+            for letters in words:
+                expansion = left_normed_expansion(tuple(perm[x] for x in letters))
+                read = {word: _bracket_coefficient(letters, perm, position)
+                        for word, position in positions}
+                assert read == {word: expansion.get(word, 0) for word in words}
+
+
+def test_cycle_type_permutation_has_the_cycle_type():
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            perm = _cycle_type_permutation(lam)
+            assert sorted(perm[1:]) == list(range(1, n + 1))
+            cycles, seen = [], set()
+            for start in range(1, n + 1):
+                length, x = 0, start
+                while x not in seen:
+                    seen.add(x)
+                    x = perm[x]
+                    length += 1
+                if length:
+                    cycles.append(length)
+            assert tuple(sorted(cycles, reverse=True)) == lam
 
 
 def test_lie_character_matches_reference_trace():
@@ -251,6 +281,17 @@ def test_lie_character_uses_no_moebius_formula(monkeypatch):
     _forbid(monkeypatch, "symlie.partitions", "mobius")
     _forbid(monkeypatch, "symlie.lie", "lie")
     assert lie_character(7) == lie_character_reference(7)
+
+
+def test_hk_reads_no_schur_character_and_no_closed_form(monkeypatch):
+    # hk is the hook_he and alt_carlitz reference: Murnaghan-Nakayama on
+    # hook states, apart from symfunc's characters and from the closed form
+    expected = hk_character_sum_reference(12)
+    _forbid(monkeypatch, "symlie.symfunc", "_character")
+    _forbid(monkeypatch, "symlie.symfunc", "exponential_part")
+    _forbid(monkeypatch, "symlie.lie", "named_series")
+    hk.cache_clear()
+    assert hk(12) == expected
 
 
 def test_syt_count_examples():

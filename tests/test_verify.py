@@ -1,6 +1,8 @@
+import ast
 import importlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +279,28 @@ def test_cap_clamps_degree():
     record = report.as_record()
     assert (record["requested_degree"], record["max_degree"]) == (9, 7)
     assert record["elapsed_ms"] == report.elapsed_ms > 0
+
+
+def _benchmark_check_caps():
+    # CHECK_CAPS as benchmarks/run.py pins it, read from its source: that
+    # script is not imported, so running these tests needs nothing of it
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "run.py"
+    for node in ast.parse(path.read_text()).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["CHECK_CAPS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no CHECK_CAPS assignment in {path}")
+
+
+def test_benchmark_pins_every_cap_as_registered():
+    # a cap moved here without the benchmark would read as a failing check
+    # there; registered checks the benchmark does not judge are allowed
+    pinned = _benchmark_check_caps()
+    names = [name for name, _ in pinned]
+    assert len(set(names)) == len(names)
+    caps = {check.name: check.cap for check in CHECKS}
+    assert [(name, caps.get(name, "unregistered")) for name, _ in pinned] == list(pinned)
+    assert names == [name for name in caps if name in set(names)]
 
 
 def test_run_all_degree_zero_vacuous():

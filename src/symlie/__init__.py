@@ -68,6 +68,7 @@ from .lie import (
 )
 from .oracle import (
     alternating_count,
+    foulkes_staircase,
     lie_character,
     monomial_pleth_collected,
     specialize_collected,

@@ -3,12 +3,11 @@ staircase skew Schur functions and the Jordan characteristics.
 
 Lie_n is the Moebius sum (1/n) sum_{d|n} mu(d) p_d^{n/d} over divisors;
 the oracle module cross-checks it against an honest free-Lie-algebra trace
-computation.  hk and the Foulkes-style staircase are symfunc.frobenius of
-their characters; hk's come from Murnaghan-Nakayama on hook shapes alone,
-whose rim hooks leave hooks, so it reads no character from symfunc.
-Euler numbers are never hard-coded: the Foulkes staircase pulls them from
-the alternating-permutation enumerator, and its cross-check, the ribbon
-Jacobi-Trudi sum over the h_lam, reads none.
+computation.  hk is symfunc.frobenius of its character, from
+Murnaghan-Nakayama on hook shapes alone, whose rim hooks leave hooks, so
+it reads no character from symfunc.  The staircase ribbon is the ribbon
+Jacobi-Trudi sum over the h_lam and reads no Euler number; its Euler-number
+form, oracle.foulkes_staircase, is built beside the enumerator it reads.
 H, E, HE and Hk come from one closed form, the plethystic exponential
 symfunc.exponential_part: HE = exp(sum_{k odd} 2 p_k/k) and Hk = (HE - 1)/2.
 lie and exponential_part keep loops of their own; their docstrings say why.
@@ -23,7 +22,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Dict, NamedTuple
 
-from .oracle import ALTERNATING_COUNT_LIMIT, alternating_count
 from .partitions import Partition, mobius
 from .plethysm import pleth
 from .series import GradedSeries, exp_series, parity_split
@@ -117,42 +115,29 @@ def hk_alt_series(parity: str, max_degree: int) -> GradedSeries:
 
 
 @lru_cache(maxsize=None)
-def staircase_skew(n: int, method: str = "foulkes") -> SymFunc:
-    """The skew Schur function of the staircase ribbon, homogeneous of degree 2n-3.
+def staircase_skew(n: int) -> SymFunc:
+    """The skew Schur function of the staircase ribbon, homogeneous of degree
+    2n-3, by the ribbon Jacobi-Trudi sum, which reads no Euler number.
 
-    method='foulkes': frobenius of (-1)^{(|lam| - len(lam))/2} times the
-    alternating count of len(lam) on all-odd lam |- 2n-3, and 0 elsewhere,
-    for 2n - 3 up to the enumeration cap oracle.ALTERNATING_COUNT_LIMIT.
-    method='jacobi_trudi': the ribbon Jacobi-Trudi sum, as a cross-check; it
-    never uses the Euler numbers.  The ribbon's rows, top to bottom, are
-    alpha = (2^{n-2}, 1), and s_alpha = sum over the coarsenings beta of
-    alpha, each merging some runs of adjacent rows, of
-    (-1)^{len(alpha) - len(beta)} h_beta: 2^{n-2} terms, summed on integer
-    coefficients per sorted h-monomial in one pass over the memoized h_lam.
-    Results are memoized per (n, method).
+    The ribbon's rows, top to bottom, are alpha = (2^{n-2}, 1), and
+    s_alpha = sum over the coarsenings beta of alpha, each merging some runs
+    of adjacent rows, of (-1)^{len(alpha) - len(beta)} h_beta: 2^{n-2}
+    terms, summed on integer coefficients per sorted h-monomial in one pass
+    over the memoized h_lam; the foulkes check compares it with oracle.foulkes_staircase.
     """
     if n < 2:
         raise ValueError("staircase_skew requires n >= 2")
-    if method == "jacobi_trudi":
-        rows = (2,) * (n - 2) + (1,)
-        coeffs: Dict[Partition, int] = {}
-        # bit i of cuts ends a part of beta after row i
-        for cuts in range(1 << (n - 2)):
-            ends = [i + 1 for i in range(n - 2) if cuts >> i & 1] + [n - 1]
-            beta = (sum(rows[a:b]) for a, b in zip([0] + ends, ends))
-            lam = tuple(sorted(beta, reverse=True))
-            coeffs[lam] = coeffs.get(lam, 0) + (-1) ** (n - 1 - len(ends))
-        return _from_form(_form_of_products(
-            (_h_form(lam), _constant_form(c)) for lam, c in coeffs.items() if c
-        ))
-    if method != "foulkes":
-        raise ValueError(f"unknown method {method!r}")
-    size = 2 * n - 3
-    if size > ALTERNATING_COUNT_LIMIT:
-        raise ValueError(f"staircase_skew at n = {n}: 'foulkes' needs 2n - 3 <= "
-                         f"{ALTERNATING_COUNT_LIMIT}; use method='jacobi_trudi'")
-    return frobenius(size, lambda lam: 0 if any(part % 2 == 0 for part in lam)
-                     else (-1) ** ((size - len(lam)) // 2) * alternating_count(len(lam)))
+    rows = (2,) * (n - 2) + (1,)
+    coeffs: Dict[Partition, int] = {}
+    # bit i of cuts ends a part of beta after row i
+    for cuts in range(1 << (n - 2)):
+        ends = [i + 1 for i in range(n - 2) if cuts >> i & 1] + [n - 1]
+        beta = (sum(rows[a:b]) for a, b in zip([0] + ends, ends))
+        lam = tuple(sorted(beta, reverse=True))
+        coeffs[lam] = coeffs.get(lam, 0) + (-1) ** (n - 1 - len(ends))
+    return _from_form(_form_of_products(
+        (_h_form(lam), _constant_form(c)) for lam, c in coeffs.items() if c
+    ))
 
 
 def h_series(max_degree: int) -> GradedSeries:

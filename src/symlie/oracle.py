@@ -11,12 +11,12 @@ value by value.  That count extends the prefixes one position at a time,
 keyed by their set of values and their last value, each set in one pass
 over the values with a running sum of its counts; it uses no Entringer or
 boustrophedon recurrence and no tan/sec series, which the tangent checks
-compare against.  Standard skew tableaux are counted cell by cell, with
-the completions shared per frontier.  The trace reads one word's
-coefficient per permuted bracket, without expanding the bracket into its
-2^(n-1) words: one walk over the bracket's letters, mapped in place
-through the class's permutation and the word's positions, both lists
-indexed by letter.
+compare against, and foulkes_staircase reads it into a ribbon's character.
+Standard skew tableaux are counted cell by cell, with the completions
+shared per frontier.  The trace reads one word's coefficient per permuted
+bracket, without expanding the bracket into its 2^(n-1) words: one walk
+over the bracket's letters, mapped in place through the class's
+permutation and the word's positions, both lists indexed by letter.
 """
 
 from __future__ import annotations
@@ -304,6 +304,18 @@ def alternating_count(n: int) -> int:
                     row[v] += running
         prefixes = longer
     return sum(map(sum, prefixes.values())) if n else 1
+
+
+def foulkes_staircase(n: int) -> SymFunc:
+    """The staircase ribbon s_{delta_n/delta_{n-2}} by Foulkes: frobenius of
+    (-1)^{(|lam| - len(lam))/2} alternating_count(len(lam)) on all-odd lam
+    |- 2n-3, else 0.  Capped with the enumeration; lie.staircase_skew is not."""
+    size = 2 * n - 3
+    if size > ALTERNATING_COUNT_LIMIT:
+        raise ValueError(f"foulkes_staircase at n = {n}: needs 2n - 3 <= "
+                         f"{ALTERNATING_COUNT_LIMIT}; lie.staircase_skew has no cap")
+    return frobenius(size, lambda lam: 0 if any(part % 2 == 0 for part in lam)
+                     else (-1) ** ((size - len(lam)) // 2) * alternating_count(len(lam)))
 
 
 def syt_count(outer, inner=()) -> int:

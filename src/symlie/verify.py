@@ -7,9 +7,10 @@ first partition where they differ and the exact difference lhs - rhs there.
 A check may declare a degree cap, and run_check clamps the requested degree
 to it: the free-Lie trace oracle (lie_oracle) is factorial-cost, and the
 plethysm sweep (pleth_oracle) is exact only up to its number of variables.
-The six staircase checks (carlitz, foulkes, ribbon_dimension, alt_carlitz,
-tanh_form, tan_form) keep cap 12.  CHECK_CAPS in benchmarks/run.py pins
-five of those caps, all but ribbon_dimension's, and must move with them.
+foulkes, ribbon_dimension, tanh_form and tan_form read the enumeration of
+alternating permutations, so their cap is oracle.ALTERNATING_COUNT_LIMIT;
+carlitz and alt_carlitz keep cap 12.  CHECK_CAPS in benchmarks/run.py pins
+five of those six caps, all but ribbon_dimension's, and must move with them.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .lie import compose_named, hk, hk_alt_series, named_series, staircase_skew
 from .oracle import (
+    ALTERNATING_COUNT_LIMIT,
     LIE_TRACE_LIMIT,
     alternating_count,
+    foulkes_staircase,
     lie_character,
     monomial_pleth_collected,
     specialize_collected,
@@ -220,23 +223,23 @@ def _hook_alt(parity: str, n: int) -> List[Pair]:
     return [(f"{parity} alternating hooks [Lie_odd^alt]", lhs, rhs)]
 
 
-def _staircase_sum(n: int, method: str) -> GradedSeries:
-    # sum_{stair >= 2} s_{delta_stair/delta_{stair-2}}, the ribbon of size 2 stair - 3
-    return GradedSeries(n, {2 * stair - 3: staircase_skew(stair, method)
+def _staircase_sum(n: int, ribbon: Callable[[int], SymFunc]) -> GradedSeries:
+    # sum_{stair >= 2} ribbon(stair) = s_{delta_stair/delta_{stair-2}}, of size 2 stair - 3
+    return GradedSeries(n, {2 * stair - 3: ribbon(stair)
                             for stair in range(2, (n + 3) // 2 + 1)})
 
 
 def _carlitz(n: int) -> List[Pair]:
     return [
         ("E_odd^alt/E_even^alt vs staircase sum", _quotient(n, True),
-         _staircase_sum(n, "jacobi_trudi"))
+         _staircase_sum(n, staircase_skew))
     ]
 
 
 def _foulkes(n: int) -> List[Pair]:
     return [
         ("staircase: Euler-number formula vs determinant",
-         _staircase_sum(n, "foulkes"), _staircase_sum(n, "jacobi_trudi"))
+         _staircase_sum(n, foulkes_staircase), _staircase_sum(n, staircase_skew))
     ]
 
 
@@ -249,7 +252,7 @@ def _ribbon_dimension(n: int) -> List[Pair]:
     for m in range(2, (n + 3) // 2 + 1):
         d = 2 * m - 3
         ones = (1,) * d
-        determinant[d] = SymFunc({ones: dimension(staircase_skew(m, "jacobi_trudi"))})
+        determinant[d] = SymFunc({ones: dimension(staircase_skew(m))})
         tableaux[d] = SymFunc({ones: syt_count(staircase(m), staircase(max(m - 2, 1)))})
         alternating[d] = SymFunc({ones: alternating_count(d)})
     return [
@@ -271,7 +274,7 @@ def _hook_products(n: int) -> GradedSeries:
 def _alt_carlitz(n: int) -> List[Pair]:
     q = _quotient(n, False)
     # the ribbon of stair s sits in degree d = 2s - 3, so (-1)^s = (-1)^{floor(d/2)}
-    signed = parity_split(_staircase_sum(n, "jacobi_trudi"), "odd", alternating=True)
+    signed = parity_split(_staircase_sum(n, staircase_skew), "odd", alternating=True)
     return [
         ("E_odd/E_even vs signed staircase sum", q, signed),
         ("E_odd/E_even vs hook-product expansion", q, _hook_products(n)),
@@ -284,7 +287,7 @@ def _tanh_form(n: int, alternating: bool = False) -> List[Pair]:
     q = _quotient(n, alternating)
     # The Foulkes ribbons, summed over the staircases, are the tangent-number
     # series sum_m T_m Z^m/m! of tan; tanh's carries (-1)^{floor(m/2)}.
-    tangent = _staircase_sum(n, "foulkes")
+    tangent = _staircase_sum(n, foulkes_staircase)
     if not alternating:
         tangent = parity_split(tangent, "odd", alternating=True)
     return [
@@ -385,11 +388,6 @@ def _oracle_sweep_functions():
     return fs, gs
 
 
-def _at_degree(d: int, part: SymFunc) -> GradedSeries:
-    # the one-component series of a homogeneous part of degree d
-    return GradedSeries._of([SymFunc.zero()] * d + [part])
-
-
 def _pleth_oracle(n: int) -> List[Pair]:
     """Each (f, g) of the sweep with deg f * deg g <= n, once: pleth(f, g)
     specialized to _SWEEP_M variables against f evaluated on the monomials
@@ -410,8 +408,8 @@ def _pleth_oracle(n: int) -> List[Pair]:
             )
             alphabet = monomial_pleth_collected(f, g, _SWEEP_M)
             label = f"f={f_label}, g={g_label}, m={_SWEEP_M} (orbit form)"
-            pairs.append((label, _at_degree(degree, _canonical(engine)),
-                          _at_degree(degree, _canonical(alphabet))))
+            pairs.append((label, GradedSeries(degree, {degree: _canonical(engine)}),
+                          GradedSeries(degree, {degree: _canonical(alphabet)})))
     return pairs
 
 
@@ -440,24 +438,25 @@ CHECKS: List[Check] = [
     Check("hook_alt_odd",
           "sum_{m odd} (-1)^{(m-1)/2} Hk_m[Lie_odd^alt] at degree 2n+1 = "
           "(-1)^n p_1^{2n+1}", partial(_hook_alt, "odd")),
+    # only CHECK_CAPS in benchmarks/run.py holds carlitz and alt_carlitz at 12
     Check("carlitz",
           "E_odd^alt/E_even^alt = s_(1) + sum_{n>=3} s_{delta_n/delta_{n-2}}",
           _carlitz, cap=12),
     Check("foulkes",
           "staircase skew Schur: odd-power-sum Euler expansion = "
-          "Jacobi-Trudi determinant", _foulkes, cap=12),
+          "Jacobi-Trudi determinant", _foulkes, cap=ALTERNATING_COUNT_LIMIT),
     Check("ribbon_dimension",
-          "dim s_{delta_n/delta_{n-2}} = #SYT(delta_n/delta_{n-2}) = E_{2n-3}, "
-          "the alternating permutations of 2n-3", _ribbon_dimension, cap=12),
+          "dim s_{delta_n/delta_{n-2}} = #SYT(delta_n/delta_{n-2}) = E_{2n-3}, the alternating "
+          "permutations of 2n-3", _ribbon_dimension, cap=ALTERNATING_COUNT_LIMIT),
     Check("alt_carlitz",
           "E_odd/E_even = s_(1) + sum (-1)^n s_{delta_n/delta_{n-2}} "
           "= hook-product expansion", _alt_carlitz, cap=12),
     Check("tanh_form",
           "E_odd/E_even = tanh(sum p_{2k+1}/(2k+1)) = tangent-number series",
-          _tanh_form, cap=12),
+          _tanh_form, cap=ALTERNATING_COUNT_LIMIT),
     Check("tan_form",
-          "E_odd^alt/E_even^alt = tan(sum (-1)^k p_{2k+1}/(2k+1)) = "
-          "tangent-number series", partial(_tanh_form, alternating=True), cap=12),
+          "E_odd^alt/E_even^alt = tan(sum (-1)^k p_{2k+1}/(2k+1)) = tangent-number series",
+          partial(_tanh_form, alternating=True), cap=ALTERNATING_COUNT_LIMIT),
     Check("arctan_sum", "(sum_j arctan x_j)[Lie_odd^alt] = arctan p_1",
           partial(_arctanh_sum, alternating=True)),
     Check("arctanh_sum", "(sum_j arctanh x_j)[Lie_odd] = arctanh p_1", _arctanh_sum),
@@ -478,27 +477,29 @@ CHECKS: List[Check] = [
           _pleth_oracle, cap=_SWEEP_M),
 ]
 
-_BY_NAME: Dict[str, Check] = {check.name: check for check in CHECKS}
-
-
 def check_names() -> List[Tuple[str, str]]:
     return [(check.name, check.anchor) for check in CHECKS]
 
 
+def _check(name: str) -> Check:
+    for check in CHECKS:
+        if check.name == name:
+            return check
+    raise KeyError(f"unknown check {name!r}")
+
+
 def build_pairs(name: str, max_degree: int) -> List[Pair]:
     """The comparison pairs a check would run at this degree (post-clamping)."""
-    check = _BY_NAME.get(name)
-    if check is None:
-        raise KeyError(f"unknown check {name!r}")
+    check = _check(name)
     return check.builder(check.degree(max_degree))
 
 
 def run_check(name: str, max_degree: int) -> CheckReport:
     """Run one registered check at the given truncation degree."""
     start = time.perf_counter()
-    pairs = build_pairs(name, max_degree)
-    check = _BY_NAME[name]
+    check = _check(name)
     n = check.degree(max_degree)
+    pairs = check.builder(n)
     failure = next(((d, label, lhs.components[d], rhs.components[d])
                     for d in range(n + 1) for label, lhs, rhs in pairs
                     if d <= min(lhs.max_degree, rhs.max_degree)

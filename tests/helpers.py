@@ -308,7 +308,7 @@ def jacobi_trudi_reference(outer, inner) -> SymFunc:
     of the permutations are summed per sorted multiset of h-degrees, and
     each product h_lam is then expanded once as a product of p-basis
     SymFuncs.  The reference for the ribbon sum that
-    symlie.lie.staircase_skew(n, "jacobi_trudi") takes."""
+    symlie.lie.staircase_skew(n) takes."""
     rows = len(outer)
     inner = tuple(inner) + (0,) * (rows - len(inner))
     signs = {}
@@ -783,34 +783,40 @@ def run_perturbed(name: str, max_degree: int, *perturbs) -> "verify.CheckReport"
 
     Each perturb is (pair_index, side, degree, partition, delta): delta *
     p_partition is added to a copy of side 0 (lhs) or 1 (rhs) of that pair,
-    so a memoized series the pair shares stays intact.  verify.build_pairs is
-    replaced for this one call.  The degree must lie within the side's bound
-    and be the size of the partition (ValueError otherwise).
+    so a memoized series the pair shares stays intact.  For this one call,
+    the check's entry in verify.CHECKS is replaced by one with the same
+    name, anchor and cap, whose builder perturbs the original's pairs.  The
+    degree must lie within the side's bound and be the size of the partition
+    (ValueError otherwise).
     """
-    build_pairs = verify.build_pairs
+    checks = verify.CHECKS
 
-    def perturbed_pairs(check_name: str, n: int):
-        pairs = build_pairs(check_name, n)
-        for pair_index, side, degree, lam, delta in perturbs:
-            label, *sides = pairs[pair_index]
-            target = sides[side]
-            if not 0 <= degree <= target.max_degree:
-                raise ValueError(
-                    f"perturbation degree {degree} is outside [0, {target.max_degree}]"
-                )
-            if sum(lam) != degree:
-                raise ValueError(f"perturbation partition {lam!r} does not have size {degree}")
-            components = list(target.components)
-            components[degree] = components[degree] + SymFunc({tuple(lam): delta})
-            sides[side] = GradedSeries(target.max_degree, components)
-            pairs[pair_index] = (label, *sides)
-        return pairs
+    def perturbed(check: "verify.Check") -> "verify.Check":
+        def perturbed_pairs(n: int):
+            pairs = check.builder(n)
+            for pair_index, side, degree, lam, delta in perturbs:
+                label, *sides = pairs[pair_index]
+                target = sides[side]
+                if not 0 <= degree <= target.max_degree:
+                    raise ValueError(
+                        f"perturbation degree {degree} is outside [0, {target.max_degree}]"
+                    )
+                if sum(lam) != degree:
+                    raise ValueError(
+                        f"perturbation partition {lam!r} does not have size {degree}")
+                components = list(target.components)
+                components[degree] = components[degree] + SymFunc({tuple(lam): delta})
+                sides[side] = GradedSeries(target.max_degree, components)
+                pairs[pair_index] = (label, *sides)
+            return pairs
 
-    verify.build_pairs = perturbed_pairs
+        return verify.Check(check.name, check.anchor, perturbed_pairs, check.cap)
+
+    verify.CHECKS = [perturbed(check) if check.name == name else check for check in checks]
     try:
         return verify.run_check(name, max_degree)
     finally:
-        verify.build_pairs = build_pairs
+        verify.CHECKS = checks
 
 
 # --- expression rendering ------------------------------------------------------

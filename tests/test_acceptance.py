@@ -9,7 +9,7 @@ from fractions import Fraction
 from random import Random
 
 from symlie.lie import e_series, h_series, jordan_series, lie, lie_series, staircase_skew
-from symlie.oracle import alternating_count, lie_character, syt_count
+from symlie.oracle import alternating_count, foulkes_staircase, lie_character, syt_count
 from symlie.partitions import staircase
 from symlie.plethysm import pleth, pleth_inverse
 from symlie.series import (
@@ -97,7 +97,7 @@ def test_criterion_07_carlitz_and_foulkes():
     assert report.max_degree == 9
     _passed(run_check("alt_carlitz", 9))
     for n in range(2, 8):
-        assert staircase_skew(n, "foulkes") == staircase_skew(n, "jacobi_trudi")
+        assert foulkes_staircase(n) == staircase_skew(n)
     _passed(run_check("foulkes", 11))
     print("ACCEPTANCE 7 PASS: Carlitz staircase expansion (degree 9) and "
           "Foulkes = Jacobi-Trudi for n = 2..7")

@@ -23,6 +23,7 @@ from symlie.lie import (
 )
 from symlie.oracle import (
     alternating_count,
+    foulkes_staircase,
     monomial_pleth_collected,
     specialize_collected,
     syt_count,
@@ -145,24 +146,24 @@ def test_hk_alt_square_identity():
 
 
 def test_staircase_skew_small():
+    assert foulkes_staircase(2) == p(1)
     assert staircase_skew(2) == p(1)
-    assert staircase_skew(2, "jacobi_trudi") == p(1)
+    assert foulkes_staircase(3) == schur((2, 1))
     assert staircase_skew(3) == schur((2, 1))
-    assert staircase_skew(3, "jacobi_trudi") == schur((2, 1))
-    with pytest.raises(ValueError):
-        staircase_skew(1)
-    with pytest.raises(ValueError):
-        staircase_skew(3, "guesswork")
+    for ribbon in (staircase_skew, foulkes_staircase):
+        with pytest.raises(ValueError):
+            ribbon(1)
     # 2n - 3 = 13 is past the alternating-count enumeration: the error names
-    # n and the method that has no cap, not alternating_count's argument
-    with pytest.raises(ValueError, match=r"n = 8: .*method='jacobi_trudi'"):
-        staircase_skew(8)
-    assert len(staircase_skew(8, "jacobi_trudi").terms) == 18
+    # n and the construction that has no cap, not alternating_count's argument
+    with pytest.raises(ValueError, match=r"n = 8: .*lie\.staircase_skew"):
+        foulkes_staircase(8)
+    assert len(staircase_skew(8).terms) == 18
 
 
 def test_staircase_methods_agree():
+    # the Euler-number form against the ribbon sum, wherever the first runs
     for n in range(2, 8):
-        assert staircase_skew(n, "foulkes") == staircase_skew(n, "jacobi_trudi")
+        assert foulkes_staircase(n) == staircase_skew(n)
 
 
 def test_jacobi_trudi_matches_permutation_reference():
@@ -170,7 +171,7 @@ def test_jacobi_trudi_matches_permutation_reference():
     # on a general skew shape and on straight shapes in turn
     for n in range(2, 9):
         outer, inner = staircase(n), staircase(max(n - 2, 1))
-        assert staircase_skew(n, "jacobi_trudi") == jacobi_trudi_reference(outer, inner)
+        assert staircase_skew(n) == jacobi_trudi_reference(outer, inner)
     skew = jacobi_trudi_reference((4, 3, 1), (2, 1))
     assert dimension(skew) == syt_count((4, 3, 1), (2, 1))
     for lam in [(3, 2, 1), (4, 1), (2, 2), (5,), (1, 1, 1)]:
@@ -179,32 +180,35 @@ def test_jacobi_trudi_matches_permutation_reference():
 
 def test_staircase_determinant_is_independent_of_euler_numbers(monkeypatch):
     # foulkes compares the Euler-number formula with the determinant, so the
-    # determinant must not use the Euler numbers or the formula itself.
+    # determinant must not use the Euler numbers or the formula itself.  lie
+    # imports nothing from oracle (test_import_graph), so these are the names
+    # it would have to read them through.
     def forbidden(*args):
-        raise AssertionError("the determinant used alternating_count")
+        raise AssertionError("the determinant used the Euler numbers")
 
-    # importlib: the package attribute symlie.lie is the function lie()
-    monkeypatch.setattr(importlib.import_module("symlie.lie"), "alternating_count", forbidden)
+    oracle = importlib.import_module("symlie.oracle")
+    monkeypatch.setattr(oracle, "alternating_count", forbidden)
+    monkeypatch.setattr(oracle, "foulkes_staircase", forbidden)
     staircase_skew.cache_clear()
     try:
         for n in range(2, 7):
             outer, inner = staircase(n), staircase(max(n - 2, 1))
-            assert staircase_skew(n, "jacobi_trudi") == jacobi_trudi_reference(outer, inner)
+            assert staircase_skew(n) == jacobi_trudi_reference(outer, inner)
     finally:
         staircase_skew.cache_clear()
 
 
 def test_staircase_skew_is_memoized():
     staircase_skew.cache_clear()
-    first = staircase_skew(6, "jacobi_trudi")
-    assert staircase_skew(6, "jacobi_trudi") is first
+    first = staircase_skew(6)
+    assert staircase_skew(6) is first
     assert staircase_skew.cache_info().hits == 1
 
 
 def test_staircase_dimension_counts_alternating_permutations():
     for n in range(2, 8):
         cells = 2 * n - 3
-        assert dimension(staircase_skew(n)) == alternating_count(cells)
+        assert dimension(foulkes_staircase(n)) == alternating_count(cells)
         inner = staircase(n - 2) if n >= 3 else ()
         assert syt_count(staircase(n), inner) == alternating_count(cells)
 

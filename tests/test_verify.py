@@ -154,7 +154,7 @@ def test_first_mismatching_partition_is_the_first_in_render_order(monkeypatch):
     lhs = GradedSeries(4, {4: SymFunc({(2, 2): 1, (2, 1, 1): Fraction(1, 3), (4,): 1})})
     rhs = GradedSeries(4, {4: SymFunc({(2, 2): 4, (2, 1, 1): 1, (4,): 1})})
     check = Check("two_differences", "lhs = rhs", lambda n: [("pair", lhs, rhs)])
-    monkeypatch.setitem(verify._BY_NAME, check.name, check)
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + [check])
     report = run_check(check.name, 4)
     assert (report.first_failure_degree, report.mismatch_partition) == (4, (2, 1, 1))
     assert report.mismatch_delta == Fraction(-2, 3)
@@ -387,7 +387,7 @@ def test_the_sweep_compares_each_pair_of_the_labelled_sweep_once():
 
 def test_the_sweep_cap_does_not_exceed_its_variables():
     # specializing to m variables is injective on degree d only when m >= d
-    cap = verify._BY_NAME["pleth_oracle"].cap
+    cap = next(check.cap for check in verify.CHECKS if check.name == "pleth_oracle")
     assert cap is not None and cap <= verify._SWEEP_M
     for _, lhs, rhs in build_pairs("pleth_oracle", 40):
         assert max(lhs.max_degree, rhs.max_degree) <= verify._SWEEP_M

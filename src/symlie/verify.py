@@ -11,6 +11,8 @@ foulkes, ribbon_dimension, tanh_form and tan_form read the enumeration of
 alternating permutations, so their cap is oracle.ALTERNATING_COUNT_LIMIT;
 carlitz and alt_carlitz keep cap 12.  CHECK_CAPS in benchmarks/run.py pins
 five of those six caps, all but ribbon_dimension's, and must move with them.
+thrall_h, thrall_e, he_restate, hook_regular, hook_alt_even and hook_alt_odd
+are formulas in symlie.expr, the CLI's language, so they check its evaluator.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, List, Optional, Tuple
 
+from .expr import evaluate, parse
 from .lie import compose_named, hk, hk_alt_series, named_series, staircase_skew
 from .oracle import (
     ALTERNATING_COUNT_LIMIT,
@@ -131,10 +134,6 @@ def _odd_p1_logs(n: int, alternating: bool = False) -> GradedSeries:
     return parity_split(logs, "odd", alternating)
 
 
-def _one_minus_p2(n: int) -> GradedSeries:
-    return 1 - GradedSeries(n, {2: p(2)})
-
-
 @lru_cache(maxsize=None)
 def _quotient(n: int, alternating: bool) -> GradedSeries:
     # E_odd/E_even (or its alternating analogue); shared, so never mutated.
@@ -145,14 +144,10 @@ def _quotient(n: int, alternating: bool) -> GradedSeries:
 # --- check builders -------------------------------------------------------------
 
 
-def _thrall_h(n: int) -> List[Pair]:
-    lhs = compose_named("H", named_series("Lie", n))
-    return [("H[Lie]", lhs, _geometric_p1(n))]
-
-
-def _thrall_e(n: int) -> List[Pair]:
-    rhs = _one_minus_p2(n) * _geometric_p1(n)
-    return [("E[Lie]", compose_named("E", named_series("Lie", n)), rhs)]
+def _identity(label: str, lhs: str, rhs: str) -> Callable[[int], List[Pair]]:
+    """The builder of a check stated as two expressions of symlie.expr, the
+    CLI's language, so that the check runs the evaluator too."""
+    return lambda n: [(label, evaluate(parse(lhs), n), evaluate(parse(rhs), n))]
 
 
 def _main_inverse(n: int, alternating: bool = False) -> List[Pair]:
@@ -171,18 +166,6 @@ def _arctanh_pleth(n: int, alternating: bool = False) -> List[Pair]:
     lo = named_series("Lie_odd_alt" if alternating else "Lie_odd", n)
     lhs = pleth(_odd_powersum(n, alternating), lo)
     return [(label, lhs, _odd_p1_logs(n, alternating))]
-
-
-def _he_restate(n: int) -> List[Pair]:
-    lhs = compose_named("HE", named_series("Lie_odd", n))
-    rhs = (_p1_series(n) + 1) * _geometric_p1(n)
-    return [("(HE)[Lie_odd]", lhs, rhs)]
-
-
-def _hook_regular(n: int) -> List[Pair]:
-    lhs = pleth(named_series("Hk", n), named_series("Lie_odd", n))
-    rhs = _geometric_p1(n) - 1
-    return [("Hk[Lie_odd]", lhs, rhs)]
 
 
 def _hook_he(n: int) -> List[Pair]:
@@ -204,23 +187,16 @@ def _he_lie_even(n: int) -> List[Pair]:
     even_part = compose_named("HE", named_series("Lie_even", n))
     odd_part = compose_named("HE", named_series("Lie_odd", n))
     full = compose_named("HE", named_series("Lie", n))
-    geom = _geometric_p1(n)
-    product_form = _one_minus_p2(n) * geom * geom
+    geom, one_minus_p2 = _geometric_p1(n), 1 - GradedSeries(n, {2: p(2)})
+    product_form = one_minus_p2 * geom * geom
     thrall_form = geom * compose_named("E", named_series("Lie", n))
-    even_target = _one_minus_p2(n) * series_inverse(1 - _p1_series(n) * _p1_series(n))
+    even_target = one_minus_p2 * series_inverse(1 - _p1_series(n) * _p1_series(n))
     return [
         ("(HE)[Lie_even] vs (1-p_2)(1-p_1^2)^-1", even_part, even_target),
         ("(HE)[Lie_odd](HE)[Lie_even] vs (HE)[Lie]", odd_part * even_part, full),
         ("(HE)[Lie] vs (1-p_2)(1-p_1)^-2", full, product_form),
         ("(1-p_2)(1-p_1)^-2 vs (1-p_1)^-1 E[Lie]", product_form, thrall_form),
     ]
-
-
-def _hook_alt(parity: str, n: int) -> List[Pair]:
-    # sum_{m in parity, m >= 1} (+-1)^{floor(m/2)} Hk_m, composed with Lie_odd^alt
-    lhs = pleth(named_series(f"Hk_{parity}_alt", n), named_series("Lie_odd_alt", n))
-    rhs = parity_split(_geometric_p1(n) - 1, parity, alternating=True)
-    return [(f"{parity} alternating hooks [Lie_odd^alt]", lhs, rhs)]
 
 
 def _staircase_sum(n: int, ribbon: Callable[[int], SymFunc]) -> GradedSeries:
@@ -414,8 +390,10 @@ def _pleth_oracle(n: int) -> List[Pair]:
 
 
 CHECKS: List[Check] = [
-    Check("thrall_h", "H[Lie(t)] = 1/(1 - t p_1)", _thrall_h),
-    Check("thrall_e", "E[Lie(t)] = (1 - t^2 p_2)/(1 - t p_1)", _thrall_e),
+    Check("thrall_h", "H[Lie(t)] = 1/(1 - t p_1)",
+          _identity("H[Lie]", "H o Lie", "1/(1 - p[1])")),
+    Check("thrall_e", "E[Lie(t)] = (1 - t^2 p_2)/(1 - t p_1)",
+          _identity("E[Lie]", "E o Lie", "(1 - p[2])/(1 - p[1])")),
     Check("main_inverse",
           "(E_odd/E_even)[Lie_odd] = p_1 = Lie_odd[E_odd/E_even]", _main_inverse),
     Check("main_inverse_alt",
@@ -426,18 +404,23 @@ CHECKS: List[Check] = [
     Check("arctan_pleth_alt",
           "sum_{k odd} (-1)^{(k-1)/2} (p_k/k)[Lie_odd^alt] = "
           "sum_{m odd} (-1)^{(m-1)/2} p_1^m/m", partial(_arctanh_pleth, alternating=True)),
-    Check("he_restate", "(HE)[Lie_odd] = (1 + p_1)/(1 - p_1)", _he_restate),
-    Check("hook_regular", "Hk[Lie_odd] at degree n = p_1^n", _hook_regular),
+    Check("he_restate", "(HE)[Lie_odd] = (1 + p_1)/(1 - p_1)",
+          _identity("(HE)[Lie_odd]", "HE o Lie_odd", "(1 + p[1])/(1 - p[1])")),
+    Check("hook_regular", "Hk[Lie_odd] at degree n = p_1^n",
+          _identity("Hk[Lie_odd]", "Hk o Lie_odd", "p[1]/(1 - p[1])")),
     Check("hook_he", "HE = exp(sum_{k odd} 2p_k/k) = 1 + 2 sum Hk_n = H E", _hook_he),
     Check("he_lie_even",
           "(HE)[Lie_even] = (1 - p_2)(1 - p_1)^-2 = (1 - p_1)^-1 E[Lie]",
           _he_lie_even),
     Check("hook_alt_even",
           "sum_{m even} (-1)^{m/2} Hk_m[Lie_odd^alt] at degree 2n = (-1)^n p_1^{2n}",
-          partial(_hook_alt, "even")),
+          _identity("even alternating hooks [Lie_odd^alt]", "Hk_even_alt o Lie_odd_alt",
+                    "even_alt(p[1]/(1 - p[1]))")),
     Check("hook_alt_odd",
           "sum_{m odd} (-1)^{(m-1)/2} Hk_m[Lie_odd^alt] at degree 2n+1 = "
-          "(-1)^n p_1^{2n+1}", partial(_hook_alt, "odd")),
+          "(-1)^n p_1^{2n+1}",
+          _identity("odd alternating hooks [Lie_odd^alt]", "Hk_odd_alt o Lie_odd_alt",
+                    "odd_alt(p[1]/(1 - p[1]))")),
     # only CHECK_CAPS in benchmarks/run.py holds carlitz and alt_carlitz at 12
     Check("carlitz",
           "E_odd^alt/E_even^alt = s_(1) + sum_{n>=3} s_{delta_n/delta_{n-2}}",

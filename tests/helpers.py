@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import symlie.verify as verify
 from symlie import GradedSeries, SymFunc, compose_scalar, e, h, p, schur
-from symlie.cli import BinOp, Call, Expr, Gen, Name, Num, Pleth
+from symlie.expr import BinOp, Call, Expr, Gen, Name, Num, Pleth
 from symlie.oracle import (
     _cycle_type_permutation,
     _perm_count,
@@ -821,7 +821,7 @@ def run_perturbed(name: str, max_degree: int, *perturbs) -> "verify.CheckReport"
 
 # --- expression rendering ------------------------------------------------------
 #
-# The inverse of cli.parse, used by the parse round-trip test.
+# The inverse of expr.parse, used by the parse round-trip test.
 
 
 def render_expr(expr: Expr) -> str:

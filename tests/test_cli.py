@@ -11,18 +11,18 @@ from pathlib import Path
 import pytest
 
 import symlie.cli as cli
-from symlie.cli import (
+import symlie.symfunc as symfunc
+from symlie.cli import MAX_DEGREE, main
+from symlie.expr import (
     BinOp,
     EvalError,
     Gen,
-    MAX_DEGREE,
     MAX_EXPR_DEPTH,
     Name,
     Num,
     ParseError,
     Pleth,
     evaluate,
-    main,
     parse,
 )
 from symlie.series import GradedSeries
@@ -204,9 +204,12 @@ def test_generator_above_bound_is_zero(monkeypatch):
         raise AssertionError("built a generator above the bound")
 
     for name in ("p", "h", "e", "schur"):
-        monkeypatch.setattr(cli, name, unbuilt)
+        monkeypatch.setattr(symfunc, name, unbuilt)
     series = evaluate(parse("h[60] + e[60] + p[60] + s[40,20]"), 2)
     assert series == GradedSeries(2)
+    # the patch reaches the evaluator: a generator within the bound is built
+    with pytest.raises(AssertionError, match="above the bound"):
+        evaluate(parse("h[2]"), 2)
     monkeypatch.undo()
     assert evaluate(parse("h[2] + s[2,1]"), 2) == evaluate(parse("h[2]"), 2)
     with pytest.raises(EvalError):

@@ -26,7 +26,7 @@ def exception_classes():
 
 
 EXCEPTION_CLASSES = {
-    "cli.EvalError", "cli.ParseError", "cli._UsageError",
+    "cli._UsageError", "expr.EvalError", "expr.ParseError",
     "plethysm.LeadingTermError",
     "series.ConstantTermError", "series.NonUnitConstantError",
     "symfunc.HomogeneityError",
@@ -58,7 +58,10 @@ def test_constant_term_error_is_one_class():
 
 
 def test_cli_binds_no_library_exception_class():
-    # cli maps a library error to an EvalError by catching ValueError alone
-    bound = {cls.__module__ for cls, where in exception_classes().items()
-             if "symlie.cli" in where}
-    assert bound == {"symlie.cli"}
+    # expr maps a library error to an EvalError by catching ValueError alone,
+    # and cli binds only its own class and the ParseError it catches
+    for module, expected in (("symlie.cli", {"symlie.cli", "symlie.expr"}),
+                             ("symlie.expr", {"symlie.expr"})):
+        bound = {cls.__module__ for cls, where in exception_classes().items()
+                 if module in where}
+        assert bound == expected, module

@@ -14,14 +14,15 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "symlie"
 
 IMPORTS = {
     "__init__": {"lie", "oracle", "partitions", "plethysm", "series", "symfunc", "verify"},
-    "cli": {"lie", "partitions", "plethysm", "series", "symfunc", "verify"},
+    "cli": {"expr", "partitions", "plethysm", "series", "symfunc", "verify"},
+    "expr": {"lie", "partitions", "plethysm", "series", "symfunc"},
     "lie": {"partitions", "plethysm", "series", "symfunc"},
     "oracle": {"partitions", "symfunc"},
     "partitions": set(),
     "plethysm": {"series", "symfunc"},
     "series": {"partitions", "symfunc"},
     "symfunc": {"partitions"},
-    "verify": {"lie", "oracle", "partitions", "plethysm", "series", "symfunc"},
+    "verify": {"expr", "lie", "oracle", "partitions", "plethysm", "series", "symfunc"},
 }
 
 

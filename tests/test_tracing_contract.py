@@ -64,6 +64,12 @@ assert cli.main(["expand", "tanh(p[1])", "--max-degree", "5"]) == 0
 metrics = tracer.metrics()
 assert metrics["series.compose_scalar.s"] > seconds, (seconds, metrics["series.compose_scalar.s"])
 
+# the generators are called through symfunc's attributes, which the tracer rebinds
+seconds = metrics["symfunc.generators.s"]
+assert cli.main(["expand", "h[2] + e[2] + s[2]", "--max-degree", "3"]) == 0
+metrics = tracer.metrics()
+assert metrics["symfunc.generators.s"] > seconds, (seconds, metrics["symfunc.generators.s"])
+
 # both printouts run under the cli.output span, the text and the --json one
 seconds = metrics["cli.output.s"]
 assert seconds > 0, seconds

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import symlie.expr as expr
 import symlie.verify as verify
 from symlie.cli import main
 from symlie.lie import hk, named_series
-from symlie.series import GradedSeries
+from symlie.series import GradedSeries, parity_split
 from symlie.symfunc import SymFunc
 from symlie.verify import CHECKS, Check, CheckReport, build_pairs, check_names, run_all, run_check
 
@@ -225,6 +226,24 @@ def test_alt_carlitz_hook_side_uses_no_closed_form(monkeypatch):
         assert verify._hook_products(10) == quotient
     finally:
         named_series.cache_clear()
+
+
+def test_checks_stated_as_formulas_catch_a_defect_in_the_evaluator(monkeypatch):
+    # odd_alt without its signs: the alternating hooks disagree at p_1^3,
+    # where the series reads -1 and the broken formula +1
+    monkeypatch.setitem(expr._FUNCTIONS, "odd_alt", lambda g: parity_split(g, "odd"))
+    report = run_check("hook_alt_odd", 9)
+    assert not report.passed
+    assert report.first_failure_degree == 3
+    assert report.mismatch_partition == (1, 1, 1)
+    assert report.mismatch_delta == -2
+    # '/' that multiplies: (1 - p_2)/(1 - p_1) is wrong from degree 1 on
+    monkeypatch.setitem(expr._ARITHMETIC, "/", lambda a, b: a * b)
+    report = run_check("thrall_e", 6)
+    assert not report.passed
+    assert report.first_failure_degree == 1
+    monkeypatch.undo()
+    assert run_check("hook_alt_odd", 9).passed and run_check("thrall_e", 6).passed
 
 
 def test_both_quotients_share_one_memo_entry_per_degree():

@@ -329,7 +329,7 @@ def evaluate(expr: Expr, max_degree: int) -> GradedSeries:
             return GradedSeries(max_degree)
         generator = {"p": symfunc.p, "h": symfunc.h, "e": symfunc.e, "s": symfunc.schur}
         f = _at(expr.pos, generator[expr.kind], expr.arg)
-        return GradedSeries.from_symfunc(f, max_degree)
+        return GradedSeries(max_degree, {degree: f})
     if isinstance(expr, Name):
         return named_series(_registered(expr), max_degree)
     if isinstance(expr, Call):

@@ -45,14 +45,8 @@ def lie(n: int) -> SymFunc:
     divisors: 8 at n = 40, where frobenius would visit p(40) = 37,338 classes."""
     if n < 1:
         raise ValueError("lie(n) requires n >= 1")
-    terms: Dict[Partition, Fraction] = {}
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        mu = mobius(d)
-        if mu:
-            terms[(d,) * (n // d)] = Fraction(mu, n)
-    return SymFunc(terms)
+    return SymFunc({(d,) * (n // d): Fraction(mu, n)
+                    for d in range(1, n + 1) if not n % d and (mu := mobius(d))})
 
 
 def lie_series(max_degree: int) -> GradedSeries:

@@ -24,11 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Dict, List, Sequence, Tuple
 
 from .partitions import Partition, check_partition, multiplicities
-from .symfunc import SymFunc, frobenius
+from .symfunc import SymFunc, _integer_form, _partition, frobenius
 
 
 # --- orbit-collected symmetric polynomials --------------------------------------
@@ -139,13 +139,12 @@ def _power_product(alphabet: Alphabet, m: int, lam: Partition) -> tuple:
 
 
 def _substitute(f: SymFunc, alphabet: Alphabet, m: int) -> CollectedPoly:
-    """f evaluated on the alphabet, in collected form, summed as integer
-    numerators over the lcm of f's denominators."""
-    den = lcm(*(c.denominator for c in f.terms.values()))
+    """f evaluated on the alphabet, in collected form, summed on the integer
+    numerators of f's integer form."""
+    terms, den = _integer_form(f) or ((), 1)
     acc: Dict[Partition, int] = {}
-    for lam, coeff in f.terms.items():
-        num = coeff.numerator * (den // coeff.denominator)
-        for gamma, value in _power_product(alphabet, m, lam):
+    for key, num in terms:
+        for gamma, value in _power_product(alphabet, m, _partition(key)):
             acc[gamma] = acc.get(gamma, 0) + num * value
     return {gamma: Fraction(v, den) for gamma, v in acc.items() if v}
 

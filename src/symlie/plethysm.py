@@ -8,12 +8,9 @@ constant term, otherwise the substitution would produce infinite sums:
 series._composed raises series.ConstantTermError, which this module exports.
 
 pleth and pleth_inverse both go through series._horner, the one Horner
-driver, which evaluates f[g] over the trie of f's terms with their parts
-in increasing order, each node kept only to the degree its prefix leaves,
-and keeps nothing on g.  pleth_inverse feeds it g_1 = p_1 alone, and the
-driver reads each later g_d off the root as it sums it.  Only series.py
-knows the trie.  Both build their result with GradedSeries._of and never
-patch a series.
+driver, described there, feeding it f's terms in integer form; pleth_inverse
+feeds it g_1 = p_1 alone.  Both build their result with GradedSeries._of
+and never patch a series.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from __future__ import annotations
 from typing import Union
 
 from .series import ConstantTermError, GradedSeries, _composed, _horner
-from .symfunc import SymFunc, _from_form, _integer_form
+from .symfunc import SymFunc, _from_form, _integer_form, _term_forms
 
 
 class LeadingTermError(ValueError):
@@ -33,11 +30,10 @@ def pleth(f: Union[SymFunc, GradedSeries], g: GradedSeries) -> GradedSeries:
     (ConstantTermError, raised by series._composed, otherwise)."""
     if isinstance(f, GradedSeries):
         n = min(f.max_degree, g.max_degree)
-        items = [(lam, c) for part in f.components[: n + 1] for lam, c in part.terms.items()]
+        parts = f.components[: n + 1]
     else:
-        n = g.max_degree
-        items = f.terms.items()
-    return _composed(items, n, g)
+        n, parts = g.max_degree, [f]
+    return _composed([item for part in parts for item in _term_forms(part)], n, g)
 
 
 def pleth_inverse(f: GradedSeries) -> GradedSeries:
@@ -54,7 +50,7 @@ def pleth_inverse(f: GradedSeries) -> GradedSeries:
         raise LeadingTermError("series with nonzero constant term has no inverse")
     if n >= 1 and f.components[1] != p1:
         raise LeadingTermError("composition inverse requires degree-1 part p_1 exactly")
-    negated = [(lam, -c) for part in f.components[2:] for lam, c in part.terms.items()]
+    negated = [item for part in f.components[2:] for item in _term_forms(-part)]
     g = [None, _integer_form(p1)][: n + 1]
     _horner(negated, n, g)
     return GradedSeries._of([_from_form(form) for form in g])

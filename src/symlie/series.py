@@ -13,9 +13,7 @@ sum_{j=1..d} j g_j F_{d-j}, one pass per degree instead of every power g^m.
 series_div is the one division kernel: it solves f = g*q for q one degree
 at a time over integer forms, so it never builds 1/g, which is dense where
 f/g is sparse (E_odd/E_even lies in Q[p_1, p_3, ...]).  series_inverse(g)
-is series_div(1, g).  Every series kernel reads its operands' components
-through the integer form each SymFunc carries, so a shared component is
-encoded once.
+is series_div(1, g).
 
 _horner is the one plethysm driver: f[g] = sum_lam c_lam prod_i p_{lam_i}[g]
 by Horner's rule over the trie of f's terms with their parts in
@@ -53,6 +51,7 @@ from .symfunc import (
     _from_form,
     _integer_form,
     _scaled_form,
+    _weighted_form,
     omega,
 )
 
@@ -89,10 +88,7 @@ class GradedSeries:
             raise ValueError("max_degree must be nonnegative")
         comps: List[SymFunc] = [SymFunc.zero()] * (max_degree + 1)
         if components is not None:
-            if isinstance(components, dict):
-                items = components.items()
-            else:
-                items = enumerate(components)
+            items = components.items() if isinstance(components, dict) else enumerate(components)
             for d, part in items:
                 if d < 0:
                     raise ValueError(f"component {d} has a negative degree")
@@ -124,14 +120,8 @@ class GradedSeries:
     @staticmethod
     def from_symfunc(f: SymFunc, max_degree: int) -> "GradedSeries":
         """Split an (in)homogeneous SymFunc by degree; degrees above the bound drop."""
-        by_degree: dict = {}
-        for lam, coeff in f.terms.items():
-            d = sum(lam)
-            if d <= max_degree:
-                by_degree.setdefault(d, {})[lam] = coeff
-        return GradedSeries(
-            max_degree, {d: SymFunc(terms) for d, terms in by_degree.items()}
-        )
+        return GradedSeries(max_degree, {d: f.homogeneous_part(d)
+                                         for d in f.degrees() if d <= max_degree})
 
     def constant_term(self) -> Fraction:
         return self.components[0].coefficient(())
@@ -171,8 +161,7 @@ class GradedSeries:
 
     def __mul__(self, other) -> "GradedSeries":
         if isinstance(other, Rational):
-            scalar = SymFunc.constant(other)
-            return self._map_components(lambda part: part * scalar)
+            return self._map_components(lambda part: part * other)
         if not isinstance(other, GradedSeries):
             return NotImplemented
         n = min(self.max_degree, other.max_degree)
@@ -255,11 +244,12 @@ def _horner_degree(children, d: int) -> Optional[IntegerForm]:
     return _form_of_products(pairs) if pairs else None
 
 
-def _horner(items: Iterable[Tuple[Partition, Rational]], n: int, gs: list) -> list:
-    """Degrees 0..n of f[g] as integer forms, for f's terms (lam, c_lam) in
-    items and g's forms g_0 = None, g_1, ... in gs, by Horner's rule
-    S_nu = c_nu + sum_{k >= last(nu)} p_k[g] S_(nu,k), f[g] = S_(), over the
-    trie of f's terms with the parts of each lam in increasing order.
+def _horner(items: Iterable[Tuple[Partition, IntegerForm]], n: int, gs: list) -> list:
+    """Degrees 0..n of f[g] as integer forms, for f's terms (lam, c_lam), c_lam
+    in constant form, in items and g's forms g_0 = None, g_1, ... in gs, by
+    Horner's rule S_nu = c_nu + sum_{k >= last(nu)} p_k[g] S_(nu,k),
+    f[g] = S_(), over the trie of f's terms with the parts of each lam in
+    increasing order.
 
     A node is (n - |nu|, S_nu by degree, children (k, p_k[g_j] by j,
     S_(nu,k))): S_nu is multiplied by prod_i p_{nu_i}[g], of valuation
@@ -275,7 +265,7 @@ def _horner(items: Iterable[Tuple[Partition, Rational]], n: int, gs: list) -> li
     columns = {1: gs}
     trie = {(): (n, [None], [])}
     for lam, c in items:
-        if not c or sum(lam) > n:
+        if c is None or sum(lam) > n:
             continue
         nu = ()
         for k in reversed(lam):
@@ -284,7 +274,7 @@ def _horner(items: Iterable[Tuple[Partition, Rational]], n: int, gs: list) -> li
             if nu not in trie:
                 trie[nu] = (bound - k, [None], [])
                 children.append((k, columns.setdefault(k, [None]), trie[nu][1]))
-        trie[nu][1][0] = _constant_form(c)
+        trie[nu][1][0] = c
     (_, root, top), *nodes = trie.values()
     # largest bound first, so each degree stops at the first node past its bound
     nodes.sort(key=lambda node: -node[0])
@@ -322,7 +312,7 @@ def compose_scalar(coeffs, g: GradedSeries) -> GradedSeries:
     if not all(isinstance(c, Rational) for c in cs):
         raise TypeError("Taylor coefficients must be exact rationals")
     # the chain trie of sum_m c_m p_1^m: classical Horner, S_m = c_m + g S_(m+1)
-    items = [((1,) * m, c) for m, c in enumerate(cs, 1)]
+    items = [((1,) * m, _constant_form(c)) for m, c in enumerate(cs, 1)]
     return _composed(items, n, g)
 
 
@@ -367,7 +357,7 @@ def exp_series(g: GradedSeries) -> GradedSeries:
     _require_zero_constant(g)
     n = g.max_degree
     # D(g)_j = j g_j: each numerator of g_j times j, over g_j's denominator
-    dg = [form and (tuple([(key, c * j) for key, c in form[0]]), form[1])
+    dg = [_weighted_form(form, lambda key: j)
           for j, form in enumerate(map(_integer_form, g.components))]
     fs: List[Optional[IntegerForm]] = [_constant_form(1)]
     for d in range(1, n + 1):

@@ -1,27 +1,25 @@
 """The graded ring of symmetric functions over exact rationals.
 
-Everything is stored in the power-sum basis: a SymFunc is a sparse map
-partition -> Fraction meaning sum_lam c_lam * p_lam.  The constructors
-h(), e() and schur() expand into this basis, so the involution omega and
-plethysm act monomial-by-monomial.  frobenius(n, chi) builds the
-characteristic of every integer class function chi, schur's included.
-h_n, e_n and the degree-n part of HE come from one closed form,
-exponential_part, a walk of its own.  Coefficients are exact
-rationals throughout (only numbers.Rational values are accepted; any
-rounding would be a correctness bug).
+Everything is stored in the power-sum basis: a SymFunc is a sparse sum
+sum_lam c_lam * p_lam.  The constructors h(), e() and schur() expand into
+this basis, so the involution omega and plethysm act monomial-by-monomial.
+frobenius(n, chi) builds the characteristic of every integer class
+function chi, schur's included.  h_n, e_n and the degree-n part of HE come
+from one closed form, exponential_part, a walk of its own.  Coefficients
+are exact rationals throughout (only numbers.Rational values are accepted;
+any rounding would be a correctness bug).
 
-Coefficients are stored as Fractions but multiplied as integers: a product
-writes each factor as integer numerators over one common denominator (the
-lcm of its term denominators), sums the integer products, and builds each
-output Fraction once.  _form_of_products is that one kernel, returning the
-sum in lowest terms, and _from_form turns its result into a SymFunc.
-SymFunc.__mul__, GradedSeries.__mul__, series_div (and with it
-series_inverse) and the Horner plethysm kernel series._horner_degree,
-which pleth, compose_scalar and pleth_inverse share, all go through it.
-Each SymFunc carries its integer form: one the kernel returns is kept on the
-SymFunc built from it, and any other is computed at most once, the first
-time a product asks for it, so a shared operand such as a named series
-component is encoded once however often it is multiplied.
+A SymFunc holds an integer form: integer numerators over one denominator,
+in lowest terms, so equal values have equal forms.  Kernel results, the
+closed form and frobenius are built straight into forms (_from_form), and
++, -, omega, == and bool read forms.  A SymFunc built from Fractions
+(SymFunc(...), _canonical) holds its terms instead, which _integer_form
+encodes afresh for each reader.  SymFunc.terms (partition -> Fraction) is
+decoded on first read, so Fractions appear only there, in coefficient,
+render, expand_in_basis and the input of SymFunc(...).  _form_of_products
+is the one product kernel, returning its sum in lowest terms: SymFunc and
+series products, series_div and series._horner_degree, the Horner plethysm
+kernel of pleth, compose_scalar and pleth_inverse, all go through it.
 
 Inside an integer form a partition lam is keyed by the integer
 prod_i P(lam_i), P(k) the prime issued to the part k when it is first seen
@@ -30,9 +28,8 @@ int multiplication per pair, where a merged and sorted tuple would need a
 sort.  The empty partition's key is 1.  By unique factorization the product
 keeps every multiplicity exactly and can never carry into another part,
 whatever the multiplicities and however large the parts; no width has to
-be fixed in advance.  _key encodes once per input term and _partition
-decodes once per output term, both memoized; SymFunc.terms keeps its tuple
-keys.
+be fixed in advance.  _key and _partition, both memoized, encode and
+decode a key; SymFunc.terms keeps tuple keys.
 
 expand_in_basis reaches the h and e bases by back-substitution: h_lam has
 only terms p_rho with rho at or after lam in partitions_of order, so one
@@ -57,12 +54,12 @@ class HomogeneityError(ValueError):
 
 
 # (terms as (partition key, integer numerator) pairs, common denominator);
-# tuples all the way down, since one form is shared by every product that
-# reads its SymFunc
+# tuples all the way down, since a SymFunc's form is shared by its readers
 IntegerForm = Tuple[Tuple[Tuple[int, int], ...], int]
 
 # The prime issued to each part seen so far, P(k) = _PRIMES[k]; primes are
 # issued in increasing order, so its values are the first len(_PRIMES) primes.
+# It only grows, so a form stays valid for the life of the process.
 _PRIMES: Dict[int, int] = {}
 
 
@@ -101,23 +98,24 @@ def _partition(key: int) -> Partition:
 
 
 def _integer_form(f: "SymFunc") -> Optional[IntegerForm]:
-    """f as integer numerators over the lcm of its denominators; None for 0.
-
-    The form is kept on f, so it is computed at most once per SymFunc.  A
-    form is valid under the prime table that issued its keys; _PRIMES only
-    grows, so a kept form stays valid for the life of the process."""
+    """f's integer form; if f holds terms instead, numerators over the lcm
+    of their denominators (lowest terms, since each Fraction is), encoded
+    afresh for each caller and never kept on f."""
     try:
         return f._form
     except AttributeError:
-        pass
-    form = None
-    if f.terms:
-        den = lcm(*(c.denominator for c in f.terms.values()))
-        form = tuple([
-            (_key(lam), c.numerator * (den // c.denominator)) for lam, c in f.terms.items()
-        ]), den
-    f._form = form
-    return form
+        terms = f._terms
+    den = lcm(*(c.denominator for c in terms.values()))
+    return (tuple([(_key(lam), c.numerator * (den // c.denominator))
+                   for lam, c in terms.items()]), den) if terms else None
+
+
+def _lowest(terms: Tuple[Tuple[int, int], ...], den: int) -> Optional[IntegerForm]:
+    """The form of terms (key, nonzero numerator) over den, in lowest terms; None for 0."""
+    if not terms:
+        return None
+    g = gcd(den, *[v for _, v in terms])
+    return (terms, den) if g == 1 else (tuple([(key, v // g) for key, v in terms]), den // g)
 
 
 def _constant_form(c: Rational) -> Optional[IntegerForm]:
@@ -127,12 +125,16 @@ def _constant_form(c: Rational) -> Optional[IntegerForm]:
 
 
 def _scaled_form(form: Optional[IntegerForm], k: int) -> Optional[IntegerForm]:
-    """p_k[x] for x in integer form: every part multiplied by k, one decode
-    and encode per term."""
-    if form is None:
-        return None
-    terms, den = form
-    return tuple([(_key(tuple(j * k for j in _partition(key))), c) for key, c in terms]), den
+    """p_k[x] for x in integer form: every part of every term multiplied by k."""
+    return form and (tuple([(_key(tuple(j * k for j in _partition(key))), c)
+                            for key, c in form[0]]), form[1])
+
+
+def _term_forms(f: "SymFunc") -> List[Tuple[Partition, IntegerForm]]:
+    """f's terms as (partition, constant form) pairs, in lowest terms."""
+    terms, den = _integer_form(f) or ((), 1)
+    return [(_partition(key), (((1, v // g),), den // g))
+            for key, v in terms for g in [gcd(v, den)]]
 
 
 def _form_of_products(
@@ -152,23 +154,49 @@ def _form_of_products(
                 key = lam * mu
                 acc[key] = acc.get(key, 0) + xk * y
     num = scale.numerator
-    terms = tuple([(key, w) for key, v in acc.items() if (w := v * num)])
-    if not terms:
-        return None
-    den *= scale.denominator
-    g = den
-    for _, v in terms:
-        g = gcd(g, v)
-        if g == 1:
-            return terms, den
-    return tuple([(key, v // g) for key, v in terms]), den // g
+    return _lowest(tuple([(key, w) for key, v in acc.items() if (w := v * num)]),
+                   den * scale.denominator)
+
+
+def _sum_form(x: Optional[IntegerForm], y: Optional[IntegerForm]) -> Optional[IntegerForm]:
+    """x + y in lowest terms, over the lcm of the two denominators; None for 0."""
+    if not (x and y):
+        return x or y
+    den = lcm(x[1], y[1])
+    acc: Dict[int, int] = {}
+    for terms, k in ((x[0], den // x[1]), (y[0], den // y[1])):
+        for key, v in terms:
+            acc[key] = acc.get(key, 0) + v * k
+    return _lowest(tuple([(key, v) for key, v in acc.items() if v]), den)
+
+
+def _weighted_form(form: Optional[IntegerForm], weight) -> Optional[IntegerForm]:
+    """Each numerator of form times weight(key); in lowest terms if each weight is +-1."""
+    return form and (tuple([(key, v * weight(key)) for key, v in form[0]]), form[1])
+
+
+def _sizes(parts: Iterable["SymFunc"]) -> Tuple[int, int]:
+    """The number of terms of parts and the bit length of their largest
+    denominator, read off the terms or else the form each part holds, where
+    a numerator v over den reduces to den // gcd(v, den)."""
+    count = bits = 0
+    for f in parts:
+        if hasattr(f, "_terms"):
+            count += len(f._terms)
+            bits = max([bits] + [c.denominator.bit_length() for c in f._terms.values()])
+        else:
+            keys, den = f._form
+            count += len(keys)
+            if den.bit_length() > bits:
+                bits = max(bits, *((den // gcd(v, den)).bit_length() for _, v in keys))
+    return count, bits
 
 
 def _from_form(form: Optional[IntegerForm]) -> "SymFunc":
-    """The SymFunc of an integer form in lowest terms, one Fraction per term;
-    it keeps the form."""
-    terms, den = form or ((), 1)
-    result = _canonical({_partition(key): Fraction(v, den) for key, v in terms})
+    """The SymFunc holding form, in lowest terms; None gives a zero holding empty terms."""
+    if form is None:
+        return _canonical({})
+    result = SymFunc.__new__(SymFunc)
     result._form = form
     return result
 
@@ -177,7 +205,7 @@ def _canonical(terms: Dict[Partition, Fraction]) -> "SymFunc":
     """The SymFunc of terms already in canonical form (partition keys,
     nonzero Fraction values), taken as given."""
     result = SymFunc.__new__(SymFunc)
-    result.terms = terms
+    result._terms = terms
     return result
 
 
@@ -194,21 +222,17 @@ def _sorted_key(parts) -> Partition:
 
 
 class SymFunc:
-    """A symmetric function expanded in the power-sum basis.
-
-    terms maps partitions to nonzero Fractions; the empty partition carries
-    the constant term.  Instances are treated as immutable values.
-    Coefficients must be numbers.Rational (int, Fraction); anything else,
-    a float included, raises TypeError.  The constructor sorts each key
-    into a partition and adds up the coefficients that land on one key; a
-    part that is not a positive int (a bool included) raises ValueError.
-
-    _form holds the integer form of terms once one is known (see
-    _integer_form); since terms is never changed after construction, the
-    form stays the one recomputed from terms.
+    """A symmetric function expanded in the power-sum basis, an immutable
+    value holding its integer form (_form) or, built from Fractions, its
+    terms (_terms).  terms maps partitions to nonzero Fractions, decoded
+    from the form on first read; the empty partition carries the constant
+    term.  Coefficients must be numbers.Rational (int, Fraction); anything
+    else, a float included, raises TypeError.  The constructor sorts each
+    key into a partition and adds up the coefficients that land on one key;
+    a part that is not a positive int (a bool included) raises ValueError.
     """
 
-    __slots__ = ("terms", "_form")
+    __slots__ = ("_terms", "_form")
 
     def __init__(self, terms=None):
         clean: Dict[Partition, Fraction] = {}
@@ -221,7 +245,14 @@ class SymFunc:
                     clean[lam] += coeff
                 else:
                     clean[lam] = coeff if type(coeff) is Fraction else Fraction(coeff)
-        self.terms = {lam: c for lam, c in clean.items() if c}
+        self._terms = {lam: c for lam, c in clean.items() if c}
+
+    @property
+    def terms(self) -> Dict[Partition, Fraction]:
+        if not hasattr(self, "_terms"):  # decoded once, one Fraction per term
+            terms, den = self._form
+            self._terms = {_partition(key): Fraction(v, den) for key, v in terms}
+        return self._terms
 
     @staticmethod
     def zero() -> "SymFunc":
@@ -237,27 +268,31 @@ class SymFunc:
 
     def degree(self) -> int:
         """Maximal degree among stored terms (0 for the zero function)."""
-        return max((sum(lam) for lam in self.terms), default=0)
+        return max(self.degrees(), default=0)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(lam) for lam in self.terms}
-        return len(degrees) <= 1
+        return len(self.degrees()) <= 1
 
     def homogeneous_part(self, d: int) -> "SymFunc":
         return SymFunc({lam: c for lam, c in self.terms.items() if sum(lam) == d})
 
     def degrees(self) -> set:
-        return {sum(lam) for lam in self.terms}
+        if hasattr(self, "_terms"):
+            return {sum(lam) for lam in self._terms}
+        return {sum(_partition(key)) for key, _ in self._form[0]}  # read without decoding
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(getattr(self, "_form", None) or self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, SymFunc):
-            return self.terms == other.terms
         if isinstance(other, Rational):
-            return self == SymFunc.constant(other)
-        return NotImplemented
+            other = SymFunc.constant(other)
+        elif not isinstance(other, SymFunc):
+            return NotImplemented
+        if hasattr(self, "_terms") and hasattr(other, "_terms"):
+            return self._terms == other._terms
+        x, y = _integer_form(self), _integer_form(other)  # unique up to key order
+        return x == y or bool(x and y and x[1] == y[1] and dict(x[0]) == dict(y[0]))
 
     def __hash__(self):
         # a constant equals its rational (zero included), so it hashes like it
@@ -265,24 +300,20 @@ class SymFunc:
             return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
+    def _forms(self, other):
+        """The integer forms of self and of other, a SymFunc or a rational."""
+        return _integer_form(self), (_constant_form if isinstance(other, Rational)
+                                     else _integer_form)(other)
+
     def __add__(self, other) -> "SymFunc":
-        if isinstance(other, Rational):
-            other = SymFunc.constant(other)
-        elif not isinstance(other, SymFunc):
+        if not isinstance(other, (SymFunc, Rational)):
             return NotImplemented
-        out = dict(self.terms)
-        for lam, coeff in other.terms.items():
-            new = out.get(lam, 0) + coeff
-            if new:
-                out[lam] = new
-            else:
-                out.pop(lam, None)
-        return _canonical(out)
+        return _from_form(_sum_form(*self._forms(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymFunc":
-        return _canonical({lam: -c for lam, c in self.terms.items()})
+        return _from_form(_weighted_form(_integer_form(self), lambda key: -1))
 
     def __sub__(self, other) -> "SymFunc":
         return self + -other
@@ -291,11 +322,9 @@ class SymFunc:
         return -self + other
 
     def __mul__(self, other) -> "SymFunc":
-        if isinstance(other, Rational):
-            other = SymFunc.constant(other)
-        elif not isinstance(other, SymFunc):
+        if not isinstance(other, (SymFunc, Rational)):
             return NotImplemented
-        x, y = _integer_form(self), _integer_form(other)
+        x, y = self._forms(other)
         return _from_form(_form_of_products([(x, y)] if x and y else []))
 
     __rmul__ = __mul__
@@ -323,24 +352,26 @@ EXPONENTIAL_WEIGHTS: Dict[str, Callable[[int], int]] = {
 def exponential_part(n: int, weight: Callable[[int], int]) -> SymFunc:
     """Degree-n part of exp(sum_k w(k) p_k/k): sum_{lam |- n} prod_i w(lam_i) p_lam/z_lam.
 
-    One walk over lam's parts builds both products: equal parts come in runs,
-    and the j-th k of a run multiplies z_lam = prod_k k^{m_k} m_k! by k*j.
-    Zero-weight terms are dropped, so _canonical takes the terms as given.
-    Through frobenius, whose z_of is a second pass, warm builds of H at
-    degrees 18 and 26 take about twice as long."""
+    Built straight into integer form, numerators n! prod_i w(lam_i)/z_lam over
+    n!, by one walk over lam's parts for the weight product, z_lam and the key
+    (frobenius walks twice, in z_of and _key).  Equal parts come in runs, and
+    the j-th k of a run multiplies z_lam = prod_k k^{m_k} m_k! by k*j."""
     weights = [weight(k) for k in range(n + 1)]
-    terms = {}
+    primes = [1] + [_prime(k) for k in range(1, n + 1)]
+    size = factorial(n)
+    terms = []
     for lam in partitions_of(n):
-        num = z = 1
+        num = z = key = 1
         prev = run = 0
         for k in lam:
             run = run + 1 if k == prev else 1
             prev = k
             num *= weights[k]
             z *= k * run
+            key *= primes[k]
         if num:
-            terms[lam] = Fraction(num, z)
-    return _canonical(terms)
+            terms.append((key, num * (size // z)))
+    return _from_form(_lowest(tuple(terms), size))
 
 
 def h(n: int) -> SymFunc:
@@ -359,9 +390,8 @@ def e(n: int) -> SymFunc:
 
 def omega(f: SymFunc) -> SymFunc:
     """The involution exchanging h_n and e_n: p_lam -> (-1)^{|lam|-len(lam)} p_lam."""
-    return SymFunc(
-        {lam: c * (-1) ** (sum(lam) - len(lam)) for lam, c in f.terms.items()}
-    )
+    return _from_form(_weighted_form(
+        _integer_form(f), lambda key: (-1) ** (sum(lam := _partition(key)) - len(lam))))
 
 
 def _bead_mask(lam: Partition) -> int:
@@ -400,10 +430,11 @@ def _character(mask: int, mu: Partition) -> int:
 
 def frobenius(n: int, chi: Callable[[Partition], int]) -> SymFunc:
     """The Frobenius characteristic sum_{mu |- n} chi(mu) p_mu / z_mu of the
-    integer class function chi, one Fraction per class where chi is nonzero."""
-    return _canonical({
-        mu: Fraction(c, z_of(mu)) for mu in partitions_of(n) if (c := chi(mu))
-    })
+    integer class function chi, in integer form: chi(mu) n!/z_mu over n! for
+    each class where chi is nonzero."""
+    size = factorial(n)
+    return _from_form(_lowest(tuple([(_key(mu), c * (size // z_of(mu)))
+                                     for mu in partitions_of(n) if (c := chi(mu))]), size))
 
 
 def schur(lam) -> SymFunc:
@@ -417,13 +448,11 @@ def schur_expand(f: SymFunc) -> Dict[Partition, Fraction]:
 
     Since <p_mu, s_lam> = chi^lam(mu), the coefficient is
     sum_mu f_mu chi^lam(mu) with no divisions, summed as integer numerators
-    over the lcm of f's denominators."""
+    of f's integer form."""
     if not f.is_homogeneous():
         raise HomogeneityError("schur_expand requires homogeneous input")
-    if not f:
-        return {}
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    nums = [(mu, c.numerator * (den // c.denominator)) for mu, c in f.terms.items()]
+    terms, den = _integer_form(f) or ((), 1)
+    nums = [(_partition(key), v) for key, v in terms]
     out = {}
     for lam in partitions_of(f.degree()):
         mask = _bead_mask(lam)
@@ -438,8 +467,6 @@ def dimension(f: SymFunc) -> Fraction:
     with Frobenius characteristic f."""
     if not f.is_homogeneous():
         raise HomogeneityError("dimension requires homogeneous input")
-    if not f:
-        return Fraction(0)
     n = f.degree()
     return factorial(n) * f.coefficient((1,) * n)
 
@@ -466,10 +493,7 @@ def _solve_in_h(f: SymFunc, d: int) -> Dict[Partition, Fraction]:
     then subtracted.  The residual is kept as integer numerators over one
     denominator, which grows only when a_lam * h_lam needs it to.
     """
-    form = _integer_form(f)
-    if form is None:
-        return {}
-    terms, den = form
+    terms, den = _integer_form(f) or ((), 1)
     residual = dict(terms)
     coords: Dict[Partition, Fraction] = {}
     for lam in partitions_of(d):

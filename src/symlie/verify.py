@@ -46,7 +46,7 @@ from .series import (
     tan_series,
     tanh_series,
 )
-from .symfunc import SymFunc, _canonical, dimension, p, render, schur, schur_expand
+from .symfunc import SymFunc, _canonical, _sizes, dimension, p, render, schur, schur_expand
 
 Pair = Tuple[str, GradedSeries, GradedSeries]
 
@@ -496,7 +496,8 @@ def run_check(name: str, max_degree: int) -> CheckReport:
                      mismatch=(f"{label}: {render(left)}", f"{label}: {render(right)}"),
                      mismatch_partition=partition, mismatch_delta=diff[partition])
     elapsed_ms = (time.perf_counter() - start) * 1000
-    parts = [part for _, lhs, rhs in pairs for side in (lhs, rhs) for part in side.components]
+    terms, bits = _sizes(part for _, lhs, rhs in pairs
+                         for part in lhs.components + rhs.components)
     return CheckReport(
         check_name=name,
         paper_anchor=check.anchor,
@@ -505,11 +506,7 @@ def run_check(name: str, max_degree: int) -> CheckReport:
         requested_degree=max_degree,
         elapsed_ms=elapsed_ms,
         pairs=len(pairs),
-        terms=sum(len(part.terms) for part in parts),
-        max_den_bits=max(
-            (c.denominator.bit_length() for part in parts for c in part.terms.values()),
-            default=0,
-        ),
+        terms=terms, max_den_bits=bits,
         **found,
     )
 

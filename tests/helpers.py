@@ -1,6 +1,8 @@
 """Shared test utilities: independent counting oracles, seeded generators and
 hypothesis strategies."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -9,6 +11,8 @@ from random import Random
 
 from hypothesis import strategies as st
 
+import symlie
+import symlie.symfunc as symfunc
 import symlie.verify as verify
 from symlie import GradedSeries, SymFunc, compose_scalar, e, h, p, schur
 from symlie.expr import BinOp, Call, Expr, Gen, Name, Num, Pleth
@@ -21,6 +25,7 @@ from symlie.oracle import (
 from symlie.lie import hk
 from symlie.symfunc import (
     _bead_mask,
+    _canonical,
     _character,
     _form_of_products,
     _from_form,
@@ -74,6 +79,27 @@ def exponential_part_reference(n: int, weight) -> SymFunc:
     return SymFunc(
         {lam: Fraction(prod(map(weight, lam)), z_of(lam)) for lam in partitions_of(n)}
     )
+
+
+def exponential_part_walk_reference(n: int, weight) -> SymFunc:
+    """The degree-n part of exp(sum_k w(k) p_k/k) by the walk that builds one
+    Fraction per term: equal parts of lam come in runs, and the j-th k of a
+    run multiplies z_lam by k*j.  Zero-weight terms are dropped, so the terms
+    are taken as given.  The reference for the integer form that
+    symlie.symfunc.exponential_part builds along the same walk."""
+    weights = [weight(k) for k in range(n + 1)]
+    terms = {}
+    for lam in partitions_of(n):
+        num = z = 1
+        prev = run = 0
+        for k in lam:
+            run = run + 1 if k == prev else 1
+            prev = k
+            num *= weights[k]
+            z *= k * run
+        if num:
+            terms[lam] = Fraction(num, z)
+    return _canonical(terms)
 
 
 # --- hypothesis strategies --------------------------------------------------------
@@ -199,6 +225,20 @@ def symfunc_mul_reference(f: SymFunc, g: SymFunc) -> SymFunc:
 def symfunc_scale_reference(f: SymFunc, c) -> SymFunc:
     """c * f, one Fraction product per term."""
     return SymFunc({lam: a * c for lam, a in f.terms.items()})
+
+
+def symfunc_add_reference(f: SymFunc, g: SymFunc) -> SymFunc:
+    """f + g summed term by term in Fractions, through the validating
+    constructor, which drops the terms that cancel."""
+    out = dict(f.terms)
+    for lam, b in g.terms.items():
+        out[lam] = out.get(lam, 0) + b
+    return SymFunc(out)
+
+
+def omega_reference(f: SymFunc) -> SymFunc:
+    """omega(f) term by term in Fractions: p_lam -> (-1)^{|lam|-len(lam)} p_lam."""
+    return SymFunc({lam: c * (-1) ** (sum(lam) - len(lam)) for lam, c in f.terms.items()})
 
 
 def series_mul_reference(f: GradedSeries, g: GradedSeries) -> GradedSeries:
@@ -773,6 +813,43 @@ def labelled_sweep_functions():
         for lam in partitions_of(d):
             gs.append((f"s{list(lam)}", schur(lam)))
     return fs, gs
+
+
+# --- memo tables and kernel work ---------------------------------------------------
+
+
+def memo_tables() -> dict:
+    """Every functools.lru_cache table defined at the top level of a symlie
+    module, by its name module.function."""
+    tables = {}
+    for info in pkgutil.iter_modules(symlie.__path__):
+        module = importlib.import_module(f"symlie.{info.name}")
+        for name, obj in vars(module).items():
+            if (hasattr(obj, "cache_info") and hasattr(obj, "cache_clear")
+                    and getattr(obj, "__module__", None) == module.__name__):
+                tables[f"{info.name}.{name}"] = obj
+    return tables
+
+
+def kernel_work(monkeypatch, run) -> tuple:
+    """(calls, term pairs) of the product kernel symfunc._form_of_products
+    during run(), counted through every symlie module's binding of it."""
+    original = symfunc._form_of_products
+    work = []
+
+    def counted(pairs, *scale):
+        pairs = list(pairs)
+        work.append(sum(len(x[0]) * len(y[0]) for x, y in pairs))
+        return original(pairs, *scale)
+
+    with monkeypatch.context() as patch:
+        for info in pkgutil.iter_modules(symlie.__path__):
+            module = importlib.import_module(f"symlie.{info.name}")
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    patch.setattr(module, name, counted)
+        run()
+    return len(work), sum(work)
 
 
 # --- fault injection for the check registry in symlie.verify ---------------------

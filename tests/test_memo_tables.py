@@ -1,26 +1,14 @@
 """The memo tables in the code are the ones the docs name and count."""
 
-import importlib
-import pkgutil
 import re
 from pathlib import Path
 
 import symlie
 
+from helpers import memo_tables
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 STATED = re.compile(r"keeps\s+(\d+)\s+memo\s+tables")
-
-
-def memo_tables():
-    """Every functools.lru_cache table defined at the top level of a symlie module."""
-    tables = []
-    for info in pkgutil.iter_modules(symlie.__path__):
-        module = importlib.import_module(f"symlie.{info.name}")
-        for name, obj in vars(module).items():
-            if (hasattr(obj, "cache_info") and hasattr(obj, "cache_clear")
-                    and getattr(obj, "__module__", None) == module.__name__):
-                tables.append(f"{info.name}.{name}")
-    return tables
 
 
 MEMO_TABLES = {

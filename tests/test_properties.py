@@ -1,8 +1,9 @@
 """Property tests with fixed example budgets: the CLI exit-code contract under
 random token strings, omega as an involution, plethysm associativity through
 the power-sum series P_k, pleth against its product-of-series reference,
-the prime-product partition keys of the integer multiplication kernel, and
-the integer form each SymFunc keeps."""
+the prime-product partition keys of the integer multiplication kernel, the
+integer form each SymFunc keeps, and values held as forms against the same
+values held as Fractions."""
 
 import contextlib
 import io
@@ -31,11 +32,23 @@ from symlie.symfunc import (
     _key,
     _from_form,
     _partition,
+    _sizes,
     exponential_part,
+    omega,
     p,
+    render,
 )
 
-from helpers import coefficients, pleth_reference, series, symfunc_mul_reference, symfuncs
+from helpers import (
+    coefficients,
+    omega_reference,
+    pleth_reference,
+    series,
+    symfunc_add_reference,
+    symfunc_mul_reference,
+    symfunc_scale_reference,
+    symfuncs,
+)
 
 # Complete operands of the expression language, with some near misses: an
 # invalid index, a non-partition and an unknown name.
@@ -209,7 +222,7 @@ def test_forms_of_products_are_in_lowest_terms(pairs, scale):
     assert (dict(terms), den) == (dict(expected_terms), expected_den)
 
 
-# --- the integer form kept on each SymFunc ---------------------------------------
+# --- the integer form each SymFunc holds or encodes ------------------------------
 
 
 def _recomputed_form(f: SymFunc):
@@ -220,7 +233,7 @@ def _recomputed_form(f: SymFunc):
 @settings(max_examples=100, deadline=None)
 @given(f=symfuncs(), g=symfuncs(), c=coefficients)
 def test_kept_forms_match_the_terms(f, g, c):
-    # the operands keep their forms first, so a result that wrongly shared
+    # the operands' forms are read first, so a result that wrongly shared
     # one would show
     assert _integer_form(f) == _recomputed_form(f)
     assert _integer_form(g) == _recomputed_form(g)
@@ -239,3 +252,41 @@ def test_kernel_outputs_keep_the_forms_of_their_terms():
     outputs += pleth(quotient, named_series("Lie_odd", n)).components
     for x in outputs:
         assert _integer_form(x) == _recomputed_form(x)
+
+
+# --- values held as integer forms and as Fractions --------------------------------
+
+
+def _twin(f: SymFunc) -> SymFunc:
+    """f's value held as its integer form instead of its Fraction terms."""
+    return _from_form(_integer_form(f))
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=symfuncs(), g=symfuncs(), c=coefficients)
+def test_values_held_as_forms_match_their_fraction_twins(f, g, c):
+    # == runs before hash and render, which decode and keep the terms
+    for x in (f, g):
+        twin = _twin(x)
+        assert twin == x and x == twin
+        assert hash(twin) == hash(x) and render(twin) == render(x)
+    minus_g = symfunc_scale_reference(g, -1)
+    wanted = [symfunc_add_reference(f, g), symfunc_add_reference(f, minus_g),
+              symfunc_scale_reference(f, -1), symfunc_scale_reference(f, c),
+              symfunc_scale_reference(f, c), symfunc_mul_reference(f, g), omega_reference(f)]
+    for x, y in ((f, g), (_twin(f), _twin(g)), (_twin(f), g), (f, _twin(g))):
+        results = [x + y, x - y, -x, x * c, c * x, x * y, omega(x)]
+        for op, got, want in zip(("+", "-", "neg", "*c", "c*", "*", "omega"), results, wanted):
+            assert got == want and want == got, op
+            assert hash(got) == hash(want) and render(got) == render(want), op
+
+
+@settings(max_examples=100, deadline=None)
+@given(fs=st.lists(symfuncs(), max_size=4))
+def test_report_sizes_read_off_forms_match_the_terms(fs):
+    # a numerator v over the common den reduces to den // gcd(v, den), which
+    # can be shorter than den itself (1/2 p_2 + 1/3 p_1^2 has den 6)
+    want = (sum(len(f.terms) for f in fs),
+            max((c.denominator.bit_length() for f in fs for c in f.terms.values()), default=0))
+    assert _sizes(fs) == want
+    assert _sizes([_twin(f) for f in fs]) == want

@@ -15,14 +15,14 @@ from symlie.cli import evaluate, parse
 from symlie.lie import named_series
 from symlie.partitions import partitions_of
 from symlie.plethysm import pleth, pleth_inverse
-import symlie.series as series
 from symlie.series import GradedSeries, log1p_series, tan_series, tanh_series
-from symlie.symfunc import _form_of_products, _from_form, _h_form, expand_in_basis, omega, p
+from symlie.symfunc import _from_form, _h_form, expand_in_basis, omega, p
 from symlie.verify import _odd_powersum
 
 from helpers import (
     head,
     homogeneous,
+    kernel_work,
     pleth_inverse_prefix_reference,
     pleth_inverse_reference,
     solve_in_h_reference,
@@ -81,28 +81,13 @@ def test_pleth_inverse_matches_reference_on_named_quotients(source, n):
         assert pleth_inverse(head(f, d)) == head(g, d) == pleth_inverse_prefix_reference(head(f, d)), d
 
 
-def _kernel_work(monkeypatch, run):
-    """(calls, term pairs) of the Horner kernel's _form_of_products during run()."""
-    work = []
-
-    def counted(pairs, *scale):
-        pairs = list(pairs)
-        work.append(sum(len(x[0]) * len(y[0]) for x, y in pairs))
-        return _form_of_products(pairs, *scale)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(series, "_form_of_products", counted)
-        run()
-    return len(work), sum(work)
-
-
 def test_horner_solve_keeps_each_node_only_to_the_degree_its_prefix_leaves(monkeypatch):
     # S_nu is built through degree n - |nu| and no further, which fixes the
     # kernel's work: the prefix solve took 1,505 calls and 30,685 term pairs
     # at 14, and 5,439 calls and 197,697 term pairs at 18
     for n, expected in [(14, (506, 7995)), (18, (1595, 31423))]:
         f = evaluate(parse("H-1"), n)
-        assert _kernel_work(monkeypatch, lambda: pleth_inverse(f)) == expected, n
+        assert kernel_work(monkeypatch, lambda: pleth_inverse(f)) == expected, n
 
 
 @pytest.mark.parametrize("compose, alternating, expected", [
@@ -116,4 +101,4 @@ def test_chain_trie_keeps_each_node_only_to_the_degree_its_prefix_leaves(
     # compose_scalar's trie of sum_m c_m p_1^m is a chain whose node m is
     # kept through degree 18 - m
     z = _odd_powersum(18, alternating)
-    assert _kernel_work(monkeypatch, lambda: compose(z)) == expected
+    assert kernel_work(monkeypatch, lambda: compose(z)) == expected

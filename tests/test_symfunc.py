@@ -11,6 +11,7 @@ from symlie.symfunc import (
     SymFunc,
     _bead_mask,
     _character,
+    _integer_form,
     dimension,
     e,
     expand_in_basis,
@@ -27,6 +28,7 @@ from symlie.symfunc import (
 from helpers import (
     character_reference,
     exponential_part_reference,
+    exponential_part_walk_reference,
     inner,
     pentagonal_count,
     random_symfunc,
@@ -77,6 +79,16 @@ def test_exponential_part_matches_the_validated_construction():
             f = exponential_part(n, weight)
             assert f == exponential_part_reference(n, weight), (name, n)
             assert all(type(c) is Fraction and c for c in f.terms.values()), (name, n)
+
+
+def test_exponential_part_is_the_integer_form_of_the_fraction_walk():
+    # the same denominator and the same key -> numerator map, term for term
+    for name, weight in EXPONENTIAL_WEIGHTS.items():
+        for n in range(21):
+            terms, den = _integer_form(exponential_part(n, weight))
+            want_terms, want_den = _integer_form(exponential_part_walk_reference(n, weight))
+            assert len(dict(terms)) == len(terms), (name, n)
+            assert (den, dict(terms)) == (want_den, dict(want_terms)), (name, n)
 
 
 def test_omega():

@@ -14,10 +14,18 @@ from symlie.series import GradedSeries, parity_split
 from symlie.symfunc import SymFunc
 from symlie.verify import CHECKS, Check, CheckReport, build_pairs, check_names, run_all, run_check
 
-from helpers import hook_product_expansion_reference, labelled_sweep_functions, run_perturbed
+from helpers import (
+    hook_product_expansion_reference,
+    kernel_work,
+    labelled_sweep_functions,
+    memo_tables,
+    run_perturbed,
+)
 
 
 ALL_NAMES = [check.name for check in CHECKS]
+# the benchmark's verify_uncapped workload: every uncapped check but hook_he
+UNCAPPED = [check.name for check in CHECKS if check.cap is None and check.name != "hook_he"]
 
 
 def test_registry_contents():
@@ -175,6 +183,47 @@ def test_check_report_counts_terms_and_denominators():
     )
     assert bumped.terms == plain.terms + 1
     assert bumped.max_den_bits == max(plain.max_den_bits, 41)
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_term_counts_read_off_forms_match_the_decoded_terms(name):
+    # run_check reads terms and max_den_bits off integer forms; the same
+    # pairs, built afresh, give them again from their Fraction terms
+    report = run_check(name, 9)
+    parts = [part for _, lhs, rhs in build_pairs(name, 9)
+             for side in (lhs, rhs) for part in side.components]
+    assert report.terms == sum(len(part.terms) for part in parts)
+    assert report.max_den_bits == max(
+        (c.denominator.bit_length() for part in parts for c in part.terms.values()), default=0)
+
+
+def test_parity_checks_decode_no_form_above_degree_zero(monkeypatch):
+    # equality, sums, negation and the report's counts all read integer
+    # forms, so neither check builds a Fraction term above degree 0
+    decode = SymFunc.terms.fget
+
+    def guarded(f):
+        if not hasattr(f, "_terms") and any(key != 1 for key, _ in f._form[0]):
+            raise AssertionError("a form above degree 0 was decoded")
+        return decode(f)
+
+    for table in memo_tables().values():
+        table.cache_clear()  # so no shared component comes already decoded
+    monkeypatch.setattr(SymFunc, "terms", property(guarded))
+    assert run_check("parity_props", 12).passed
+    assert run_check("alt_parity_props", 12).passed
+
+
+def test_kernel_work_of_the_uncapped_checks_is_pinned(monkeypatch):
+    # counted from empty memo tables, as in a fresh process; sums,
+    # negations and omega stay out of the product kernel
+    assert len(UNCAPPED) == 16
+    for table in memo_tables().values():
+        table.cache_clear()
+    reports = []
+    work = kernel_work(monkeypatch, lambda: reports.extend(run_check(n, 12) for n in UNCAPPED))
+    assert all(report.passed for report in reports)
+    assert work == (1384, 15887)
 
 
 def test_perturbing_a_shared_side_leaves_it_intact():

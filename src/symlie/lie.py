@@ -32,6 +32,7 @@ from .symfunc import (
     _form_of_products,
     _from_form,
     _h_form,
+    _prime,
     e,
     exponential_part,
     frobenius,
@@ -45,8 +46,15 @@ def lie(n: int) -> SymFunc:
     divisors: 8 at n = 40, where frobenius would visit p(40) = 37,338 classes."""
     if n < 1:
         raise ValueError("lie(n) requires n >= 1")
-    return SymFunc({(d,) * (n // d): Fraction(mu, n)
-                    for d in range(1, n + 1) if not n % d and (mu := mobius(d))})
+    # in integer form: mu(d) over n keyed P(d)^(n/d), in lowest terms since mu(1) = 1
+    terms = []
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        mu = mobius(d)
+        if mu:
+            terms.append((_prime(d) ** (n // d), mu))
+    return _from_form((tuple(terms), n))
 
 
 def lie_series(max_degree: int) -> GradedSeries:

@@ -28,7 +28,7 @@ from math import comb, factorial
 from typing import Dict, List, Sequence, Tuple
 
 from .partitions import Partition, check_partition, multiplicities
-from .symfunc import SymFunc, _integer_form, _partition, frobenius
+from .symfunc import SymFunc, _partition, frobenius
 
 
 # --- orbit-collected symmetric polynomials --------------------------------------
@@ -141,7 +141,7 @@ def _power_product(alphabet: Alphabet, m: int, lam: Partition) -> tuple:
 def _substitute(f: SymFunc, alphabet: Alphabet, m: int) -> CollectedPoly:
     """f evaluated on the alphabet, in collected form, summed on the integer
     numerators of f's integer form."""
-    terms, den = _integer_form(f) or ((), 1)
+    terms, den = f._form or ((), 1)
     acc: Dict[Partition, int] = {}
     for key, num in terms:
         for gamma, value in _power_product(alphabet, m, _partition(key)):

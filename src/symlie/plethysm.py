@@ -8,9 +8,12 @@ constant term, otherwise the substitution would produce infinite sums:
 series._composed raises series.ConstantTermError, which this module exports.
 
 pleth and pleth_inverse both go through series._horner, the one Horner
-driver, described there, feeding it f's terms in integer form; pleth_inverse
-feeds it g_1 = p_1 alone.  Both build their result with GradedSeries._of
-and never patch a series.
+driver, which evaluates f[g] over the trie of f's terms with their parts
+in increasing order, each node kept only to the degree its prefix leaves,
+and keeps nothing on g.  pleth_inverse feeds it g_1 = p_1 alone, and the
+driver reads each later g_d off the root as it sums it.  Only series.py
+knows the trie.  Both build their result with GradedSeries._of and never
+patch a series.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from typing import Union
 
 from .series import ConstantTermError, GradedSeries, _composed, _horner
-from .symfunc import SymFunc, _from_form, _integer_form, _term_forms
+from .symfunc import SymFunc, _from_form, _term_forms
 
 
 class LeadingTermError(ValueError):
@@ -30,10 +33,11 @@ def pleth(f: Union[SymFunc, GradedSeries], g: GradedSeries) -> GradedSeries:
     (ConstantTermError, raised by series._composed, otherwise)."""
     if isinstance(f, GradedSeries):
         n = min(f.max_degree, g.max_degree)
-        parts = f.components[: n + 1]
+        items = [item for part in f.components[: n + 1] for item in _term_forms(part)]
     else:
-        n, parts = g.max_degree, [f]
-    return _composed([item for part in parts for item in _term_forms(part)], n, g)
+        n = g.max_degree
+        items = _term_forms(f)
+    return _composed(items, n, g)
 
 
 def pleth_inverse(f: GradedSeries) -> GradedSeries:
@@ -51,6 +55,6 @@ def pleth_inverse(f: GradedSeries) -> GradedSeries:
     if n >= 1 and f.components[1] != p1:
         raise LeadingTermError("composition inverse requires degree-1 part p_1 exactly")
     negated = [item for part in f.components[2:] for item in _term_forms(-part)]
-    g = [None, _integer_form(p1)][: n + 1]
+    g = [None, p1._form][: n + 1]
     _horner(negated, n, g)
     return GradedSeries._of([_from_form(form) for form in g])

@@ -13,7 +13,8 @@ sum_{j=1..d} j g_j F_{d-j}, one pass per degree instead of every power g^m.
 series_div is the one division kernel: it solves f = g*q for q one degree
 at a time over integer forms, so it never builds 1/g, which is dense where
 f/g is sparse (E_odd/E_even lies in Q[p_1, p_3, ...]).  series_inverse(g)
-is series_div(1, g).
+is series_div(1, g).  Every series kernel reads its operands' components
+through the integer form each SymFunc holds.
 
 _horner is the one plethysm driver: f[g] = sum_lam c_lam prod_i p_{lam_i}[g]
 by Horner's rule over the trie of f's terms with their parts in
@@ -49,9 +50,7 @@ from .symfunc import (
     _constant_form,
     _form_of_products,
     _from_form,
-    _integer_form,
     _scaled_form,
-    _weighted_form,
     omega,
 )
 
@@ -88,7 +87,10 @@ class GradedSeries:
             raise ValueError("max_degree must be nonnegative")
         comps: List[SymFunc] = [SymFunc.zero()] * (max_degree + 1)
         if components is not None:
-            items = components.items() if isinstance(components, dict) else enumerate(components)
+            if isinstance(components, dict):
+                items = components.items()
+            else:
+                items = enumerate(components)
             for d, part in items:
                 if d < 0:
                     raise ValueError(f"component {d} has a negative degree")
@@ -120,8 +122,14 @@ class GradedSeries:
     @staticmethod
     def from_symfunc(f: SymFunc, max_degree: int) -> "GradedSeries":
         """Split an (in)homogeneous SymFunc by degree; degrees above the bound drop."""
-        return GradedSeries(max_degree, {d: f.homogeneous_part(d)
-                                         for d in f.degrees() if d <= max_degree})
+        by_degree: dict = {}
+        for lam, coeff in f.terms.items():
+            d = sum(lam)
+            if d <= max_degree:
+                by_degree.setdefault(d, {})[lam] = coeff
+        return GradedSeries(
+            max_degree, {d: SymFunc(terms) for d, terms in by_degree.items()}
+        )
 
     def constant_term(self) -> Fraction:
         return self.components[0].coefficient(())
@@ -165,8 +173,8 @@ class GradedSeries:
         if not isinstance(other, GradedSeries):
             return NotImplemented
         n = min(self.max_degree, other.max_degree)
-        fs = [_integer_form(part) for part in self.components[: n + 1]]
-        gs = [_integer_form(part) for part in other.components[: n + 1]]
+        fs = [part._form for part in self.components[: n + 1]]
+        gs = [part._form for part in other.components[: n + 1]]
         # degree d of the product: sum_{0 <= a <= d} f_a g_{d-a}
         return GradedSeries._of([_from_form(_form_of_products(
             (fs[a], gs[d - a]) for a in range(d + 1) if fs[a] and gs[d - a]
@@ -202,7 +210,7 @@ def series_div(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     if not c:
         raise NonUnitConstantError("cannot divide by a series with zero constant term")
     n = min(f.max_degree, g.max_degree)
-    gs = [_integer_form(part) for part in g.components[: n + 1]]
+    gs = [part._form for part in g.components[: n + 1]]
     # f_d enters as f_d * (-1) under the common scale -1/c
     minus_one = _constant_form(-1)
     scale = -1 / c
@@ -210,7 +218,7 @@ def series_div(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     for d, part in enumerate(f.components[: n + 1]):
         pairs = [(gs[j], qs[d - j]) for j in range(1, d + 1) if gs[j] and qs[d - j]]
         if part:
-            pairs.append((_integer_form(part), minus_one))
+            pairs.append((part._form, minus_one))
         qs.append(_form_of_products(pairs, scale))
     return GradedSeries._of([_from_form(q) for q in qs])
 
@@ -296,7 +304,7 @@ def _composed(items, n: int, g: GradedSeries) -> GradedSeries:
     """f[g] through degree n for f's terms in items, g with zero constant
     term (ConstantTermError otherwise): _horner on a fresh list of g's forms."""
     _require_zero_constant(g)
-    forms = _horner(items, n, [_integer_form(part) for part in g.components[: n + 1]])
+    forms = _horner(items, n, [part._form for part in g.components[: n + 1]])
     return GradedSeries._of([_from_form(form) for form in forms])
 
 
@@ -357,8 +365,8 @@ def exp_series(g: GradedSeries) -> GradedSeries:
     _require_zero_constant(g)
     n = g.max_degree
     # D(g)_j = j g_j: each numerator of g_j times j, over g_j's denominator
-    dg = [_weighted_form(form, lambda key: j)
-          for j, form in enumerate(map(_integer_form, g.components))]
+    dg = [form and (tuple([(key, c * j) for key, c in form[0]]), form[1])
+          for j, form in enumerate(part._form for part in g.components)]
     fs: List[Optional[IntegerForm]] = [_constant_form(1)]
     for d in range(1, n + 1):
         pairs = [(dg[j], fs[d - j]) for j in range(1, d + 1) if dg[j] and fs[d - j]]

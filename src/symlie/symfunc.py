@@ -1,25 +1,27 @@
 """The graded ring of symmetric functions over exact rationals.
 
 Everything is stored in the power-sum basis: a SymFunc is a sparse sum
-sum_lam c_lam * p_lam.  The constructors h(), e() and schur() expand into
-this basis, so the involution omega and plethysm act monomial-by-monomial.
-frobenius(n, chi) builds the characteristic of every integer class
-function chi, schur's included.  h_n, e_n and the degree-n part of HE come
-from one closed form, exponential_part, a walk of its own.  Coefficients
-are exact rationals throughout (only numbers.Rational values are accepted;
-any rounding would be a correctness bug).
+sum_lam c_lam * p_lam, held as an integer form.  The constructors
+h(), e() and schur() expand into this basis, so the involution omega and
+plethysm act monomial-by-monomial.  frobenius(n, chi) builds the
+characteristic of every integer class function chi, schur's included.
+h_n, e_n and the degree-n part of HE come from one closed form,
+exponential_part, a walk of its own.  Coefficients are exact
+rationals throughout (only numbers.Rational values are accepted; any
+rounding would be a correctness bug).
 
-A SymFunc holds an integer form: integer numerators over one denominator,
-in lowest terms, so equal values have equal forms.  Kernel results, the
-closed form and frobenius are built straight into forms (_from_form), and
-+, -, omega, == and bool read forms.  A SymFunc built from Fractions
-(SymFunc(...), _canonical) holds its terms instead, which _integer_form
-encodes afresh for each reader.  SymFunc.terms (partition -> Fraction) is
-decoded on first read, so Fractions appear only there, in coefficient,
-render, expand_in_basis and the input of SymFunc(...).  _form_of_products
-is the one product kernel, returning its sum in lowest terms: SymFunc and
-series products, series_div and series._horner_degree, the Horner plethysm
-kernel of pleth, compose_scalar and pleth_inverse, all go through it.
+A SymFunc holds one integer form and nothing else: integer numerators over
+one common denominator, in lowest terms, so equal values have equal forms.
+SymFunc(...) encodes its Fraction input once (_encode); kernel results,
+the closed form, frobenius and lie.lie are built straight into forms
+(_from_form); +, -, omega, ==, bool and degrees read forms.  SymFunc.terms
+(partition -> Fraction) is a view decoded on first read and kept, so
+Fractions appear only there, in coefficient, render, expand_in_basis and
+the input of SymFunc(...).  _form_of_products is the one product kernel,
+returning its sum in lowest terms: SymFunc.__mul__, GradedSeries.__mul__,
+series_div (and with it series_inverse) and the Horner plethysm kernel
+series._horner_degree, which pleth, compose_scalar and pleth_inverse
+share, all go through it.
 
 Inside an integer form a partition lam is keyed by the integer
 prod_i P(lam_i), P(k) the prime issued to the part k when it is first seen
@@ -28,8 +30,8 @@ int multiplication per pair, where a merged and sorted tuple would need a
 sort.  The empty partition's key is 1.  By unique factorization the product
 keeps every multiplicity exactly and can never carry into another part,
 whatever the multiplicities and however large the parts; no width has to
-be fixed in advance.  _key and _partition, both memoized, encode and
-decode a key; SymFunc.terms keeps tuple keys.
+be fixed in advance.  _key encodes and _partition decodes a key, both
+memoized; SymFunc.terms keeps its tuple keys.
 
 expand_in_basis reaches the h and e bases by back-substitution: h_lam has
 only terms p_rho with rho at or after lam in partitions_of order, so one
@@ -97,17 +99,14 @@ def _partition(key: int) -> Partition:
     return tuple(sorted(parts, reverse=True))
 
 
-def _integer_form(f: "SymFunc") -> Optional[IntegerForm]:
-    """f's integer form; if f holds terms instead, numerators over the lcm
-    of their denominators (lowest terms, since each Fraction is), encoded
-    afresh for each caller and never kept on f."""
-    try:
-        return f._form
-    except AttributeError:
-        terms = f._terms
+def _encode(terms: Dict[Partition, Fraction]) -> Optional[IntegerForm]:
+    """The integer form of terms (partition -> Fraction): numerators over the
+    lcm of the denominators, in lowest terms since each Fraction is; zero
+    terms are dropped, and None stands for 0."""
     den = lcm(*(c.denominator for c in terms.values()))
-    return (tuple([(_key(lam), c.numerator * (den // c.denominator))
-                   for lam, c in terms.items()]), den) if terms else None
+    pairs = tuple([(_key(lam), c.numerator * (den // c.denominator))
+                   for lam, c in terms.items() if c])
+    return (pairs, den) if pairs else None
 
 
 def _lowest(terms: Tuple[Tuple[int, int], ...], den: int) -> Optional[IntegerForm]:
@@ -125,14 +124,17 @@ def _constant_form(c: Rational) -> Optional[IntegerForm]:
 
 
 def _scaled_form(form: Optional[IntegerForm], k: int) -> Optional[IntegerForm]:
-    """p_k[x] for x in integer form: every part of every term multiplied by k."""
-    return form and (tuple([(_key(tuple(j * k for j in _partition(key))), c)
-                            for key, c in form[0]]), form[1])
+    """p_k[x] for x in integer form: every part multiplied by k, one decode
+    and encode per term."""
+    if form is None:
+        return None
+    terms, den = form
+    return tuple([(_key(tuple(j * k for j in _partition(key))), c) for key, c in terms]), den
 
 
 def _term_forms(f: "SymFunc") -> List[Tuple[Partition, IntegerForm]]:
     """f's terms as (partition, constant form) pairs, in lowest terms."""
-    terms, den = _integer_form(f) or ((), 1)
+    terms, den = f._form or ((), 1)
     return [(_partition(key), (((1, v // g),), den // g))
             for key, v in terms for g in [gcd(v, den)]]
 
@@ -177,14 +179,11 @@ def _weighted_form(form: Optional[IntegerForm], weight) -> Optional[IntegerForm]
 
 def _sizes(parts: Iterable["SymFunc"]) -> Tuple[int, int]:
     """The number of terms of parts and the bit length of their largest
-    denominator, read off the terms or else the form each part holds, where
-    a numerator v over den reduces to den // gcd(v, den)."""
+    denominator, read off the forms, where a numerator v over den reduces
+    to den // gcd(v, den)."""
     count = bits = 0
     for f in parts:
-        if hasattr(f, "_terms"):
-            count += len(f._terms)
-            bits = max([bits] + [c.denominator.bit_length() for c in f._terms.values()])
-        else:
+        if f._form:
             keys, den = f._form
             count += len(keys)
             if den.bit_length() > bits:
@@ -193,9 +192,7 @@ def _sizes(parts: Iterable["SymFunc"]) -> Tuple[int, int]:
 
 
 def _from_form(form: Optional[IntegerForm]) -> "SymFunc":
-    """The SymFunc holding form, in lowest terms; None gives a zero holding empty terms."""
-    if form is None:
-        return _canonical({})
+    """The SymFunc holding form, which must be in lowest terms (None for 0)."""
     result = SymFunc.__new__(SymFunc)
     result._form = form
     return result
@@ -203,10 +200,8 @@ def _from_form(form: Optional[IntegerForm]) -> "SymFunc":
 
 def _canonical(terms: Dict[Partition, Fraction]) -> "SymFunc":
     """The SymFunc of terms already in canonical form (partition keys,
-    nonzero Fraction values), taken as given."""
-    result = SymFunc.__new__(SymFunc)
-    result._terms = terms
-    return result
+    nonzero Fraction values), taken as given and encoded."""
+    return _from_form(_encode(terms))
 
 
 def _sorted_key(parts) -> Partition:
@@ -223,13 +218,14 @@ def _sorted_key(parts) -> Partition:
 
 class SymFunc:
     """A symmetric function expanded in the power-sum basis, an immutable
-    value holding its integer form (_form) or, built from Fractions, its
-    terms (_terms).  terms maps partitions to nonzero Fractions, decoded
-    from the form on first read; the empty partition carries the constant
-    term.  Coefficients must be numbers.Rational (int, Fraction); anything
-    else, a float included, raises TypeError.  The constructor sorts each
-    key into a partition and adds up the coefficients that land on one key;
-    a part that is not a positive int (a bool included) raises ValueError.
+    value holding its integer form _form (None for 0).  terms maps
+    partitions to nonzero Fractions, decoded from the form on first read and
+    kept in _terms; the empty partition carries the constant term.
+    Coefficients must be numbers.Rational (int, Fraction); anything else, a
+    float included, raises TypeError.  The constructor sorts each key into a
+    partition, adds up the coefficients that land on one key and encodes the
+    sum; a part that is not a positive int (a bool included) raises
+    ValueError.
     """
 
     __slots__ = ("_terms", "_form")
@@ -245,14 +241,16 @@ class SymFunc:
                     clean[lam] += coeff
                 else:
                     clean[lam] = coeff if type(coeff) is Fraction else Fraction(coeff)
-        self._terms = {lam: c for lam, c in clean.items() if c}
+        self._form = _encode(clean)
 
     @property
     def terms(self) -> Dict[Partition, Fraction]:
-        if not hasattr(self, "_terms"):  # decoded once, one Fraction per term
-            terms, den = self._form
+        try:
+            return self._terms
+        except AttributeError:  # decoded once, one Fraction per term
+            terms, den = self._form or ((), 1)
             self._terms = {_partition(key): Fraction(v, den) for key, v in terms}
-        return self._terms
+            return self._terms
 
     @staticmethod
     def zero() -> "SymFunc":
@@ -274,24 +272,21 @@ class SymFunc:
         return len(self.degrees()) <= 1
 
     def homogeneous_part(self, d: int) -> "SymFunc":
-        return SymFunc({lam: c for lam, c in self.terms.items() if sum(lam) == d})
+        terms, den = self._form or ((), 1)
+        return _from_form(_lowest(
+            tuple([(key, v) for key, v in terms if sum(_partition(key)) == d]), den))
 
     def degrees(self) -> set:
-        if hasattr(self, "_terms"):
-            return {sum(lam) for lam in self._terms}
-        return {sum(_partition(key)) for key, _ in self._form[0]}  # read without decoding
+        terms, _ = self._form or ((), 1)
+        return {sum(_partition(key)) for key, _ in terms}
 
     def __bool__(self) -> bool:
-        return bool(getattr(self, "_form", None) or self.terms)
+        return self._form is not None
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Rational):
-            other = SymFunc.constant(other)
-        elif not isinstance(other, SymFunc):
+        if not isinstance(other, (SymFunc, Rational)):
             return NotImplemented
-        if hasattr(self, "_terms") and hasattr(other, "_terms"):
-            return self._terms == other._terms
-        x, y = _integer_form(self), _integer_form(other)  # unique up to key order
+        x, y = self._forms(other)  # in lowest terms, so unique up to key order
         return x == y or bool(x and y and x[1] == y[1] and dict(x[0]) == dict(y[0]))
 
     def __hash__(self):
@@ -302,8 +297,8 @@ class SymFunc:
 
     def _forms(self, other):
         """The integer forms of self and of other, a SymFunc or a rational."""
-        return _integer_form(self), (_constant_form if isinstance(other, Rational)
-                                     else _integer_form)(other)
+        return self._form, (_constant_form(other) if isinstance(other, Rational)
+                            else other._form)
 
     def __add__(self, other) -> "SymFunc":
         if not isinstance(other, (SymFunc, Rational)):
@@ -313,7 +308,7 @@ class SymFunc:
     __radd__ = __add__
 
     def __neg__(self) -> "SymFunc":
-        return _from_form(_weighted_form(_integer_form(self), lambda key: -1))
+        return _from_form(_weighted_form(self._form, lambda key: -1))
 
     def __sub__(self, other) -> "SymFunc":
         return self + -other
@@ -391,7 +386,7 @@ def e(n: int) -> SymFunc:
 def omega(f: SymFunc) -> SymFunc:
     """The involution exchanging h_n and e_n: p_lam -> (-1)^{|lam|-len(lam)} p_lam."""
     return _from_form(_weighted_form(
-        _integer_form(f), lambda key: (-1) ** (sum(lam := _partition(key)) - len(lam))))
+        f._form, lambda key: (-1) ** (sum(lam := _partition(key)) - len(lam))))
 
 
 def _bead_mask(lam: Partition) -> int:
@@ -451,7 +446,9 @@ def schur_expand(f: SymFunc) -> Dict[Partition, Fraction]:
     of f's integer form."""
     if not f.is_homogeneous():
         raise HomogeneityError("schur_expand requires homogeneous input")
-    terms, den = _integer_form(f) or ((), 1)
+    if not f:
+        return {}
+    terms, den = f._form
     nums = [(_partition(key), v) for key, v in terms]
     out = {}
     for lam in partitions_of(f.degree()):
@@ -467,6 +464,8 @@ def dimension(f: SymFunc) -> Fraction:
     with Frobenius characteristic f."""
     if not f.is_homogeneous():
         raise HomogeneityError("dimension requires homogeneous input")
+    if not f:
+        return Fraction(0)
     n = f.degree()
     return factorial(n) * f.coefficient((1,) * n)
 
@@ -478,7 +477,7 @@ def dimension(f: SymFunc) -> Fraction:
 def _h_form(lam: Partition) -> IntegerForm:
     """h_lam = prod_i h_{lam_i} in integer form, built from its memoized prefix lam[:-1]."""
     if len(lam) <= 1:
-        return _integer_form(h(sum(lam)))
+        return h(sum(lam))._form
     return _form_of_products([(_h_form(lam[:-1]), _h_form(lam[-1:]))])
 
 
@@ -493,7 +492,10 @@ def _solve_in_h(f: SymFunc, d: int) -> Dict[Partition, Fraction]:
     then subtracted.  The residual is kept as integer numerators over one
     denominator, which grows only when a_lam * h_lam needs it to.
     """
-    terms, den = _integer_form(f) or ((), 1)
+    form = f._form
+    if form is None:
+        return {}
+    terms, den = form
     residual = dict(terms)
     coords: Dict[Partition, Fraction] = {}
     for lam in partitions_of(d):

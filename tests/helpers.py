@@ -29,7 +29,6 @@ from symlie.symfunc import (
     _character,
     _form_of_products,
     _from_form,
-    _integer_form,
     _scaled_form,
     frobenius,
 )
@@ -734,10 +733,10 @@ def pleth_inverse_prefix_reference(f: GradedSeries) -> GradedSeries:
     (lam', k), and degree d of -F[g] = -sum_lam c_lam P_lam, which reads
     only g_1 .. g_{d-1}, is g_d."""
     n = f.max_degree
-    p1 = _integer_form(SymFunc({(1,): 1}))
-    terms = [(lam, _integer_form(SymFunc.constant(-c)))
+    p1 = SymFunc({(1,): 1})._form
+    terms = [(lam, SymFunc.constant(-c)._form)
              for part in f.components[2:] for lam, c in part.terms.items()]
-    rows = {(): [_integer_form(SymFunc.constant(1))] + [None] * n, (1,): [None]}
+    rows = {(): [SymFunc.constant(1)._form] + [None] * n, (1,): [None]}
     for lam, _ in terms:
         for i in range(1, len(lam) + 1):
             rows.setdefault(lam[:i], [None] * sum(lam[:i]))

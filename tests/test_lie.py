@@ -28,10 +28,10 @@ from symlie.oracle import (
     specialize_collected,
     syt_count,
 )
-from symlie.partitions import staircase
+from symlie.partitions import mobius, staircase
 from symlie.plethysm import ConstantTermError, pleth
 from symlie.series import GradedSeries, parity_split, series_div
-from symlie.symfunc import SymFunc, dimension, e, h, p, schur, schur_expand
+from symlie.symfunc import SymFunc, _key, dimension, e, h, p, schur, schur_expand
 from symlie.verify import run_check
 
 from helpers import (
@@ -45,6 +45,9 @@ from helpers import (
 )
 
 EXPONENTIAL_NAMES = ("H", "E", "HE")
+
+# the module, which the package's function lie shadows as symlie.lie
+lie_module = importlib.import_module("symlie.lie")
 
 
 def test_lie_small_values():
@@ -61,6 +64,17 @@ def test_lie_small_values():
     )
     with pytest.raises(ValueError):
         lie(0)
+
+
+def test_lie_is_built_straight_into_its_integer_form(monkeypatch):
+    # mu(d) over n keyed P(d)^(n/d), with no Fraction and no SymFunc(...) on the way
+    monkeypatch.setattr(lie_module, "Fraction", None)
+    monkeypatch.setattr(lie_module, "SymFunc", None)
+    for n in range(1, 31):
+        terms, den = lie(n)._form
+        assert den == n
+        assert dict(terms) == {_key((d,) * (n // d)): mobius(d)
+                               for d in range(1, n + 1) if n % d == 0 and mobius(d)}
 
 
 def test_lie_dimension():

@@ -28,7 +28,6 @@ from symlie.symfunc import (
     SymFunc,
     _constant_form,
     _form_of_products,
-    _integer_form,
     _key,
     _from_form,
     _partition,
@@ -207,7 +206,7 @@ def test_pleth_of_a_high_power_matches_the_reference(g, m):
 @settings(max_examples=100, deadline=None)
 @given(pairs=st.lists(st.tuples(symfuncs(), symfuncs()), max_size=3), scale=coefficients)
 def test_forms_of_products_are_in_lowest_terms(pairs, scale):
-    forms = [(_integer_form(x), _integer_form(y)) for x, y in pairs if x and y]
+    forms = [(x._form, y._form) for x, y in pairs if x and y]
     expected = sum((x * y for x, y in pairs), SymFunc.zero()) * scale
     form = _form_of_products(forms, scale)
     assert _from_form(form) == expected
@@ -218,16 +217,16 @@ def test_forms_of_products_are_in_lowest_terms(pairs, scale):
     assert den > 0 and all(v for _, v in terms)
     assert gcd(den, *(v for _, v in terms)) == 1
     # the same form, term for term, as writing the sum out and encoding it
-    expected_terms, expected_den = _integer_form(expected)
+    expected_terms, expected_den = expected._form
     assert (dict(terms), den) == (dict(expected_terms), expected_den)
 
 
-# --- the integer form each SymFunc holds or encodes ------------------------------
+# --- the integer form each SymFunc holds -----------------------------------------
 
 
 def _recomputed_form(f: SymFunc):
     """f's integer form computed afresh from its terms."""
-    return _integer_form(SymFunc(f.terms))
+    return SymFunc(f.terms)._form
 
 
 @settings(max_examples=100, deadline=None)
@@ -235,12 +234,12 @@ def _recomputed_form(f: SymFunc):
 def test_kept_forms_match_the_terms(f, g, c):
     # the operands' forms are read first, so a result that wrongly shared
     # one would show
-    assert _integer_form(f) == _recomputed_form(f)
-    assert _integer_form(g) == _recomputed_form(g)
-    assert _constant_form(c) == _integer_form(SymFunc.constant(c))
+    assert f._form == _recomputed_form(f)
+    assert g._form == _recomputed_form(g)
+    assert _constant_form(c) == SymFunc.constant(c)._form
     for x in (f + g, f - g, -f, f * g, f * c, f * f):
-        assert _integer_form(x) == _recomputed_form(x)
-        assert _integer_form(x) is _integer_form(x)
+        assert x._form == _recomputed_form(x)
+        assert x._form is x._form
 
 
 def test_kernel_outputs_keep_the_forms_of_their_terms():
@@ -251,15 +250,16 @@ def test_kernel_outputs_keep_the_forms_of_their_terms():
     outputs += quotient.components + (E * quotient).components
     outputs += pleth(quotient, named_series("Lie_odd", n)).components
     for x in outputs:
-        assert _integer_form(x) == _recomputed_form(x)
+        assert x._form == _recomputed_form(x)
 
 
-# --- values held as integer forms and as Fractions --------------------------------
+# --- values built from Fractions and from integer forms ---------------------------
 
 
 def _twin(f: SymFunc) -> SymFunc:
-    """f's value held as its integer form instead of its Fraction terms."""
-    return _from_form(_integer_form(f))
+    """f's value rebuilt from its integer form, not from Fractions, with the
+    terms in reverse order, as a kernel result may list them."""
+    return _from_form(f._form and (f._form[0][::-1], f._form[1]))
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,6 @@ from symlie.symfunc import (
     SymFunc,
     _bead_mask,
     _character,
-    _integer_form,
     dimension,
     e,
     expand_in_basis,
@@ -85,8 +84,8 @@ def test_exponential_part_is_the_integer_form_of_the_fraction_walk():
     # the same denominator and the same key -> numerator map, term for term
     for name, weight in EXPONENTIAL_WEIGHTS.items():
         for n in range(21):
-            terms, den = _integer_form(exponential_part(n, weight))
-            want_terms, want_den = _integer_form(exponential_part_walk_reference(n, weight))
+            terms, den = exponential_part(n, weight)._form
+            want_terms, want_den = exponential_part_walk_reference(n, weight)._form
             assert len(dict(terms)) == len(terms), (name, n)
             assert (den, dict(terms)) == (want_den, dict(want_terms)), (name, n)
 

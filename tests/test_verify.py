@@ -203,7 +203,7 @@ def test_parity_checks_decode_no_form_above_degree_zero(monkeypatch):
     decode = SymFunc.terms.fget
 
     def guarded(f):
-        if not hasattr(f, "_terms") and any(key != 1 for key, _ in f._form[0]):
+        if not hasattr(f, "_terms") and f._form and any(key != 1 for key, _ in f._form[0]):
             raise AssertionError("a form above degree 0 was decoded")
         return decode(f)
 

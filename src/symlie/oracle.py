@@ -3,7 +3,8 @@
 Nothing in here goes through the plethysm substitution or the Moebius
 formula: plethysm is replayed on explicit monomial alphabets, substituting
 f into the monomials of g(x_1, ..., x_m) in orbit form, and specialization
-is the same substitution into the alphabet of variables x_1 + ... + x_m.
+is the same substitution into the alphabet of variables x_1 + ... + x_m,
+both summed on f's integer numerators into a form keyed by exponent vector.
 The free Lie character comes from the traces of permuted bracketings (its
 characteristic from symfunc.frobenius, which divides by z_mu), and the
 Euler/tangent numbers come from counting alternating permutations built
@@ -28,13 +29,14 @@ from math import comb, factorial
 from typing import Dict, List, Sequence, Tuple
 
 from .partitions import Partition, check_partition, multiplicities
-from .symfunc import SymFunc, _partition, frobenius
+from .symfunc import SymFunc, _from_form, _key, _lowest, _partition, frobenius
 
 
 # --- orbit-collected symmetric polynomials --------------------------------------
 #
 # A symmetric polynomial in m variables is stored as {sorted exponent vector
-# (trailing zeros stripped) -> coefficient of any one monomial in the orbit}.
+# (trailing zeros stripped) -> coefficient of any one monomial in the orbit}:
+# a CollectedPoly for collected_mul, a SymFunc's terms for _substitute.
 # Multiplication places the parts of the factor with the smaller orbit on
 # the padded exponents of the other: for dominant gamma, the number of
 # monomial pairs from orbit(mu) x orbit(nu) landing on x^gamma is
@@ -138,36 +140,38 @@ def _power_product(alphabet: Alphabet, m: int, lam: Partition) -> tuple:
     return tuple(collected_mul(dict(_power_product(alphabet, m, lam[:-1])), power, m).items())
 
 
-def _substitute(f: SymFunc, alphabet: Alphabet, m: int) -> CollectedPoly:
-    """f evaluated on the alphabet, in collected form, summed on the integer
-    numerators of f's integer form."""
+def _substitute(f: SymFunc, alphabet: Alphabet, m: int) -> SymFunc:
+    """f evaluated on the alphabet, in collected form: f's integer numerators
+    summed per exponent vector gamma, in a form over f's denominator."""
     terms, den = f._form or ((), 1)
     acc: Dict[Partition, int] = {}
     for key, num in terms:
         for gamma, value in _power_product(alphabet, m, _partition(key)):
             acc[gamma] = acc.get(gamma, 0) + num * value
-    return {gamma: Fraction(v, den) for gamma, v in acc.items() if v}
+    return _from_form(_lowest(tuple([(_key(gamma), v) for gamma, v in acc.items() if v]), den))
 
 
-def specialize_collected(f: SymFunc, m: int) -> CollectedPoly:
+def specialize_collected(f: SymFunc, m: int) -> SymFunc:
     """f(x_1, ..., x_m, 0, 0, ...) in collected form: f substituted into the
-    alphabet x_1 + ... + x_m, so p_k maps to x_1^k + ... + x_m^k."""
+    alphabet x_1 + ... + x_m, so p_k maps to x_1^k + ... + x_m^k.  Its
+    partitions are the orbits' sorted exponent vectors, not power sums."""
     if m < 1:
         raise ValueError("need at least one variable")
     return _substitute(f, _VARIABLES, m)
 
 
-def monomial_pleth_collected(f: SymFunc, g: SymFunc, m: int) -> CollectedPoly:
-    """f evaluated on the alphabet of monomials of g, in collected form.
+def monomial_pleth_collected(f: SymFunc, g: SymFunc, m: int) -> SymFunc:
+    """f evaluated on the alphabet of monomials of g, in collected form,
+    keyed by exponent vector as in specialize_collected.
 
     Each monomial of g(x_1, ..., x_m) with coefficient c counts as c
     letters, so p_k picks up sum_j c_j * (monomial_j)^k; the coefficients
-    must be nonnegative integers.  Power products are cached per alphabet,
-    so sweeping many f against one g costs one set of products."""
-    letters = specialize_collected(g, m)
-    if any(c.denominator != 1 or c < 0 for c in letters.values()):
+    must be nonnegative integers (a form over 1).  Power products are cached
+    per alphabet, so sweeping many f against one g costs one set of products."""
+    letters, den = specialize_collected(g, m)._form or ((), 1)
+    if den != 1 or any(c < 0 for _, c in letters):
         raise ValueError("alphabet requires nonnegative integer monomial coefficients")
-    alphabet = tuple(sorted((gamma, int(c)) for gamma, c in letters.items()))
+    alphabet = tuple(sorted((_partition(key), c) for key, c in letters))
     return _substitute(f, alphabet, m)
 
 

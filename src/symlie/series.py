@@ -119,18 +119,6 @@ class GradedSeries:
     def constant(c, max_degree: int) -> "GradedSeries":
         return GradedSeries(max_degree, {0: SymFunc.constant(c)})
 
-    @staticmethod
-    def from_symfunc(f: SymFunc, max_degree: int) -> "GradedSeries":
-        """Split an (in)homogeneous SymFunc by degree; degrees above the bound drop."""
-        by_degree: dict = {}
-        for lam, coeff in f.terms.items():
-            d = sum(lam)
-            if d <= max_degree:
-                by_degree.setdefault(d, {})[lam] = coeff
-        return GradedSeries(
-            max_degree, {d: SymFunc(terms) for d, terms in by_degree.items()}
-        )
-
     def constant_term(self) -> Fraction:
         return self.components[0].coefficient(())
 

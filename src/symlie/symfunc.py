@@ -12,16 +12,16 @@ rounding would be a correctness bug).
 
 A SymFunc holds one integer form and nothing else: integer numerators over
 one common denominator, in lowest terms, so equal values have equal forms.
-SymFunc(...) encodes its Fraction input once (_encode); kernel results,
-the closed form, frobenius and lie.lie are built straight into forms
-(_from_form); +, -, omega, ==, bool and degrees read forms.  SymFunc.terms
-(partition -> Fraction) is a view decoded on first read and kept, so
-Fractions appear only there, in coefficient, render, expand_in_basis and
-the input of SymFunc(...).  _form_of_products is the one product kernel,
-returning its sum in lowest terms: SymFunc.__mul__, GradedSeries.__mul__,
-series_div (and with it series_inverse) and the Horner plethysm kernel
-series._horner_degree, which pleth, compose_scalar and pleth_inverse
-share, all go through it.
+SymFunc(...) encodes its rational input once; kernel results, the closed
+form, frobenius, lie.lie and the oracle's orbit sums are built straight
+into forms (_from_form); +, -, omega, ==, bool and degrees read forms.
+SymFunc.terms (partition -> Fraction) is a view decoded on first read and
+kept, so Fractions appear only there, in coefficient, render,
+expand_in_basis and the input of SymFunc(...).  _form_of_products is the
+one product kernel, returning its sum in lowest terms: SymFunc.__mul__,
+GradedSeries.__mul__, series_div (and with it series_inverse) and the
+Horner plethysm kernel series._horner_degree, which pleth, compose_scalar
+and pleth_inverse share, all go through it.
 
 Inside an integer form a partition lam is keyed by the integer
 prod_i P(lam_i), P(k) the prime issued to the part k when it is first seen
@@ -97,16 +97,6 @@ def _partition(key: int) -> Partition:
             key //= q
             parts.append(k)
     return tuple(sorted(parts, reverse=True))
-
-
-def _encode(terms: Dict[Partition, Fraction]) -> Optional[IntegerForm]:
-    """The integer form of terms (partition -> Fraction): numerators over the
-    lcm of the denominators, in lowest terms since each Fraction is; zero
-    terms are dropped, and None stands for 0."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    pairs = tuple([(_key(lam), c.numerator * (den // c.denominator))
-                   for lam, c in terms.items() if c])
-    return (pairs, den) if pairs else None
 
 
 def _lowest(terms: Tuple[Tuple[int, int], ...], den: int) -> Optional[IntegerForm]:
@@ -198,12 +188,6 @@ def _from_form(form: Optional[IntegerForm]) -> "SymFunc":
     return result
 
 
-def _canonical(terms: Dict[Partition, Fraction]) -> "SymFunc":
-    """The SymFunc of terms already in canonical form (partition keys,
-    nonzero Fraction values), taken as given and encoded."""
-    return _from_form(_encode(terms))
-
-
 def _sorted_key(parts) -> Partition:
     """The parts sorted into a partition; an already sorted tuple is returned
     as given, so equal keys stay one shared object.  A part that is not a
@@ -223,15 +207,15 @@ class SymFunc:
     kept in _terms; the empty partition carries the constant term.
     Coefficients must be numbers.Rational (int, Fraction); anything else, a
     float included, raises TypeError.  The constructor sorts each key into a
-    partition, adds up the coefficients that land on one key and encodes the
-    sum; a part that is not a positive int (a bool included) raises
-    ValueError.
+    partition, adds up the coefficients that land on one key as given and
+    encodes the sums in lowest terms; a part that is not a positive int (a
+    bool included) raises ValueError.
     """
 
     __slots__ = ("_terms", "_form")
 
     def __init__(self, terms=None):
-        clean: Dict[Partition, Fraction] = {}
+        clean: Dict[Partition, Rational] = {}
         if terms:
             for lam, coeff in terms.items():
                 if not isinstance(coeff, Rational):
@@ -240,8 +224,10 @@ class SymFunc:
                 if lam in clean:
                     clean[lam] += coeff
                 else:
-                    clean[lam] = coeff if type(coeff) is Fraction else Fraction(coeff)
-        self._form = _encode(clean)
+                    clean[lam] = coeff
+        den = lcm(*(c.denominator for c in clean.values()))
+        self._form = _lowest(tuple([(_key(lam), c.numerator * (den // c.denominator))
+                                    for lam, c in clean.items() if c]), den)
 
     @property
     def terms(self) -> Dict[Partition, Fraction]:

@@ -46,7 +46,7 @@ from .series import (
     tan_series,
     tanh_series,
 )
-from .symfunc import SymFunc, _canonical, _sizes, dimension, p, render, schur, schur_expand
+from .symfunc import SymFunc, _sizes, dimension, p, render, schur, schur_expand
 
 Pair = Tuple[str, GradedSeries, GradedSeries]
 
@@ -367,9 +367,9 @@ def _oracle_sweep_functions():
 def _pleth_oracle(n: int) -> List[Pair]:
     """Each (f, g) of the sweep with deg f * deg g <= n, once: pleth(f, g)
     specialized to _SWEEP_M variables against f evaluated on the monomials
-    of g(x_1, ..., x_m).  Both sides are orbit-form dicts, whose keys are
-    sorted exponent vectors and whose values are nonzero Fractions, so
-    they are wrapped as SymFuncs as they are."""
+    of g(x_1, ..., x_m).  Both sides are SymFuncs in integer form whose
+    partitions are the orbits' sorted exponent vectors, put into the pairs
+    as they are."""
     fs, gs = _oracle_sweep_functions()
     pairs: List[Pair] = []
     for g_label, g in gs:
@@ -384,8 +384,8 @@ def _pleth_oracle(n: int) -> List[Pair]:
             )
             alphabet = monomial_pleth_collected(f, g, _SWEEP_M)
             label = f"f={f_label}, g={g_label}, m={_SWEEP_M} (orbit form)"
-            pairs.append((label, GradedSeries(degree, {degree: _canonical(engine)}),
-                          GradedSeries(degree, {degree: _canonical(alphabet)})))
+            pairs.append((label, GradedSeries(degree, {degree: engine}),
+                          GradedSeries(degree, {degree: alphabet})))
     return pairs
 
 

@@ -25,7 +25,6 @@ from symlie.oracle import (
 from symlie.lie import hk
 from symlie.symfunc import (
     _bead_mask,
-    _canonical,
     _character,
     _form_of_products,
     _from_form,
@@ -98,7 +97,12 @@ def exponential_part_walk_reference(n: int, weight) -> SymFunc:
             z *= k * run
         if num:
             terms[lam] = Fraction(num, z)
-    return _canonical(terms)
+    return SymFunc(terms)
+
+
+def as_series(f: SymFunc, n: int) -> GradedSeries:
+    """f split by degree into a series truncated at n; degrees above n drop."""
+    return GradedSeries(n, {d: f.homogeneous_part(d) for d in f.degrees() if d <= n})
 
 
 # --- hypothesis strategies --------------------------------------------------------

@@ -23,6 +23,7 @@ from symlie.symfunc import SymFunc, e, h, omega, p, schur_expand
 from symlie.verify import CHECKS, build_pairs, run_all, run_check
 
 from helpers import (
+    as_series,
     random_homogeneous,
     random_series,
     random_symfunc,
@@ -130,15 +131,15 @@ def test_criterion_09_structural_property_suites():
     )
     # (2) p_n[p_m] = p_{nm} = p_m[p_n]
     for n, m in ((2, 3), (3, 2), (2, 2)):
-        out = pleth(p(n), GradedSeries.from_symfunc(p(m), 9))
+        out = pleth(p(n), as_series(p(m), 9))
         assert out.components[n * m] == p(n * m)
-        assert out == pleth(p(m), GradedSeries.from_symfunc(p(n), 9))
+        assert out == pleth(p(m), as_series(p(n), 9))
     # (3) p_n[f] = f[p_n]
     f = random_series(rng, 9)
     f_flat = SymFunc.zero()
     for d in range(10):
         f_flat = f_flat + f.components[d]
-    assert pleth(p(2), f) == pleth(f_flat, GradedSeries.from_symfunc(p(2), 9))
+    assert pleth(p(2), f) == pleth(f_flat, as_series(p(2), 9))
     # (4) ring homomorphism in the first argument
     a = random_symfunc(rng, 3)
     b = random_symfunc(rng, 3)
@@ -167,10 +168,10 @@ def test_criterion_09_structural_property_suites():
     for deg_r in (1, 2):
         hom = random_homogeneous(rng, 2)
         rr = random_homogeneous(rng, deg_r)
-        rr_series = GradedSeries.from_symfunc(rr, 8)
+        rr_series = as_series(rr, 8)
         twisted = omega(hom) if deg_r % 2 else hom
         assert omega_series(pleth(hom, rr_series)) == pleth(
-            twisted, GradedSeries.from_symfunc(omega(rr), 8)
+            twisted, as_series(omega(rr), 8)
         )
     # (10) f[g] = p_1 iff g[f] = p_1
     cand = valid_inverse_candidate(rng, 7)

@@ -35,6 +35,7 @@ from symlie.symfunc import SymFunc, _key, dimension, e, h, p, schur, schur_expan
 from symlie.verify import run_check
 
 from helpers import (
+    as_series,
     hk_character_sum_reference,
     hk_reference,
     jacobi_trudi_reference,
@@ -266,7 +267,7 @@ def test_compose_named_matches_alphabet_oracle(name, g):
     # g is homogeneous of degree dg, so the degree-k*dg part of F[g] is F_k[g]
     # and the whole truncation is F_{<=3}[g] in 5 variables.
     dg, m = g.degree(), 5
-    composed = compose_named(name, GradedSeries.from_symfunc(g, 3 * dg))
+    composed = compose_named(name, as_series(g, 3 * dg))
     f = sum(named_series(name, 3).components, SymFunc.zero())
     total = sum(composed.components, SymFunc.zero())
     assert specialize_collected(total, m) == monomial_pleth_collected(f, g, m)

@@ -166,14 +166,6 @@ def test_exp_series_rejects_a_constant_term(g):
             exponential(g)
 
 
-@settings(max_examples=80, deadline=None)
-@given(f=symfuncs(8), n=st.integers(min_value=0, max_value=6))
-def test_from_symfunc_splits_by_degree(f, n):
-    # inhomogeneous input, with terms above the bound that must drop
-    expected = GradedSeries(n, {d: f.homogeneous_part(d) for d in range(n + 1)})
-    assert GradedSeries.from_symfunc(f, n) == expected
-
-
 def test_graded_series_rejects_nonzero_scalar_above_degree_zero():
     with pytest.raises(ValueError, match="component 2 is not homogeneous of degree 2"):
         GradedSeries(3, {2: 5})

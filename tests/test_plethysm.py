@@ -17,6 +17,7 @@ from symlie.series import GradedSeries, exp_series, parity_split, series_div, se
 from symlie.symfunc import SymFunc, _form_of_products, e, h, omega, p, schur, schur_expand
 
 from helpers import (
+    as_series,
     monomial_pleth,
     pleth_inverse_reference,
     pleth_reference,
@@ -26,10 +27,6 @@ from helpers import (
     specialize,
     valid_inverse_candidate,
 )
-
-
-def as_series(f, n):
-    return GradedSeries.from_symfunc(f, n)
 
 
 def p1_series(n):
@@ -233,7 +230,7 @@ def test_oracle_equivalence_small_sweep():
         (h(2) + 2 * schur((1, 1)), h(2) + e(2), 8),
     ]
     for f, g, m in cases:
-        full = pleth(f, GradedSeries.from_symfunc(g, 12))
+        full = pleth(f, as_series(g, 12))
         total = SymFunc.zero()
         for d in range(13):
             total = total + full.components[d]

@@ -11,6 +11,7 @@ from symlie.symfunc import (
     SymFunc,
     _bead_mask,
     _character,
+    _partition,
     dimension,
     e,
     expand_in_basis,
@@ -259,10 +260,36 @@ def test_keys_are_sorted_into_partitions():
     assert render(x) == "p[2,1]"
 
 
+# (coefficients, denominator, partition -> numerator of the form): int,
+# Fraction and mixed inputs on the same keys, keys that cancel, and sums
+# whose form is in lowest terms over the lcm of the denominators
+ENCODED = [
+    ({(2, 1): 3, (1, 2): -1, (3,): 4}, 1, {(2, 1): 2, (3,): 4}),
+    ({(2, 1): Fraction(3), (1, 2): Fraction(-1), (3,): Fraction(4)}, 1, {(2, 1): 2, (3,): 4}),
+    ({(2, 1): 3, (1, 2): Fraction(-1), (3,): Fraction(8, 2)}, 1, {(2, 1): 2, (3,): 4}),
+    ({(1, 2): 1, (2, 1): -1, (3,): 2}, 1, {(3,): 2}),
+    ({(1, 2): half, (2, 1): -half, (3,): 2}, 1, {(3,): 2}),
+    ({(1, 2): half, (2, 1): Fraction(-1, 2), (1,): Fraction(2, 3)}, 3, {(1,): 2}),
+    ({(1,): 2, (2,): half}, 2, {(1,): 4, (2,): 1}),
+    ({(1,): Fraction(2), (2,): half}, 2, {(1,): 4, (2,): 1}),
+    ({(1,): half, (2,): Fraction(1, 3), (3,): 1}, 6, {(1,): 3, (2,): 2, (3,): 6}),
+    ({(1,): Fraction(3, 4), (1, 1): Fraction(1, 4), (2,): -half, (2, 2): 1}, 4,
+     {(1,): 3, (1, 1): 1, (2,): -2, (2, 2): 4}),
+]
+
+
 def test_coefficients_on_one_key_add_up():
     assert (SymFunc({(1, 2): 1}) + SymFunc({(2, 1): 1})).terms == {(2, 1): 2}
     assert SymFunc({(1, 2): 1, (2, 1): half}) == SymFunc({(2, 1): Fraction(3, 2)})
     assert SymFunc({(1, 2, 2): 1, (2, 1, 2): -1, (3,): half}) == p(3) * half
+    for terms, den, numerators in ENCODED:
+        f = SymFunc(terms)
+        form, form_den = f._form
+        assert form_den == den and {_partition(key): v for key, v in form} == numerators
+        assert f._form == SymFunc({lam: Fraction(c) for lam, c in terms.items()})._form
+        assert f.terms == {lam: Fraction(v, den) for lam, v in numerators.items()}
+    assert SymFunc({(1, 2): 3, (2, 1): Fraction(-3)})._form is None
+    assert SymFunc({(1,): 0, (2,): Fraction(0)})._form is None
 
 
 @pytest.mark.parametrize(

@@ -214,6 +214,23 @@ def test_parity_checks_decode_no_form_above_degree_zero(monkeypatch):
     assert run_check("alt_parity_props", 12).passed
 
 
+def test_pleth_oracle_builds_no_fraction(monkeypatch):
+    # both sides of every pair are summed on integer numerators straight
+    # into forms, and the report reads forms, so the check needs no Fraction
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    for table in memo_tables().values():
+        table.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert run_check("pleth_oracle", 9).passed
+    assert built == []
+
+
 def test_kernel_work_of_the_uncapped_checks_is_pinned(monkeypatch):
     # counted from empty memo tables, as in a fresh process; sums,
     # negations and omega stay out of the product kernel

@@ -13,10 +13,18 @@ carlitz and alt_carlitz keep cap 12.  CHECK_CAPS in benchmarks/run.py pins
 five of those six caps, all but ribbon_dimension's, and must move with them.
 thrall_h, thrall_e, he_restate, hook_regular, hook_alt_even and hook_alt_odd
 are formulas in symlie.expr, the CLI's language, so they check its evaluator.
+
+run_all runs the checks, none of which reads another's result, in one
+process per usable CPU, each pinned to its own: the caller and workers
+forked from it, which end with os._exit and so never flush the stdio they
+inherit.  Its reports equal run_check's, in registry order, each with
+elapsed_ms measured in the process that ran the check; a check that raises
+makes run_all raise the same exception; and no worker outlives the call.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -511,6 +519,101 @@ def run_check(name: str, max_degree: int) -> CheckReport:
     )
 
 
+def _run_tickets(tickets: int, max_degree: int) -> dict:
+    """Run checks by the registry indices read from the tickets pipe, one
+    byte each, until it is drained: each index to its report, or to the
+    exception its check raised."""
+    outcomes = {}
+    while ticket := os.read(tickets, 1):
+        try:
+            outcomes[ticket[0]] = run_check(CHECKS[ticket[0]].name, max_degree)
+        except Exception as exc:  # run_all raises it, after reaping the workers
+            outcomes[ticket[0]] = exc
+    return outcomes
+
+
+def _pin(cpus) -> None:
+    """Keep this process on the given CPUs, where the system has the call.  A
+    forked worker left to the scheduler can share its parent's CPU for all of
+    a run as short as run_all's, and then gains nothing."""
+    if hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:  # the CPU set changed since it was read
+            pass
+
+
 def run_all(max_degree: int) -> List[CheckReport]:
-    """Every registered check, in registry order."""
-    return [run_check(check.name, max_degree) for check in CHECKS]
+    """Every registered check, in registry order, each report equal to
+    run_check's.  The checks run in min(usable CPUs, checks) processes: the
+    caller and workers forked from it, which see CHECKS as it is at the call,
+    each pinned to a CPU of its own where the system allows; the caller's
+    CPU set is restored at the end.  Each process takes the next check from
+    a shared pipe of tickets, and a worker pickles its outcomes back, so a
+    report's elapsed_ms is measured in the process that ran the check.  If
+    checks raise, the earliest in registry order has its exception, of the
+    same type and message, raised here.  Workers end with os._exit, never
+    flushing the stdio buffers they inherit, and none outlives the call: on
+    any exception, interrupts included, the caller kills and reaps them
+    before re-raising.  A worker that dies, or whose outcomes cannot be
+    unpickled, fails, and the caller runs its checks again.  Without
+    os.fork, or with one usable CPU, the caller runs every check."""
+    import pickle
+
+    usable = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    cpus = sorted(usable or range(os.cpu_count() or 1))[:len(CHECKS)]
+    if not hasattr(os, "fork"):
+        cpus = cpus[:1]
+    tickets, fill = os.pipe()
+    # Costliest first: the registry ends with the brute-force oracles
+    # (pleth_oracle, lie_oracle) and the dense parity checks, so in reverse
+    # registry order they start at once and the short checks fill in around
+    # them; in registry order pleth_oracle would start last and run alone.
+    os.write(fill, bytes(reversed(range(len(CHECKS)))))
+    os.close(fill)
+    caller, pids, pipes = os.getpid(), [], []
+    try:
+        for cpu in cpus[1:]:
+            reader, writer = os.pipe()
+            pipes += [os.fdopen(reader, "rb"), os.fdopen(writer, "wb")]
+            pid = os.fork()
+            if pid == 0:
+                _pin({cpu})
+                payload = pickle.dumps(_run_tickets(tickets, max_degree))
+                pickle.loads(payload)  # an exception that cannot be unpickled fails here
+                pipes[-1].write(payload)
+                pipes[-1].close()
+                os._exit(0)
+            pipes.pop().close()  # the caller keeps only the reading end
+            pids.append(pid)
+        if pids:
+            _pin({cpus[0]})
+        outcomes = _run_tickets(tickets, max_degree)
+        for pipe in pipes:
+            payload = pipe.read()
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            if status == 0:
+                outcomes.update(pickle.loads(payload))
+    finally:
+        if os.getpid() != caller:  # a worker that raised or was interrupted
+            os._exit(1)
+        if pids:  # the caller raised or was interrupted
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+        os.close(tickets)
+        if usable:
+            _pin(usable)
+    reports = []
+    for index, check in enumerate(CHECKS):
+        # a check with no outcome ran in a worker that failed
+        outcome = outcomes[index] if index in outcomes else run_check(check.name, max_degree)
+        if isinstance(outcome, Exception):
+            raise outcome
+        reports.append(outcome)
+    return reports

@@ -598,6 +598,8 @@ def test_cold_import_loads_no_dataclasses_inspect_or_argparse():
     added = set(json.loads(run.stdout))
     assert "symlie.cli" in added
     assert not added & {"dataclasses", "inspect", "argparse"}
+    # run_all imports pickle when called, and forks without a process pool
+    assert not added & {"pickle", "multiprocessing", "concurrent.futures"}
 
 
 def test_cli_max_degree_at_ceiling(capsys):

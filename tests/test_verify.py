@@ -1,7 +1,12 @@
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,7 +16,7 @@ import symlie.verify as verify
 from symlie.cli import main
 from symlie.lie import hk, named_series
 from symlie.series import GradedSeries, parity_split
-from symlie.symfunc import SymFunc
+from symlie.symfunc import SymFunc, p
 from symlie.verify import CHECKS, Check, CheckReport, build_pairs, check_names, run_all, run_check
 
 from helpers import (
@@ -394,13 +399,147 @@ def test_run_all_degree_zero_vacuous():
     assert all(report.passed for report in reports)
 
 
-def test_run_all_small_degree_passes_and_is_deterministic():
+def _see_cpus(monkeypatch, count):
+    # run_all sees count usable CPUs, and pins no process to one of them,
+    # which the machine may not have
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    # run_all forks two workers beside the caller on any machine with os.fork
+    _see_cpus(monkeypatch, 3)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_all_small_degree_passes_and_is_deterministic(three_cpus):
     first = run_all(5)
     second = run_all(5)
     assert all(report.passed for report in first)
     # elapsed_ms differs between runs and is left out of the comparison
-    assert first == second
+    assert first == second == [run_check(name, 5) for name in ALL_NAMES]
     assert [report.check_name for report in first] == ALL_NAMES
+    assert_no_child_left()
+
+
+def test_run_all_leaves_the_callers_cpus_as_they_were():
+    # with two or more CPUs, the caller runs its share pinned to one of them;
+    # in a fresh process given every CPU, whatever a faulty run_all pinned here
+    code = (
+        "import os\n"
+        "from symlie.verify import run_all\n"
+        "if hasattr(os, 'sched_setaffinity'):\n"
+        "    os.sched_setaffinity(0, range(os.cpu_count()))\n"
+        "usable = getattr(os, 'sched_getaffinity', lambda pid: None)\n"
+        "before = usable(0)\n"
+        "run_all(3)\n"
+        "print(usable(0) == before)\n"
+    )
+    src = str(Path(verify.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert (run.stdout, run.stderr) == ("True\n", "")
+
+
+def _every_check_built_by(monkeypatch, builder):
+    """Swap each CHECKS entry for one with the same name, anchor and cap and
+    the builder builder(original entry, n), as run_perturbed swaps one."""
+    monkeypatch.setattr(verify, "CHECKS", [
+        Check(check.name, check.anchor, partial(builder, check), check.cap) for check in CHECKS])
+
+
+def test_run_all_workers_see_checks_swapped_before_the_call(three_cpus, monkeypatch):
+    def failing(check, n):
+        time.sleep(0.002)  # long enough for every process to take tickets
+        return [(f"pid {os.getpid()}", GradedSeries(n, {1: p(1)}), GradedSeries(n))]
+
+    _every_check_built_by(monkeypatch, failing)
+    reports = run_all(4)
+    assert [report.check_name for report in reports] == ALL_NAMES
+    assert all(not report.passed and report.first_failure_degree == 1 for report in reports)
+    pids = {report.mismatch[0].split(":")[0] for report in reports}
+    assert len(pids - {f"pid {os.getpid()}"}) >= 1, pids
+    assert_no_child_left()
+
+
+def test_run_all_raises_the_earliest_exception_in_registry_order(three_cpus, monkeypatch):
+    def raising(check, n):
+        time.sleep(0.002)
+        raise (KeyError if check.name == "thrall_e" else ValueError)(f"{check.name} broke")
+
+    _every_check_built_by(monkeypatch, raising)
+    # dispatch is in reverse registry order, so thrall_h raises last
+    with pytest.raises(ValueError, match="^thrall_h broke$"):
+        run_all(4)
+    assert_no_child_left()
+
+
+def test_run_all_raises_what_a_worker_raised(three_cpus, monkeypatch):
+    caller = os.getpid()
+
+    def raising_in_a_worker(check, n):
+        time.sleep(0.002)
+        if os.getpid() != caller:
+            raise ArithmeticError(f"{check.name} broke in a worker")
+        return check.builder(n)
+
+    _every_check_built_by(monkeypatch, raising_in_a_worker)
+    with pytest.raises(ArithmeticError) as raised:
+        run_all(4)
+    assert type(raised.value) is ArithmeticError
+    name = str(raised.value).split()[0]
+    assert str(raised.value) == f"{name} broke in a worker" and name in ALL_NAMES
+    assert_no_child_left()
+
+
+def test_run_all_kills_its_workers_when_the_caller_is_interrupted(three_cpus, monkeypatch):
+    caller = os.getpid()
+
+    def stuck_in_workers(check, n):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(5)  # the workers' remaining checks would take a minute
+
+    _every_check_built_by(monkeypatch, stuck_in_workers)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_all(4)
+    assert time.monotonic() - start < 4
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("without", ["a second CPU", "os.fork"])
+def test_run_all_runs_every_check_in_the_caller_alone(monkeypatch, without):
+    if without == "os.fork":
+        _see_cpus(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        _see_cpus(monkeypatch, 1)
+
+        def no_fork():
+            raise AssertionError("forked with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    ran = []
+    monkeypatch.setattr(verify, "run_check", lambda name, n: ran.append(name) or run_check(name, n))
+    assert run_all(5) == [run_check(name, 5) for name in ALL_NAMES]
+    # costliest first: the oracles and dense checks end the registry
+    assert ran == ALL_NAMES[::-1]
+
+
+def test_cli_verify_all_in_a_fresh_process_prints_every_pass_in_registry_order():
+    src = str(Path(verify.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "symlie.cli", "verify", "--all", "--max-degree", "6"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.splitlines() == [
+        f"PASS {check.name} (max degree {check.degree(6)}): {check.anchor}" for check in CHECKS]
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
